@@ -11,6 +11,13 @@ is exactly what makes its optimum infeasible when domains contend for a link.
 Flows are linear in the allocation: f_{l,k}(R_k) = a_{l,k} * R_k with
 per-link routing coefficients a.  Transmission energy scales with distance
 squared; reception energy is distance-independent.
+
+Every interaction term is bilinear in (R_m, R_n), so :func:`compile_scenario`
+turns a scenario into arrays once: the coupled objective is exactly
+sum_k U_k(R_k) - (R^T Q R + b^T R + c) and the link constraints are A R <= C.
+The evaluation and optimization functions below all work on that compiled
+form; the ``phi_*`` functions are the scalar reference definitions of the
+terms that ``Q``, ``b`` and ``c`` collect.
 """
 
 from __future__ import annotations
@@ -25,6 +32,12 @@ from .core import SnapshotView
 from .errors import InfeasibleError, ValidationError
 
 
+def _require_finite(owner: str, values: dict[str, float]) -> None:
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValidationError(f"{owner}: {name} must be finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     id: str
@@ -34,6 +47,8 @@ class DomainSpec:
     r_max: float
 
     def __post_init__(self):
+        _require_finite(f"domain {self.id}", {"gamma": self.gamma, "lambda": self.lam,
+                                              "r_min": self.r_min, "r_max": self.r_max})
         if self.gamma <= 0:
             raise ValidationError(f"domain {self.id}: gamma must be > 0")
         if self.r_min >= self.r_max:
@@ -47,6 +62,8 @@ class SharedLink:
     coeffs: dict[str, float]  # domain id -> a_{l,k} >= 0
 
     def __post_init__(self):
+        _require_finite(f"link {self.id}", {"capacity": self.capacity,
+                                            **{f"coefficient for {k}": a for k, a in self.coeffs.items()}})
         if self.capacity <= 0:
             raise ValidationError(f"link {self.id}: capacity must be > 0")
         for k, a in self.coeffs.items():
@@ -62,6 +79,8 @@ class SharedNode:
     incident: dict[str, float]  # link id -> distance
 
     def __post_init__(self):
+        _require_finite(f"node {self.id}", {"eps_tx": self.eps_tx, "eps_rx": self.eps_rx,
+                                            **{f"distance to {l}": d for l, d in self.incident.items()}})
         if self.eps_tx < 0 or self.eps_rx < 0:
             raise ValidationError(f"node {self.id}: energy coefficients must be >= 0")
         for l, d in self.incident.items():
@@ -81,6 +100,11 @@ class CouplingEdge:
     shared_links: tuple[str, ...] = ()
     shared_nodes: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        _require_finite(f"coupling edge ({self.m}, {self.n})",
+                        {"w_link": self.w_link, "w_energy": self.w_energy,
+                         "w_util": self.w_util, "sign": self.sign})
+
     def pair(self) -> frozenset[str]:
         return frozenset((self.m, self.n))
 
@@ -96,6 +120,9 @@ class Scenario:
         ids = [d.id for d in self.domains]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate domain ids")
+        for what, items in (("link", self.links), ("node", self.nodes)):
+            if len({x.id for x in items}) != len(items):
+                raise ValidationError(f"duplicate {what} ids")
         known = set(ids)
         for l in self.links:
             unknown = set(l.coeffs) - known
@@ -114,41 +141,27 @@ class Scenario:
     def domain_ids(self) -> list[str]:
         return [d.id for d in self.domains]
 
-    def _maps(self):
-        if not hasattr(self, "_cache"):
-            self._cache = (
-                {d.id: i for i, d in enumerate(self.domains)},
-                {d.id: d for d in self.domains},
-                {l.id: l for l in self.links},
-            )
-        return self._cache
-
     def domain(self, did: str) -> DomainSpec:
-        try:
-            return self._maps()[1][did]
-        except KeyError:
-            raise ValidationError(f"unknown domain {did}") from None
+        return self.domains[self.index(did)]
 
     def index(self, did: str) -> int:
-        try:
-            return self._maps()[0][did]
-        except KeyError:
-            raise ValidationError(f"unknown domain {did}") from None
+        for i, d in enumerate(self.domains):
+            if d.id == did:
+                return i
+        raise ValidationError(f"unknown domain {did}")
 
     def link(self, lid: str) -> SharedLink:
-        try:
-            return self._maps()[2][lid]
-        except KeyError:
-            raise ValidationError(f"unknown link {lid}") from None
+        for l in self.links:
+            if l.id == lid:
+                return l
+        raise ValidationError(f"unknown link {lid}")
 
     def resolved_coupling(self) -> list[CouplingEdge]:
-        if not hasattr(self, "_resolved"):
-            self._resolved = resolve_coupling(self)
-        return self._resolved
+        return resolve_coupling(self)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array([d.r_min for d in self.domains])
-        hi = np.array([d.r_max for d in self.domains])
+        lo = np.array([d.r_min for d in self.domains], dtype=float)
+        hi = np.array([d.r_max for d in self.domains], dtype=float)
         return lo, hi
 
 
@@ -185,7 +198,7 @@ def _node_serves(scenario: Scenario, node: SharedNode, did: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Model evaluation
+# Scalar reference definitions of the model terms
 # ---------------------------------------------------------------------------
 
 def utility(d: DomainSpec, r: float) -> float:
@@ -194,35 +207,6 @@ def utility(d: DomainSpec, r: float) -> float:
     if z > 700:
         return math.exp(-z)  # underflow-safe tail
     return 1.0 / (1.0 + math.exp(z))
-
-
-def link_flow(link: SharedLink, scenario: Scenario, r: np.ndarray) -> float:
-    return float(sum(a * r[scenario.index(k)] for k, a in link.coeffs.items()))
-
-
-def feasible(scenario: Scenario, r: np.ndarray) -> tuple[bool, list[tuple[str, float]]]:
-    """Check every link's capacity; returns violations as (link id, excess)."""
-    violations = []
-    for l in scenario.links:
-        excess = link_flow(l, scenario, r) - l.capacity
-        if excess > 0:
-            violations.append((l.id, excess))
-    return (not violations), violations
-
-
-def max_violation(scenario: Scenario, r: np.ndarray) -> float:
-    worst = 0.0
-    for l in scenario.links:
-        worst = max(worst, link_flow(l, scenario, r) - l.capacity)
-    return worst
-
-
-def node_energy(node: SharedNode, scenario: Scenario, r: np.ndarray) -> float:
-    """E_n = sum over incident links of (eps_tx d^2 + eps_rx) * flow(l)."""
-    total = 0.0
-    for lid, d in node.incident.items():
-        total += (node.eps_tx * d * d + node.eps_rx) * link_flow(scenario.link(lid), scenario, r)
-    return total
 
 
 def _domain_node_coeff(scenario: Scenario, node: SharedNode, did: str) -> float:
@@ -284,60 +268,205 @@ def phi_total(edge: CouplingEdge, r: np.ndarray, scenario: Scenario) -> float:
     return val
 
 
+# ---------------------------------------------------------------------------
+# Compiled form
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CompiledScenario:
+    """A scenario as read-only arrays over its K domains and L links.
+
+    The coupled objective is sum_k U_k(R_k) - (R^T Q R + b^T R + c), with
+    every coupling edge's sign and weights folded into ``Q``, ``b`` and ``c``;
+    the link constraints are A R <= C.  Each method takes one allocation of
+    shape (K,) or a batch of shape (P, K) and reduces over the last axis.
+    """
+
+    gamma: np.ndarray  # (K,)
+    lam: np.ndarray  # (K,)
+    lo: np.ndarray  # (K,) lower bounds r_min
+    hi: np.ndarray  # (K,) upper bounds r_max
+    Q: np.ndarray  # (K, K), symmetric
+    b: np.ndarray  # (K,)
+    c: float
+    A: np.ndarray  # (L, K) routing coefficients a_{l,k}
+    C: np.ndarray  # (L,) capacities
+
+    def __post_init__(self):
+        for arr in (self.gamma, self.lam, self.lo, self.hi, self.Q, self.b, self.A, self.C):
+            arr.setflags(write=False)
+
+    def utilities(self, R: np.ndarray) -> np.ndarray:
+        """Per-domain sigmoid utilities, with :func:`utility`'s underflow-safe tail."""
+        z = self.gamma * (self.lam - R)
+        u = 1.0 / (1.0 + np.exp(np.minimum(z, 700.0)))
+        tail = z > 700.0
+        if tail.any():
+            u[tail] = np.exp(-z[tail])
+        return u
+
+    def value(self, R: np.ndarray, coupled: bool) -> np.ndarray:
+        v = self.utilities(R).sum(-1)
+        if coupled:
+            v = v - (((R @ self.Q) * R).sum(-1) + R @ self.b + self.c)
+        return v
+
+    def grad(self, R: np.ndarray, coupled: bool) -> np.ndarray:
+        u = self.utilities(R)
+        g = self.gamma * u * (1.0 - u)
+        if coupled:
+            g = g - (2.0 * (R @ self.Q) + self.b)
+        return g
+
+    def flows(self, R: np.ndarray) -> np.ndarray:
+        return R @ self.A.T
+
+    def excess(self, R: np.ndarray) -> np.ndarray:
+        """Flow minus capacity on every link; positive entries are violations."""
+        return self.flows(R) - self.C
+
+    def max_violation(self, R: np.ndarray) -> np.ndarray:
+        return self.excess(R).max(-1, initial=0.0)
+
+    def penalized(self, R: np.ndarray, coupled: bool, mu: float) -> np.ndarray:
+        """The objective minus mu times the squared link excess (coupled mode only)."""
+        v = self.value(R, coupled)
+        if coupled:
+            over = np.maximum(self.excess(R), 0.0)
+            v = v - mu * (over * over).sum(-1)
+        return v
+
+    def penalized_grad(self, R: np.ndarray, coupled: bool, mu: float) -> np.ndarray:
+        g = self.grad(R, coupled)
+        if coupled:
+            g = g - 2.0 * mu * (np.maximum(self.excess(R), 0.0) @ self.A)
+        return g
+
+
+def _lookup(table: dict[str, int], key: str, what: str) -> int:
+    try:
+        return table[key]
+    except KeyError:
+        raise ValidationError(f"unknown {what} {key}") from None
+
+
+def _energy_coeffs(scenario: Scenario, A: np.ndarray, link_row: dict[str, int]) -> np.ndarray:
+    """(K, K) energy coefficient of every domain pair, summed over the nodes.
+
+    For a pair (m, n) and a node this is eps_tx d^2 of the lowest-id incident
+    link carrying either domain, times each domain's total routing
+    coefficient over the node's incident links (see :func:`phi_energy`).
+    """
+    K = A.shape[1]
+    E = np.zeros((K, K))
+    for nd in scenario.nodes:
+        lids = sorted(nd.incident)
+        if not lids:
+            continue
+        rows = A[[_lookup(link_row, l, "link") for l in lids]]
+        carried = rows > 0
+        # index into lids of each domain's lowest-id carrying link; len(lids) if none
+        first = np.where(carried.any(axis=0), carried.argmax(axis=0), len(lids))
+        etx = np.array([nd.eps_tx * nd.incident[l] * nd.incident[l] for l in lids] + [0.0])
+        coef = rows.sum(axis=0)
+        E += etx[np.minimum.outer(first, first)] * np.outer(coef, coef)
+    return E
+
+
+def compile_scenario(scenario: Scenario) -> CompiledScenario:
+    """Collect a scenario's bounds, links and coupling terms into arrays."""
+    index = {d.id: i for i, d in enumerate(scenario.domains)}
+    link_row = {l.id: i for i, l in enumerate(scenario.links)}
+    K = len(scenario.domains)
+    gamma = np.array([d.gamma for d in scenario.domains], dtype=float)
+    lam = np.array([d.lam for d in scenario.domains], dtype=float)
+    lo, hi = scenario.bounds()
+    A = np.zeros((len(scenario.links), K))
+    for li, l in enumerate(scenario.links):
+        for did, a in l.coeffs.items():
+            A[li, _lookup(index, did, "domain")] = a
+    C = np.array([l.capacity for l in scenario.links], dtype=float)
+    P = A.T @ (A / C[:, None])  # flow-product coefficient of each domain pair
+    E = _energy_coeffs(scenario, A, link_row)
+    Q = np.zeros((K, K))
+    b = np.zeros(K)
+    c = 0.0
+    for e in scenario.coupling:
+        m, n = _lookup(index, e.m, "domain"), _lookup(index, e.n, "domain")
+        if m == n:
+            raise ValidationError(f"coupling edge ({e.m}, {e.n}) needs two distinct domains")
+        q = e.w_link * P[m, n] + e.w_energy * E[m, n]
+        if e.utility:
+            gg = e.w_util * gamma[m] * gamma[n]
+            q += gg
+            b[m] -= e.sign * gg * lam[n]
+            b[n] -= e.sign * gg * lam[m]
+            c += e.sign * gg * lam[m] * lam[n]
+        Q[m, n] += 0.5 * e.sign * q
+        Q[n, m] += 0.5 * e.sign * q
+    return CompiledScenario(gamma, lam, lo, hi, Q, b, float(c), A, C)
+
+
+# ---------------------------------------------------------------------------
+# Model evaluation
+# ---------------------------------------------------------------------------
+
+def _coupled(mode: str) -> bool:
+    if mode not in ("isolated", "coupled"):
+        raise ValidationError(f"unknown mode {mode!r}")
+    return mode == "coupled"
+
+
+def _allocation(r: np.ndarray, cs: CompiledScenario) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    if r.shape != cs.lo.shape:
+        raise ValidationError("allocation dimension mismatch")
+    return r
+
+
+def link_flow(link: SharedLink, scenario: Scenario, r: np.ndarray) -> float:
+    """Flow over one of the scenario's links at allocation r."""
+    try:
+        row = scenario.links.index(link)
+    except ValueError:
+        raise ValidationError(f"link {link.id} is not in the scenario") from None
+    cs = compile_scenario(scenario)
+    return float(cs.flows(_allocation(r, cs))[row])
+
+
+def feasible(scenario: Scenario, r: np.ndarray) -> tuple[bool, list[tuple[str, float]]]:
+    """Check every link's capacity; returns violations as (link id, excess)."""
+    cs = compile_scenario(scenario)
+    excess = cs.excess(_allocation(r, cs))
+    violations = [(l.id, float(x)) for l, x in zip(scenario.links, excess) if x > 0]
+    return (not violations), violations
+
+
+def max_violation(scenario: Scenario, r: np.ndarray) -> float:
+    cs = compile_scenario(scenario)
+    return float(cs.max_violation(_allocation(r, cs)))
+
+
+def node_energy(node: SharedNode, scenario: Scenario, r: np.ndarray) -> float:
+    """E_n = sum over incident links of (eps_tx d^2 + eps_rx) * flow(l)."""
+    total = 0.0
+    for lid, d in node.incident.items():
+        total += (node.eps_tx * d * d + node.eps_rx) * link_flow(scenario.link(lid), scenario, r)
+    return total
+
+
 def objective(r: np.ndarray, scenario: Scenario, mode: str) -> float:
     """Sum of utilities, minus signed coupling penalties in coupled mode."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (len(scenario.domains),):
-        raise ValidationError("allocation dimension mismatch")
-    total = sum(utility(d, r[i]) for i, d in enumerate(scenario.domains))
-    if mode == "isolated":
-        return float(total)
-    if mode != "coupled":
-        raise ValidationError(f"unknown mode {mode!r}")
-    for e in scenario.resolved_coupling():
-        total -= e.sign * phi_total(e, r, scenario)
-    return float(total)
+    cs = compile_scenario(scenario)
+    r = _allocation(r, cs)
+    return float(cs.value(r, _coupled(mode)))
 
 
 def gradient(r: np.ndarray, scenario: Scenario, mode: str) -> np.ndarray:
     """Analytic gradient of :func:`objective`."""
-    r = np.asarray(r, dtype=float)
-    K = len(scenario.domains)
-    if r.shape != (K,):
-        raise ValidationError("allocation dimension mismatch")
-    g = np.zeros(K)
-    for i, d in enumerate(scenario.domains):
-        u = utility(d, r[i])
-        g[i] = d.gamma * u * (1.0 - u)
-    if mode == "isolated":
-        return g
-    if mode != "coupled":
-        raise ValidationError(f"unknown mode {mode!r}")
-    for e in scenario.resolved_coupling():
-        im, iN = scenario.index(e.m), scenario.index(e.n)
-        # phi_link
-        dlm = dln = 0.0
-        for l in scenario.links:
-            am, an = l.coeffs.get(e.m, 0.0), l.coeffs.get(e.n, 0.0)
-            if am > 0 and an > 0:
-                dlm += am * an * r[iN] / l.capacity
-                dln += am * an * r[im] / l.capacity
-        # phi_energy
-        dem = den = 0.0
-        for nd in scenario.nodes:
-            am = _domain_node_coeff(scenario, nd, e.m)
-            an = _domain_node_coeff(scenario, nd, e.n)
-            if am > 0 and an > 0:
-                c = _node_etx_const(scenario, nd, e.m, e.n)
-                dem += c * am * an * r[iN]
-                den += c * am * an * r[im]
-        g[im] -= e.sign * (e.w_link * dlm + e.w_energy * dem)
-        g[iN] -= e.sign * (e.w_link * dln + e.w_energy * den)
-        if e.utility:
-            dm, dn = scenario.domain(e.m), scenario.domain(e.n)
-            g[im] -= e.sign * e.w_util * dm.gamma * dn.gamma * (r[iN] - dn.lam)
-            g[iN] -= e.sign * e.w_util * dm.gamma * dn.gamma * (r[im] - dm.lam)
-    return g
+    cs = compile_scenario(scenario)
+    r = _allocation(r, cs)
+    return cs.grad(r, _coupled(mode))
 
 
 # ---------------------------------------------------------------------------
@@ -363,93 +492,77 @@ def _halton(i: int, base: int) -> float:
     return r
 
 
-def _start_points(scenario: Scenario, seed: int) -> np.ndarray:
+def _start_points(cs: CompiledScenario, seed: int) -> np.ndarray:
     """Seeded low-discrepancy starts: rotated Halton points mapped to the box."""
-    K = len(scenario.domains)
+    K = len(cs.lo)
     rng = np.random.default_rng(seed)
     shift = rng.random(K)
-    lo, hi = scenario.bounds()
     pts = np.empty((MULTI_STARTS, K))
     for s in range(MULTI_STARTS):
         for k in range(K):
             u = (_halton(s + 1, _HALTON_PRIMES[k % len(_HALTON_PRIMES)]) + shift[k]) % 1.0
-            pts[s, k] = lo[k] + u * (hi[k] - lo[k])
+            pts[s, k] = cs.lo[k] + u * (cs.hi[k] - cs.lo[k])
     return pts
 
 
-def _penalized(r: np.ndarray, scenario: Scenario, mode: str, mu: float) -> float:
-    val = objective(r, scenario, mode)
-    if mode == "coupled":
-        for l in scenario.links:
-            excess = link_flow(l, scenario, r) - l.capacity
-            if excess > 0:
-                val -= mu * excess * excess
-    return val
-
-
-def _penalized_grad(r: np.ndarray, scenario: Scenario, mode: str, mu: float) -> np.ndarray:
-    g = gradient(r, scenario, mode)
-    if mode == "coupled":
-        for l in scenario.links:
-            excess = link_flow(l, scenario, r) - l.capacity
-            if excess > 0:
-                for k, a in l.coeffs.items():
-                    g[scenario.index(k)] -= 2.0 * mu * excess * a
-    return g
-
-
-def _restore_feasible(scenario: Scenario, r: np.ndarray) -> np.ndarray:
+def _restore_feasible(cs: CompiledScenario, r: np.ndarray) -> np.ndarray:
     """Shrink toward the (feasible) lower-bound corner until links fit."""
-    lo, _ = scenario.bounds()
-    if max_violation(scenario, r) <= FEASIBILITY_TOL:
+    lo = cs.lo
+    if cs.max_violation(r) <= FEASIBILITY_TOL:
         return r
     t_lo, t_hi = 0.0, 1.0
     for _ in range(80):
         t = 0.5 * (t_lo + t_hi)
         cand = lo + t * (r - lo)
-        if max_violation(scenario, cand) <= 0.0:
+        if cs.max_violation(cand) <= 0.0:
             t_lo = t
         else:
             t_hi = t
     return lo + t_lo * (r - lo)
 
 
-def _coordinate_polish(scenario: Scenario, mode: str, r: np.ndarray, sweeps: int = 3) -> np.ndarray:
+def _grid_best(cs: CompiledScenario, coupled: bool, r: np.ndarray, k: int,
+               grid: np.ndarray, best_v: float) -> tuple[float, float]:
+    """Line search of coordinate k over a grid, evaluated as one batch.
+
+    Scanning in grid order, a point becomes the winner when its value beats
+    the running best by more than 1e-15.  Returns (winner, best value); the
+    winner is r[k] when no point beats ``best_v``.
+    """
+    batch = np.repeat(r[None, :], len(grid), axis=0)
+    batch[:, k] = grid
+    best_x = r[k]
+    for x, v in zip(grid.tolist(), cs.value(batch, coupled).tolist()):
+        if v > best_v + 1e-15:
+            best_v, best_x = v, x
+    return best_x, best_v
+
+
+def _coordinate_polish(cs: CompiledScenario, coupled: bool, r: np.ndarray,
+                       sweeps: int = 3) -> np.ndarray:
     """Per-coordinate line search on the exact feasible interval.
 
     Penalty methods land slightly off the active constraint; this nails the
     optimum onto the boundary to grid-oracle accuracy.
     """
-    lo, hi = scenario.bounds()
+    lo, hi = cs.lo, cs.hi
     r = r.copy()
     for _ in range(sweeps):
         for k in range(len(r)):
             upper = hi[k]
-            if mode == "coupled":
-                for l in scenario.links:
-                    a = l.coeffs.get(scenario.domains[k].id, 0.0)
-                    if a > 0:
-                        rest = link_flow(l, scenario, r) - a * r[k]
-                        upper = min(upper, (l.capacity - rest) / a)
+            if coupled:
+                on = cs.A[:, k] > 0
+                if on.any():
+                    a = cs.A[on, k]
+                    rest = cs.flows(r)[on] - a * r[k]
+                    upper = min(upper, np.min((cs.C[on] - rest) / a))
             upper = max(upper, lo[k])
-            grid = np.linspace(lo[k], upper, 2001)
-            best_v, best_x = -np.inf, r[k]
-            for x in grid:
-                r[k] = x
-                v = objective(r, scenario, mode)
-                if v > best_v + 1e-15:
-                    best_v, best_x = v, x
-            r[k] = best_x
+            r[k], best_v = _grid_best(cs, coupled, r, k, np.linspace(lo[k], upper, 2001), -np.inf)
             # refine around the winner
             span = (upper - lo[k]) / 2000 if upper > lo[k] else 0.0
             if span > 0:
-                fine = np.linspace(max(lo[k], best_x - span), min(upper, best_x + span), 201)
-                for x in fine:
-                    r[k] = x
-                    v = objective(r, scenario, mode)
-                    if v > best_v + 1e-15:
-                        best_v, best_x = v, x
-                r[k] = best_x
+                fine = np.linspace(max(lo[k], r[k] - span), min(upper, r[k] + span), 201)
+                r[k], _ = _grid_best(cs, coupled, r, k, fine, best_v)
     return r
 
 
@@ -462,12 +575,12 @@ def optimize(
     projection every step; backtracking halving from step 1.0.  In coupled
     mode the returned point satisfies every link constraint within 1e-6.
     """
-    if mode not in ("isolated", "coupled"):
-        raise ValidationError(f"unknown mode {mode!r}")
-    lo, hi = scenario.bounds()
-    if mode == "coupled" and max_violation(scenario, lo) > 0:
+    coupled = _coupled(mode)
+    cs = compile_scenario(scenario)
+    lo, hi = cs.lo, cs.hi
+    if coupled and cs.max_violation(lo) > 0:
         raise InfeasibleError("lower-bound allocation already violates a link constraint")
-    starts = _start_points(scenario, seed)
+    starts = _start_points(cs, seed)
     best_r, best_val, best_trace = None, -np.inf, []
     for si in range(MULTI_STARTS):
         r = starts[si].copy()
@@ -476,31 +589,31 @@ def optimize(
         for rnd in range(PENALTY_ROUNDS):
             mu = PENALTY_MU0 * PENALTY_GROWTH ** rnd
             for _ in range(INNER_ITERS):
-                g = _penalized_grad(r, scenario, mode, mu)
-                base = _penalized(r, scenario, mode, mu)
+                g = cs.penalized_grad(r, coupled, mu)
+                base = cs.penalized(r, coupled, mu)
                 step = 1.0
                 moved = False
                 for _ in range(40):
-                    cand = np.clip(r + step * g, lo, hi)
-                    if _penalized(cand, scenario, mode, mu) > base + 1e-15:
+                    cand = np.minimum(np.maximum(r + step * g, lo), hi)
+                    if cs.penalized(cand, coupled, mu) > base + 1e-15:
                         r = cand
                         moved = True
                         break
                     step *= 0.5
                 it += 1
-                local_trace.append((it, objective(r, scenario, mode), max_violation(scenario, r)))
+                local_trace.append((it, float(cs.value(r, coupled)), float(cs.max_violation(r))))
                 if not moved or np.linalg.norm(step * g) < 1e-12:
                     break
-        if mode == "coupled":
-            r = _restore_feasible(scenario, r)
-        val = objective(r, scenario, mode)
+        if coupled:
+            r = _restore_feasible(cs, r)
+        val = cs.value(r, coupled)
         if val > best_val + 1e-12:
             best_r, best_val, best_trace = r, val, local_trace
-    best_r = _coordinate_polish(scenario, mode, best_r)
+    best_r = _coordinate_polish(cs, coupled, best_r)
     best_trace.append(
         (best_trace[-1][0] + 1 if best_trace else 1,
-         objective(best_r, scenario, mode),
-         max_violation(scenario, best_r))
+         float(cs.value(best_r, coupled)),
+         float(cs.max_violation(best_r)))
     )
     if trace is not None:
         trace.extend(best_trace)
@@ -521,7 +634,7 @@ def demo_scenario() -> Scenario:
     links = [SharedLink("backbone", 4.0, {"compute": 1.0, "content": 1.0})]
     s = Scenario(domains, links, [], [])
     s.coupling = auto_coupling(s)
-    return Scenario(s.domains, s.links, s.nodes, s.coupling)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +660,15 @@ def compare(scenario: Scenario, seed: int = 0) -> OptimizationReport:
     tr_cpl: list = []
     r_iso = optimize(scenario, "isolated", seed, tr_iso)
     r_cpl = optimize(scenario, "coupled", seed, tr_cpl)
+    cs = compile_scenario(scenario)
     objectives = {
-        "isolated_optimum": {
-            "isolated": objective(r_iso, scenario, "isolated"),
-            "coupled": objective(r_iso, scenario, "coupled"),
-        },
-        "coupled_optimum": {
-            "isolated": objective(r_cpl, scenario, "isolated"),
-            "coupled": objective(r_cpl, scenario, "coupled"),
-        },
+        f"{tag}_optimum": {mode: float(cs.value(r, mode == "coupled"))
+                           for mode in ("isolated", "coupled")}
+        for tag, r in (("isolated", r_iso), ("coupled", r_cpl))
     }
+
     def slack(r):
-        return {l.id: l.capacity - link_flow(l, scenario, r) for l in scenario.links}
+        return {l.id: float(x) for l, x in zip(scenario.links, -cs.excess(r))}
 
     gap = objectives["coupled_optimum"]["coupled"] - objectives["isolated_optimum"]["coupled"]
     return OptimizationReport(

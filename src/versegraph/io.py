@@ -85,8 +85,8 @@ def graph_from_dict(doc: dict) -> TemporalMultiLayerGraph:
             raise ValidationError(f"vertex {vid} references unregistered layers")
         t_start = int(v["t_start"])
         t_end = v.get("t_end")
-        if t_end is not None and int(t_end) <= t_start:
-            raise ValidationError(f"vertex {vid}: t_end must exceed t_start")
+        if t_end is not None and int(t_end) < t_start:
+            raise ValidationError(f"vertex {vid}: t_end must not precede t_start")
         vrecs[vid] = VertexRecord(
             vid, frozenset(v.get("roles", [])), layers, dict(v.get("attrs", {})),
             t_start, None if t_end is None else int(t_end),
@@ -245,23 +245,22 @@ def scenario_from_dict(doc: dict) -> Scenario:
                        {str(i["link"]): float(i["distance"]) for i in n.get("incident", [])})
             for n in doc.get("nodes", [])
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+        coupling_doc = doc.get("coupling", "auto")
+        edges = []
+        if coupling_doc != "auto":
+            for e in coupling_doc.get("edges", []):
+                w = e.get("weights", [1.0, 1.0, 1.0])
+                edges.append(
+                    CouplingEdge(str(e["m"]), str(e["n"]), bool(e.get("utility", False)),
+                                 float(w[0]), float(w[1]), float(w[2]),
+                                 float(e.get("sign", 1.0)))
+                )
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scenario file: {exc}") from exc
-    coupling_doc = doc.get("coupling", "auto")
-    scenario = Scenario(domains, links, nodes, [])
+    scenario = Scenario(domains, links, nodes, edges)
     if coupling_doc == "auto":
         scenario.coupling = auto_coupling(scenario)
-    else:
-        edges = []
-        for e in coupling_doc.get("edges", []):
-            w = e.get("weights", [1.0, 1.0, 1.0])
-            edges.append(
-                CouplingEdge(str(e["m"]), str(e["n"]), bool(e.get("utility", False)),
-                             float(w[0]), float(w[1]), float(w[2]),
-                             float(e.get("sign", 1.0)))
-            )
-        scenario.coupling = edges
-    return Scenario(scenario.domains, scenario.links, scenario.nodes, scenario.coupling)
+    return scenario
 
 
 def load_scenario(path: str) -> Scenario:

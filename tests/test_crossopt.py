@@ -34,7 +34,7 @@ def two_domain(gamma=(1.0, 1.0), lam=(1.0, 1.0), bounds=(0.0, 2.0), links=(), no
             ]
     else:
         s.coupling = list(coupling)
-    return Scenario(s.domains, s.links, s.nodes, s.coupling)
+    return s
 
 
 # -- model pieces -----------------------------------------------------------
@@ -392,3 +392,153 @@ def test_scenario_validation():
         SharedNode("n", -0.1, 0.0, {})
     with pytest.raises(ValidationError):
         Scenario([DomainSpec("a", 1, 0, 0, 1)], [SharedLink("l", 1.0, {"zz": 1.0})], [], [])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DomainSpec("a", float("nan"), 1.0, 0.0, 2.0),
+    lambda: DomainSpec("a", 1.0, float("inf"), 0.0, 2.0),
+    lambda: DomainSpec("a", 1.0, 1.0, float("-inf"), 2.0),
+    lambda: SharedLink("l", float("inf"), {"a": 1.0}),
+    lambda: SharedLink("l", 1.0, {"a": float("nan")}),
+    lambda: SharedNode("n", float("nan"), 0.0, {}),
+    lambda: SharedNode("n", 0.1, 0.0, {"l": float("inf")}),
+    lambda: CouplingEdge("a", "b", w_link=float("nan")),
+    lambda: CouplingEdge("a", "b", sign=float("-inf")),
+])
+def test_non_finite_inputs_rejected(make):
+    with pytest.raises(ValidationError, match="must be finite"):
+        make()
+
+
+def test_scenario_rejects_duplicate_link_ids():
+    with pytest.raises(ValidationError):
+        Scenario([DomainSpec("a", 1, 0, 0, 1)],
+                 [SharedLink("l", 1.0, {"a": 1.0}), SharedLink("l", 2.0, {"a": 1.0})])
+
+
+# -- compiled form ----------------------------------------------------------
+
+def test_coupling_change_is_seen_by_next_call():
+    s = two_domain(links=[SharedLink("l", 10.0, {"a": 1.0, "b": 1.0})])
+    r = np.array([1.0, 2.0])
+    coupled = crossopt.objective(r, s, "coupled")
+    assert coupled < crossopt.objective(r, s, "isolated")
+    s.coupling = []
+    assert crossopt.objective(r, s, "coupled") == crossopt.objective(r, s, "isolated")
+    assert s.resolved_coupling() == []
+    s.coupling = [CouplingEdge("a", "b", w_link=2.0)]
+    assert crossopt.objective(r, s, "coupled") == pytest.approx(
+        crossopt.objective(r, s, "isolated") - 2.0 * 0.2)
+
+
+def _random_scenario(rng, K, n_links, n_nodes):
+    """Seeded scenario with explicit coupling: random weights and signs, a
+    utility edge, and every domain pair of the first link declared twice."""
+    ids = [f"d{i}" for i in range(K)]
+    domains = [DomainSpec(d, rng.uniform(0.5, 2.5), rng.uniform(0.5, 2.5), 0.0, 4.0)
+               for d in ids]
+    links = []
+    for li in range(n_links):
+        members = rng.choice(K, size=min(K, 3), replace=False)
+        coeffs = {ids[i]: float(rng.uniform(0.2, 1.5)) for i in members}
+        if li % 3 == 2:
+            coeffs[ids[members[-1]]] = 0.0
+        links.append(SharedLink(f"l{li}", rng.uniform(1.0, 6.0), coeffs))
+    nodes = []
+    for ni in range(n_nodes):
+        incident = rng.choice(n_links, size=min(n_links, 2 + ni), replace=False)
+        nodes.append(SharedNode(f"n{ni}", rng.uniform(0.01, 0.2), rng.uniform(0.0, 0.1),
+                                {f"l{i}": float(rng.uniform(0.5, 3.0)) for i in incident}))
+    coupling = []
+    for i in range(K):
+        for j in range(i + 1, K):
+            coupling.append(CouplingEdge(
+                ids[i], ids[j], utility=bool(rng.random() < 0.5),
+                w_link=rng.uniform(0.2, 2.0), w_energy=rng.uniform(0.2, 2.0),
+                w_util=rng.uniform(0.2, 2.0), sign=float(rng.choice([1.0, -1.0]))))
+    m, n = list(links[0].coeffs)[:2]
+    coupling.append(CouplingEdge(n, m, utility=True, w_link=0.7, sign=-1.0))
+    return Scenario(domains, links, nodes, coupling)
+
+
+def _reference_penalty(r, s):
+    total = 0.0
+    for e in s.resolved_coupling():
+        phi = e.w_link * crossopt.phi_link(e.m, e.n, r, s)
+        phi += e.w_energy * crossopt.phi_energy(e.m, e.n, r, s)
+        if e.utility:
+            i, j = s.index(e.m), s.index(e.n)
+            phi += e.w_util * crossopt.phi_utility(s.domains[i], s.domains[j], r[i], r[j])
+        total += e.sign * phi
+    return total
+
+
+def _differential_cases():
+    rng = np.random.default_rng(20241)
+    cases = [_random_scenario(rng, K, L, N) for K, L, N in ((3, 3, 1), (4, 4, 2), (5, 5, 2), (6, 6, 3))]
+    cases.append(Scenario([DomainSpec("solo", 1.7, 0.9, 0.0, 3.0)]))
+    return cases
+
+
+def test_differential_cases_cover_every_term():
+    cases = _differential_cases()
+    edges = [e for s in cases for e in s.coupling]
+    assert any(len(nd.incident) >= 2 for s in cases for nd in s.nodes)
+    assert any(e.utility for e in edges) and any(e.sign == -1.0 for e in edges)
+    assert any(w != 1.0 for e in edges for w in (e.w_link, e.w_energy, e.w_util))
+    assert any(len({e.pair() for e in s.coupling}) < len(s.coupling) for s in cases)
+    assert any(len(s.domains) == 1 and not s.links for s in cases)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_compiled_form_matches_phi_reference(case):
+    s = _differential_cases()[case]
+    K = len(s.domains)
+    rng = np.random.default_rng(case)
+    for _ in range(16):
+        r = rng.uniform(0.0, 4.0, size=K)
+        utils = np.array([crossopt.utility(d, r[i]) for i, d in enumerate(s.domains)])
+        pen = _reference_penalty(r, s)
+        assert crossopt.objective(r, s, "isolated") == pytest.approx(utils.sum(), abs=1e-12)
+        assert crossopt.objective(r, s, "coupled") == pytest.approx(utils.sum() - pen, abs=1e-12)
+        # the penalty is affine in each coordinate, so a unit step is its exact partial
+        dpen = np.array([_reference_penalty(r + np.eye(K)[k], s) - pen for k in range(K)])
+        gamma = np.array([d.gamma for d in s.domains])
+        dutil = gamma * utils * (1.0 - utils)
+        assert np.allclose(crossopt.gradient(r, s, "isolated"), dutil, rtol=0, atol=1e-12)
+        assert np.allclose(crossopt.gradient(r, s, "coupled"), dutil - dpen, rtol=0, atol=1e-12)
+        per_link = [crossopt.link_flow(l, s, r) - l.capacity for l in s.links]
+        assert crossopt.max_violation(s, r) == pytest.approx(max([0.0] + per_link), abs=1e-12)
+
+
+def test_compiled_batch_matches_single_points():
+    s = _differential_cases()[2]
+    cs = crossopt.compile_scenario(s)
+    assert np.array_equal(cs.Q, cs.Q.T)
+    assert not cs.Q.flags.writeable and not cs.A.flags.writeable
+    R = np.random.default_rng(3).uniform(0.0, 4.0, size=(64, len(s.domains)))
+    for coupled in (False, True):
+        batch = cs.value(R, coupled)
+        single = np.array([cs.value(r, coupled) for r in R])
+        assert np.allclose(batch, single, rtol=0, atol=1e-12)
+    assert np.allclose(cs.max_violation(R), [cs.max_violation(r) for r in R], rtol=0, atol=1e-12)
+
+
+def test_phi_energy_uses_lowest_id_carrying_link_only():
+    """Pins the current energy term on a node with two incident links.
+
+    ``_node_etx_const`` takes eps_tx d^2 of the lowest-id incident link that
+    carries either domain (here l1, d=2), while ``node_energy`` sums
+    (eps_tx d^2 + eps_rx) over every incident link.  This looks suspect, but
+    changing it changes optimizer outputs, so the value is pinned as-is.
+    """
+    links = [SharedLink("l1", 100.0, {"a": 1.0, "b": 0.0}),
+             SharedLink("l2", 100.0, {"a": 0.5, "b": 2.0})]
+    node = SharedNode("n", 0.1, 0.05, {"l2": 3.0, "l1": 2.0})
+    s = two_domain(links=links, nodes=[node], bounds=(0.0, 9.0),
+                   coupling=[CouplingEdge("a", "b", w_link=0.0)])
+    r = np.array([1.0, 2.0])
+    # eps_tx d(l1)^2 * (1.0 + 0.5) r_a * 2.0 r_b
+    assert crossopt.phi_energy("a", "b", r, s) == pytest.approx(0.1 * 4.0 * 1.5 * 1.0 * 2.0 * 2.0)
+    assert crossopt.objective(r, s, "isolated") - crossopt.objective(r, s, "coupled") == \
+        pytest.approx(2.4, abs=1e-12)

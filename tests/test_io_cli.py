@@ -279,3 +279,59 @@ def test_scenario_from_dict_explicit_coupling():
 def test_scenario_from_dict_malformed():
     with pytest.raises(ValidationError):
         io.scenario_from_dict({"domains": [{"id": "a"}]})
+
+
+def test_scenario_from_dict_rejects_bad_coupling():
+    doms = [{"id": i, "gamma": 1.0, "lambda": 0.5, "r_min": 0.0, "r_max": 2.0} for i in "ab"]
+    for coupling in ([], {"edges": [{"m": "a", "n": "zz"}]},
+                     {"edges": [{"m": "a", "n": "b", "weights": [1.0]}]}):
+        with pytest.raises(ValidationError):
+            io.scenario_from_dict({"domains": doms, "coupling": coupling})
+
+
+@pytest.mark.parametrize("patch", [
+    lambda doc: doc["domains"][0].update(gamma=float("nan")),
+    lambda doc: doc["links"][0].update(capacity=float("inf")),
+])
+def test_cli_optimize_non_finite_exit_2(tmp_path, capsys, patch):
+    doc = {
+        "domains": [
+            {"id": "compute", "gamma": 2.0, "lambda": 2.0, "r_min": 0.0, "r_max": 4.0},
+            {"id": "content", "gamma": 2.2, "lambda": 1.8, "r_min": 0.0, "r_max": 4.0},
+        ],
+        "links": [{"id": "backbone", "capacity": 4.0,
+                   "coeffs": {"compute": 1.0, "content": 1.0}}],
+        "coupling": "auto",
+    }
+    patch(doc)
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(doc))  # writes the NaN / Infinity literals
+    assert cli.run(["optimize", "--scenario", str(spath), "--mode", "both",
+                    "--out", str(tmp_path / "rep.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_round_trip_retire_in_birth_tick(tmp_path):
+    """A vertex retired in the tick it was born has an empty [t, t) lifetime,
+    which the core allows; the importer must accept it too."""
+    g = TemporalMultiLayerGraph()
+    net = g.create_layer("network")
+    hub = g.add_vertex({"router"}, {net}, {}, 0)
+    dev = g.add_vertex({"device"}, {net}, {}, 3)
+    g.add_edge(dev, hub, net, net, directed=False, t_start=3)
+    g.retire_vertex(dev, 3)
+    p1, p2 = tmp_path / "g1.json", tmp_path / "g2.json"
+    io.export_graph(g, str(p1))
+    io.export_graph(io.import_graph(str(p1)), str(p2))
+    assert p1.read_bytes() == p2.read_bytes()
+    doc = json.loads(p1.read_text())
+    assert doc["vertices"][dev]["t_end"] == doc["vertices"][dev]["t_start"] == 3
+
+
+def test_import_rejects_vertex_ending_before_start():
+    doc = io.graph_to_dict(_small_graph())
+    doc["vertices"][0]["t_end"] = -1
+    with pytest.raises(ValidationError):
+        io.graph_from_dict(doc)
