@@ -12,8 +12,10 @@ scenario, 4 non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,13 +45,41 @@ def _write_manifest(command: str, config: dict, seed, inputs: list[str], outputs
     io.dump_json(manifest, outputs[0] + ".manifest.json")
 
 
-def _load_params(path: str | None) -> dict:
+def _load_params(path: str | None, allowed) -> dict:
     if path is None:
         return {}
     doc = io.load_json(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: params file must hold a JSON object")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValidationError(f"{path}: unknown params {unknown}; allowed: {sorted(allowed)}")
     return doc
+
+
+def _int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _mapping(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _id_key(key: str, what: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ValidationError(f"{what}: key {key!r} is not an integer id") from None
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +93,24 @@ GEN_DEFAULTS = {
     "multilayer": {"routers": 8, "servers": 3, "devices": 6, "users": 10,
                    "admins": 2, "items": 6},
 }
+
+
+# params a gen file may set, with the type of each; the seed comes from --seed
+GEN_PARAMS = {f.name: type(f.default) for f in dataclasses.fields(scen.GeneratorConfig)
+              if f.name != "seed"}
+
+
+def _gen_params(path: str | None) -> dict:
+    params = _load_params(path, GEN_PARAMS)
+    for key, value in params.items():
+        kind = GEN_PARAMS[key]
+        if kind is float:
+            _number(value, key)
+        elif kind is int:
+            _int(value, key)
+        elif not isinstance(value, kind):
+            raise ValidationError(f"{key} must be a {kind.__name__}, got {value!r}")
+    return params
 
 
 def _build_graph(name: str, seed: int, params: dict) -> TemporalMultiLayerGraph:
@@ -98,8 +146,7 @@ def _build_graph(name: str, seed: int, params: dict) -> TemporalMultiLayerGraph:
 
 
 def _cmd_gen(args) -> list[str]:
-    params = _load_params(args.params)
-    g = _build_graph(args.scenario, args.seed, params)
+    g = _build_graph(args.scenario, args.seed, _gen_params(args.params))
     io.export_graph(g, args.out)
     return [args.out]
 
@@ -196,36 +243,58 @@ def _cmd_optimize(args) -> list[str]:
 # simulate
 # ---------------------------------------------------------------------------
 
+SIMULATE_PARAMS = {
+    "consensus": ("layer", "at", "tol", "values"),
+    "consistency": ("layer", "at", "items", "replication", "updates"),
+    "cdn": ("layer", "at", "k", "demand"),
+}
+
+
 def _cmd_simulate(args) -> list[str]:
-    params = _load_params(args.params)
+    params = _load_params(args.params, SIMULATE_PARAMS[args.kind])
+    layer = params.get("layer")
+    if layer is not None and not isinstance(layer, str):
+        raise ValidationError(f"layer must be a layer name, got {layer!r}")
     g = io.import_graph(args.infile)
-    view = _view_for(g, params.get("layer"), int(params.get("at", 0)))
+    view = _view_for(g, layer, _int(params.get("at", 0), "at"))
     outputs = [args.out]
     if args.kind == "consensus":
-        tol = float(params.get("tol", 1e-6))
-        values = {v: float(params["values"][str(v)]) if "values" in params else float(v)
-                  for v in view.vertices}
-        rounds, final = scen.consensus_sim(values, view, tol)
+        tol = _number(params.get("tol", 1e-6), "tol")
+        if tol < 0:
+            raise ValidationError(f"tol must be >= 0, got {tol!r}")
+        if "values" in params:
+            given = _mapping(params["values"], "values")
+            missing = [v for v in view.vertices if str(v) not in given]
+            if missing:
+                raise ValidationError(f"values: no value for vertices {missing[:10]}")
+            values = {v: _number(given[str(v)], f"values[{v}]") for v in view.vertices}
+        else:
+            values = {v: float(v) for v in view.vertices}
+        spreads: list[float] = []
+        rounds, final = scen.consensus_sim(values, view, tol, spreads=spreads)
         io.dump_json({"rounds": rounds, "final_value": final, "tol": tol}, args.out)
         # per-round spread trace for plotting
         tpath = args.out + ".trace.csv"
-        x = dict(values)
         with open(tpath, "w") as fh:
             fh.write("round,spread\n")
-            for rnd in range(rounds + 1):
-                spread = max(x.values()) - min(x.values())
-                fh.write(f"{rnd},{spread!r}\n")
-                if rnd < rounds:
-                    x = _consensus_step(view, x)
+            fh.writelines(f"{rnd},{spread!r}\n" for rnd, spread in enumerate(spreads))
         outputs.append(tpath)
     elif args.kind == "consistency":
         storage = sorted(v.id for v in g.vertex_records.values()
                          if "storage-node" in v.roles) or list(view.vertices)
-        items = list(range(int(params.get("items", 4))))
-        r = int(params.get("replication", min(2, len(storage))))
+        n_items = _int(params.get("items", 4), "items")
+        if n_items < 0:
+            raise ValidationError(f"items must be >= 0, got {n_items}")
+        items = list(range(n_items))
+        r = _int(params.get("replication", min(2, len(storage))), "replication")
         placement = scen.replicate_items(items, storage, r)
-        updates = {int(i): {int(n): int(ver) for n, ver in u.items()}
-                   for i, u in params.get("updates", {}).items()}
+        updates = {
+            _id_key(i, "updates"): {
+                _id_key(n, f"updates[{i}]"): _int(ver, f"updates[{i}][{n}]")
+                for n, ver in _mapping(u, f"updates[{i}]").items()
+            }
+            for i, u in _mapping(params.get("updates", {}), "updates").items()
+        }
         if not updates and items and placement.mapping[items[0]]:
             updates = {items[0]: {placement.mapping[items[0]][0]: 1}}
         result = scen.consistency_sim(placement, view, updates)
@@ -235,26 +304,14 @@ def _cmd_simulate(args) -> list[str]:
             args.out,
         )
     elif args.kind == "cdn":
-        k = int(params.get("k", 2))
+        k = _int(params.get("k", 2), "k")
         demand = None
         if "demand" in params:
-            demand = {int(v): float(w) for v, w in params["demand"].items()}
+            demand = {_id_key(v, "demand"): _number(w, f"demand[{v}]")
+                      for v, w in _mapping(params["demand"], "demand").items()}
         caches, cost = scen.cdn_place_caches(view, k, demand)
         io.dump_json({"caches": caches, "expected_hops": cost, "k": k}, args.out)
-    else:
-        raise ValidationError(f"unknown simulation kind {args.kind!r}")
     return outputs
-
-
-def _consensus_step(view, values: dict[int, float]) -> dict[int, float]:
-    pairs = sorted({(min(e.src, e.dst), max(e.src, e.dst)) for e in view.edges if e.src != e.dst})
-    nxt = dict(values)
-    for a, b in pairs:
-        w = 1.0 / (1.0 + max(view.degree(a), view.degree(b)))
-        d = w * (values[b] - values[a])
-        nxt[a] += d
-        nxt[b] -= d
-    return nxt
 
 
 # ---------------------------------------------------------------------------

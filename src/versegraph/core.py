@@ -10,6 +10,7 @@ live log.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
@@ -270,6 +271,8 @@ class TemporalMultiLayerGraph:
         relation: str = "",
         t_start: int = 0,
     ) -> int:
+        if not math.isfinite(weight):
+            raise ValidationError(f"non-finite edge weight {weight}")
         if weight < 0:
             raise ValidationError(f"negative edge weight {weight}")
         for vid in (src, dst):

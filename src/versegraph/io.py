@@ -8,6 +8,7 @@ encoded by omitting ``t_end``.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 from .core import EdgeRecord, GraphView, SnapshotView, TemporalMultiLayerGraph, VertexRecord
@@ -61,8 +62,16 @@ def graph_to_dict(g: TemporalMultiLayerGraph) -> dict:
 
 
 def graph_from_dict(doc: dict) -> TemporalMultiLayerGraph:
-    if not isinstance(doc, dict) or doc.get("version") != FORMAT_VERSION:
-        raise ValidationError(f"unsupported interchange version {doc.get('version')!r}")
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValidationError(f"unsupported interchange version {version!r}")
+    try:
+        return _graph_from_dict(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed graph file: {exc!r}") from exc
+
+
+def _graph_from_dict(doc: dict) -> TemporalMultiLayerGraph:
     g = TemporalMultiLayerGraph()
     names = set()
     for i, layer in enumerate(doc.get("layers", [])):
@@ -97,6 +106,8 @@ def graph_from_dict(doc: dict) -> TemporalMultiLayerGraph:
         if eid in erecs:
             raise ValidationError(f"duplicate edge id {eid}")
         weight = float(e["weight"])
+        if not math.isfinite(weight):
+            raise ValidationError(f"edge {eid}: non-finite weight {weight}")
         if weight < 0:
             raise ValidationError(f"edge {eid}: negative weight {weight}")
         src, dst = int(e["src"]), int(e["dst"])
@@ -156,9 +167,14 @@ def dump_json(doc, path: str) -> None:
 
 
 def load_json(path: str):
+    """Parse a JSON file; ``NaN`` and ``Infinity`` literals are rejected."""
+
+    def non_finite(name: str):
+        raise ValidationError(f"{path}: {name} found; every number must be finite")
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 

@@ -1,147 +1,79 @@
-"""Hot numeric kernels with two interchangeable backends.
-
-The default backend compiles the inner loops with numba's ``@njit``.  Setting
-the environment variable ``VERSEGRAPH_NO_NUMBA=1`` before import (or running
-where numba is unavailable) selects the pure-numpy fallback instead.  Both
-backends are exercised by the test suite and compared by
-``benchmarks/bench_kernels.py``.
+"""Hot numeric kernels as numpy array code.
 
 All kernels operate on CSR adjacency (``indptr``, ``indices``) over positional
-vertex indices ``0..n-1``.
+vertex indices ``0..n-1``.  Betweenness and hop distances share one
+level-synchronous BFS that advances a block of sources at once: per level it
+gathers the frontier over the CSR ``indices`` and sums each vertex's slice
+with ``np.add.reduceat``.  Consensus runs one round as two ``np.bincount``
+scatters over the edge list.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_want_numba = os.environ.get("VERSEGRAPH_NO_NUMBA", "0") not in ("1", "true", "yes")
+# Benchmark run records carry this flag and only runs with equal records are
+# compared, so it stays; the kernels have a single numpy backend.
+USING_NUMBA = False
 
-if _want_numba:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
-else:
-    USING_NUMBA = False
+# sources per BFS block, capped so one (arcs x block) gather stays near 16 MB
+# on graphs with more than 32k arcs
+_BLOCK = 64
+_GATHER_CELLS = 1 << 21
 
 
-# ---------------------------------------------------------------------------
-# Pure implementations (compiled when numba is active)
-# ---------------------------------------------------------------------------
+def _puller(indptr: np.ndarray, indices: np.ndarray):
+    """``pull(x)[v] = x[indices[indptr[v]:indptr[v + 1]]].sum(axis=0)`` for
+    a (n, b) array ``x``; vertices without arcs get 0."""
+    if len(indices) == 0:
+        return np.zeros_like
+    # reduceat sums up to the next start, so it gets the non-empty rows only
+    rows = np.flatnonzero(indptr[:-1] < indptr[1:])
+    starts = indptr[rows]
 
-def _betweenness_raw_impl(indptr, indices, rindptr, rindices, n):
-    # Brandes accumulation over unweighted shortest paths; returns the
-    # ordered-pair sum of pair dependencies for every vertex.  The reverse
-    # CSR supplies in-neighbors for the dependency pass (identical arrays
-    # for undirected input).
-    bc = np.zeros(n, dtype=np.float64)
-    order = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.int64)
-    sigma = np.empty(n, dtype=np.float64)
-    delta = np.empty(n, dtype=np.float64)
-    queue = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        dist[:] = -1
-        sigma[:] = 0.0
-        delta[:] = 0.0
-        dist[s] = 0
-        sigma[s] = 1.0
-        queue[0] = s
-        head = 0
-        tail = 1
-        cnt = 0
-        while head < tail:
-            v = queue[head]
-            head += 1
-            order[cnt] = v
-            cnt += 1
-            for j in range(indptr[v], indptr[v + 1]):
-                w = indices[j]
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue[tail] = w
-                    tail += 1
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-        for i in range(cnt - 1, 0, -1):
-            w = order[i]
-            for j in range(rindptr[w], rindptr[w + 1]):
-                # predecessors of w lie one hop closer to s
-                v = rindices[j]
-                if dist[v] == dist[w] - 1:
-                    delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                bc[w] += delta[w]
-    return bc
+    def pull(x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        out[rows] = np.add.reduceat(x[indices], starts, axis=0)
+        return out
+
+    return pull
 
 
-def _hop_distances_impl(indptr, indices, n):
-    # all-pairs BFS; -1 marks unreachable pairs
-    out = np.full((n, n), -1, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        out[s, s] = 0
-        queue[0] = s
-        head = 0
-        tail = 1
-        while head < tail:
-            v = queue[head]
-            head += 1
-            for j in range(indptr[v], indptr[v + 1]):
-                w = indices[j]
-                if out[s, w] < 0:
-                    out[s, w] = out[s, v] + 1
-                    queue[tail] = w
-                    tail += 1
-    return out
+def _blocks(n: int, arcs: int):
+    size = max(1, min(_BLOCK, _GATHER_CELLS // max(arcs, 1)))
+    for lo in range(0, n, size):
+        yield np.arange(lo, min(lo + size, n))
 
 
-def _consensus_run_impl(eu, ev, w, x0, tol, max_rounds):
-    # synchronous weighted averaging over undirected edges; stops when the
-    # max pairwise spread of the state vector drops to tol
-    x = x0.copy()
-    n = x.shape[0]
-    m = eu.shape[0]
-    rounds = 0
-    while rounds < max_rounds:
-        lo = x[0]
-        hi = x[0]
-        for i in range(1, n):
-            if x[i] < lo:
-                lo = x[i]
-            if x[i] > hi:
-                hi = x[i]
-        if hi - lo <= tol:
-            break
-        nxt = x.copy()
-        for k in range(m):
-            u = eu[k]
-            v = ev[k]
-            d = w[k] * (x[v] - x[u])
-            nxt[u] += d
-            nxt[v] -= d
-        x = nxt
-        rounds += 1
-    return rounds, x
+def _bfs(pull, sources: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """BFS from every source in ``sources`` at once.
+
+    Column j of the two (n, len(sources)) results belongs to ``sources[j]``:
+    ``dist`` is the level at which ``pull`` first reaches a vertex (-1 if
+    never) and ``sigma`` the number of shortest paths that reach it.
+    """
+    cols = np.arange(len(sources))
+    dist = np.full((n, len(sources)), -1, dtype=np.int64)
+    sigma = np.zeros((n, len(sources)))
+    dist[sources, cols] = 0
+    sigma[sources, cols] = 1.0
+    frontier = sigma.copy()
+    level = 0
+    while True:
+        reach = pull(frontier)
+        new = (reach > 0) & (dist < 0)
+        if not new.any():
+            return dist, sigma
+        level += 1
+        dist[new] = level
+        sigma[new] = reach[new]
+        frontier = np.where(new, reach, 0.0)
 
 
-if USING_NUMBA:
-    _betweenness_raw_backend = njit(cache=True)(_betweenness_raw_impl)
-    _hop_distances_backend = njit(cache=True)(_hop_distances_impl)
-    _consensus_run_backend = njit(cache=True)(_consensus_run_impl)
-else:
-    _betweenness_raw_backend = _betweenness_raw_impl
-    _hop_distances_backend = _hop_distances_impl
-    _consensus_run_backend = _consensus_run_impl
+def _as_csr(indptr, indices):
+    return (np.ascontiguousarray(indptr, dtype=np.int64),
+            np.ascontiguousarray(indices, dtype=np.int64))
 
-
-# ---------------------------------------------------------------------------
-# Public wrappers
-# ---------------------------------------------------------------------------
 
 def betweenness_raw(
     indptr: np.ndarray,
@@ -150,27 +82,47 @@ def betweenness_raw(
     rindices: np.ndarray,
     n: int,
 ) -> np.ndarray:
-    """Unnormalized betweenness (ordered-pair pair-dependency sums)."""
+    """Unnormalized betweenness (ordered-pair pair-dependency sums).
+
+    Brandes accumulation over unweighted shortest paths.  ``indptr`` and
+    ``indices`` hold out-neighbors, ``rindptr`` and ``rindices`` in-neighbors
+    (the same arrays for undirected input).  The path counts pull over
+    in-neighbors level by level; the dependencies pull back over
+    out-neighbors from the deepest level up.
+    """
+    bc = np.zeros(n, dtype=np.float64)
     if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    return _betweenness_raw_backend(
-        np.ascontiguousarray(indptr, dtype=np.int64),
-        np.ascontiguousarray(indices, dtype=np.int64),
-        np.ascontiguousarray(rindptr, dtype=np.int64),
-        np.ascontiguousarray(rindices, dtype=np.int64),
-        n,
-    )
+        return bc
+    fwd = _puller(*_as_csr(rindptr, rindices))
+    back = _puller(*_as_csr(indptr, indices))
+    for sources in _blocks(n, len(indices)):
+        dist, sigma = _bfs(fwd, sources, n)
+        inv_sigma = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+        delta = np.zeros_like(sigma)
+        # level d passes its dependencies to level d - 1; sources (level 0)
+        # collect none
+        for d in range(int(dist.max()), 1, -1):
+            z = np.where(dist == d, (1.0 + delta) * inv_sigma, 0.0)
+            delta += np.where(dist == d - 1, sigma * back(z), 0.0)
+        bc += delta.sum(axis=1)
+    return bc
 
 
 def hop_distances(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
-    """All-pairs unweighted hop distances; -1 where unreachable."""
+    """All-pairs unweighted hop distances; -1 where unreachable.
+
+    ``out[s, t]`` is the hop count of the shortest path s -> t along the CSR
+    arcs.  Pulling over out-neighbors measures distances *to* the block's
+    sources, which fills the block's columns.
+    """
+    out = np.empty((n, n), dtype=np.int64)
     if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    return _hop_distances_backend(
-        np.ascontiguousarray(indptr, dtype=np.int64),
-        np.ascontiguousarray(indices, dtype=np.int64),
-        n,
-    )
+        return out
+    indptr, indices = _as_csr(indptr, indices)
+    pull = _puller(indptr, indices)
+    for targets in _blocks(n, len(indices)):
+        out[:, targets] = _bfs(pull, targets, n)[0]
+    return out
 
 
 def consensus_run(
@@ -180,13 +132,26 @@ def consensus_run(
     x0: np.ndarray,
     tol: float,
     max_rounds: int,
+    spreads: list | None = None,
 ) -> tuple[int, np.ndarray]:
-    """Run synchronous averaging until the value spread is within ``tol``."""
-    return _consensus_run_backend(
-        np.ascontiguousarray(edges_u, dtype=np.int64),
-        np.ascontiguousarray(edges_v, dtype=np.int64),
-        np.ascontiguousarray(weights, dtype=np.float64),
-        np.ascontiguousarray(x0, dtype=np.float64),
-        float(tol),
-        int(max_rounds),
-    )
+    """Run synchronous averaging until the value spread is within ``tol``.
+
+    One round moves ``w * (x[v] - x[u])`` from v to u along every edge.
+    When ``spreads`` is a list, the max pairwise spread before the first
+    round and after every round is appended to it (rounds + 1 values).
+    """
+    eu = np.asarray(edges_u, dtype=np.int64)
+    ev = np.asarray(edges_v, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.float64)
+    x = np.array(x0, dtype=np.float64)
+    n = x.shape[0]
+    rounds = 0
+    while True:
+        spread = float(x.max() - x.min())
+        if spreads is not None:
+            spreads.append(spread)
+        if rounds >= max_rounds or spread <= tol:
+            return rounds, x
+        d = w * (x[ev] - x[eu])
+        x = x + np.bincount(eu, d, n) - np.bincount(ev, d, n)
+        rounds += 1

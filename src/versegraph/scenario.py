@@ -271,12 +271,18 @@ def consistency_sim(
 
 
 def consensus_sim(
-    values: dict[int, float], topology: GraphView, tol: float = 1e-9, max_rounds: int = 1_000_000
+    values: dict[int, float],
+    topology: GraphView,
+    tol: float = 1e-9,
+    max_rounds: int = 1_000_000,
+    spreads: Optional[list[float]] = None,
 ) -> tuple[int, float]:
     """Synchronous Metropolis-weight averaging to the mean of the inputs.
 
     Returns (rounds until the max pairwise spread is within tol, the common
     value).  Raises on disconnected topologies, whose values cannot agree.
+    When ``spreads`` is a list, the spread before the first round and after
+    every round is appended to it.
     """
     if weakly_connected_components(topology).count != 1:
         raise ValidationError("consensus requires a connected topology")
@@ -290,7 +296,7 @@ def consensus_sim(
     w = np.array(
         [1.0 / (1.0 + max(topology.degree(a), topology.degree(b))) for a, b in pairs]
     )
-    rounds, x = kernels.consensus_run(eu, ev, w, x0, tol, max_rounds)
+    rounds, x = kernels.consensus_run(eu, ev, w, x0, tol, max_rounds, spreads)
     if rounds >= max_rounds and (x.max() - x.min()) > tol:
         raise ConvergenceError(f"consensus did not converge in {max_rounds} rounds")
     return int(rounds), float(np.mean(x))

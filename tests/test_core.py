@@ -73,6 +73,16 @@ def test_add_edge_negative_weight(g):
         g.add_edge(a, b, net, net, weight=-1)
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+def test_add_edge_non_finite_weight(g, weight):
+    net = g.create_layer("network")
+    a = g.add_vertex({"server"}, {net})
+    b = g.add_vertex({"server"}, {net})
+    with pytest.raises(ValidationError, match="non-finite"):
+        g.add_edge(a, b, net, net, weight=weight)
+    assert not g.edge_records
+
+
 def test_retire_half_open(g):
     net = g.create_layer("network")
     v = g.add_vertex({"server"}, {net}, {}, 0)

@@ -73,6 +73,26 @@ def test_import_rejects_negative_weight():
         io.graph_from_dict(doc)
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_import_rejects_non_finite_weight(weight):
+    doc = io.graph_to_dict(_small_graph())
+    doc["edges"][1]["weight"] = weight
+    with pytest.raises(ValidationError, match="edge 1: non-finite weight"):
+        io.graph_from_dict(doc)
+
+
+@pytest.mark.parametrize("patch", [
+    lambda doc: doc["edges"][0].update(weight="heavy"),
+    lambda doc: doc["edges"][0].pop("src"),
+    lambda doc: doc["vertices"][0].update(layers=7),
+])
+def test_import_rejects_malformed_records(patch):
+    doc = io.graph_to_dict(_small_graph())
+    patch(doc)
+    with pytest.raises(ValidationError, match="malformed graph file"):
+        io.graph_from_dict(doc)
+
+
 def test_import_rejects_edge_outside_vertex_lifetime():
     doc = io.graph_to_dict(_small_graph())
     doc["edges"][0]["t_start"] = -5
@@ -224,6 +244,79 @@ def test_cli_simulate_consensus(tmp_path):
     assert trace[0] == "round,spread"
     spreads = [float(l.split(",")[1]) for l in trace[1:]]
     assert spreads[-1] <= spreads[0]
+
+
+def _assert_exit_2(capsys, argv):
+    assert cli.run([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_cli_analyze_non_finite_weight_exit_2(tmp_path, capsys, text):
+    doc = io.graph_to_dict(_small_graph())
+    doc["edges"][0]["weight"] = "WEIGHT"
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(doc).replace('"WEIGHT"', text))
+    _assert_exit_2(capsys, ["analyze", "--in", gpath, "--metrics", "degree",
+                            "--out", tmp_path / "m.csv"])
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("params", [
+    {"routers": 5, "bogus": 1},  # unknown key
+    {"seed": 3},  # the seed comes from --seed
+    {"routers": "abc"},
+    {"routers": 2.5},
+    {"routers": True},
+    {"edge_prob": "x"},
+    {"complete": 1},
+])
+def test_cli_gen_bad_params_exit_2(tmp_path, capsys, params):
+    _assert_exit_2(capsys, ["gen", "--scenario", "network", "--seed", "0", "--params",
+                            _write(tmp_path, "p.json", params), "--out", tmp_path / "g.json"])
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("consensus", {"values": {"0": 1.0}}),  # misses most layer vertices
+    ("consensus", {"values": {str(v): "x" for v in range(40)}}),
+    ("consensus", {"values": [1.0, 2.0]}),
+    ("consensus", {"tol": "small"}),
+    ("consensus", {"tol": -1.0}),
+    ("consensus", {"at": "later"}),
+    ("consensus", {"layer": 3}),
+    ("consensus", {"k": 2}),  # a cdn key
+    ("cdn", {"k": "abc"}),
+    ("cdn", {"k": 2.0}),
+    ("cdn", {"demand": {"abc": 1.0}}),
+    ("cdn", {"demand": {"0": None}}),
+    ("consistency", {"items": "many"}),
+    ("consistency", {"items": -1}),
+    ("consistency", {"replication": 1.5}),
+    ("consistency", {"updates": {"0": 5}}),
+    ("consistency", {"updates": {"zero": {"1": 1}}}),
+    ("consistency", {"updates": {"0": {"1": "new"}}}),
+])
+def test_cli_simulate_bad_params_exit_2(tmp_path, capsys, kind, params):
+    gpath = tmp_path / "g.json"
+    cli.run(["gen", "--scenario", "network", "--seed", "2", "--out", str(gpath)])
+    _assert_exit_2(capsys, ["simulate", "--kind", kind, "--in", gpath, "--params",
+                            _write(tmp_path, "p.json", params), "--out", tmp_path / "s.json"])
+
+
+def test_cli_consensus_trace_has_rounds_plus_one_rows(tmp_path):
+    gpath = tmp_path / "g.json"
+    cli.run(["gen", "--scenario", "network", "--seed", "2", "--out", str(gpath)])
+    values = {str(v): float(v % 7) for v in range(100)}  # more ids than the graph has
+    out = tmp_path / "c.json"
+    assert cli.run(["simulate", "--kind", "consensus", "--in", str(gpath), "--params",
+                    str(_write(tmp_path, "p.json", {"values": values, "tol": 1e-8})),
+                    "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    rows = (tmp_path / "c.json.trace.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == list(range(doc["rounds"] + 1))
+    spreads = [float(r.split(",")[1]) for r in rows]
+    assert spreads[0] == 6.0 and spreads[-1] <= 1e-8 < spreads[-2]
 
 
 def test_cli_simulate_cdn(tmp_path):

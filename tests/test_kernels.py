@@ -1,53 +1,96 @@
-import subprocess
-import sys
-import textwrap
+"""Kernels against independent oracles: networkx for betweenness and hop
+distances, a dense Laplacian loop for consensus.  Graphs have a few hundred
+vertices, so every BFS runs over several source blocks, and trailing
+isolated vertices give CSR rows without arcs."""
 
 import numpy as np
 import pytest
 
 from versegraph import kernels
-from versegraph.kernels import (
-    _betweenness_raw_impl,
-    _consensus_run_impl,
-    _hop_distances_impl,
-)
 
 from conftest import make_view, random_simple_edges
 
 
-def _random_csr(n, p, seed, directed=False):
+@pytest.fixture
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def _random_view(n, avg_degree, seed, directed=False, isolated=3):
+    """Sparse random graph on 0..n-1 plus ``isolated`` arc-less vertices.
+    When ``directed``, each edge is a directed arc with a random orientation,
+    and a fifth of them stay undirected."""
     rng = np.random.default_rng(seed)
-    edges = random_simple_edges(n, p, rng)
-    view = make_view(n, [(a, b, 1.0, directed) for a, b in edges])
-    return view
+    edges = []
+    for a, b in random_simple_edges(n, avg_degree / (n - 1), rng):
+        if directed and rng.random() < 0.5:
+            a, b = b, a
+        edges.append((a, b, 1.0, directed and rng.random() < 0.8))
+    return make_view(n + isolated, edges)
+
+
+def _nx_graph(nx, view):
+    G = nx.DiGraph() if view.directed else nx.Graph()
+    G.add_nodes_from(view.vertices)
+    for e in view.edges:
+        G.add_edge(e.src, e.dst)
+        if view.directed and not e.directed:
+            G.add_edge(e.dst, e.src)
+    return G
 
 
 def test_backend_flag_is_exposed():
-    assert isinstance(kernels.USING_NUMBA, bool)
+    assert kernels.USING_NUMBA is False
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_betweenness_backend_matches_reference(seed):
-    view = _random_csr(12, 0.25, seed)
+def test_betweenness_backend_matches_reference(seed, nx):
+    """Undirected: half the ordered-pair sums are networkx's unnormalized scores."""
+    view = _random_view(200 + 20 * seed, 3.0, seed)
     indptr, indices = view.csr("both")
-    args = (indptr, indices, indptr, indices, view.n)
-    got = kernels.betweenness_raw(*args)
-    ref = _betweenness_raw_impl(
-        *(np.ascontiguousarray(a, dtype=np.int64) for a in args[:4]), view.n
-    )
-    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+    got = kernels.betweenness_raw(indptr, indices, indptr, indices, view.n) / 2.0
+    ref = nx.betweenness_centrality(_nx_graph(nx, view), normalized=False)
+    np.testing.assert_allclose(got, [ref[v] for v in view.vertices], rtol=1e-12, atol=1e-9)
+    assert got.sum() > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_betweenness_directed_matches_networkx(seed, nx):
+    view = _random_view(180 + 30 * seed, 4.0, 100 + seed, directed=True)
+    assert view.directed
+    indptr, indices = view.csr("out")
+    rindptr, rindices = view.csr("in")
+    got = kernels.betweenness_raw(indptr, indices, rindptr, rindices, view.n)
+    ref = nx.betweenness_centrality(_nx_graph(nx, view), normalized=False)
+    np.testing.assert_allclose(got, [ref[v] for v in view.vertices], rtol=1e-12, atol=1e-9)
+    assert got.sum() > 0
+
+
+def _nx_hops(nx, view):
+    ref = np.full((view.n, view.n), -1, dtype=np.int64)
+    for s, lengths in nx.all_pairs_shortest_path_length(_nx_graph(nx, view)):
+        for t, d in lengths.items():
+            ref[s, t] = d
+    return ref
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_hop_distances_backend_matches_reference(seed):
-    view = _random_csr(15, 0.15, seed)
+def test_hop_distances_backend_matches_reference(seed, nx):
+    """Undirected, often disconnected: -1 marks the unreachable pairs."""
+    view = _random_view(150 + 25 * seed, 1.5, seed)
     indptr, indices = view.csr("both")
     got = kernels.hop_distances(indptr, indices, view.n)
-    ref = _hop_distances_impl(
-        np.ascontiguousarray(indptr, dtype=np.int64),
-        np.ascontiguousarray(indices, dtype=np.int64),
-        view.n,
-    )
+    ref = _nx_hops(nx, view)
+    assert (ref == -1).any()
+    assert np.array_equal(got, ref)
+
+
+def test_hop_distances_directed_matches_networkx(nx):
+    view = _random_view(220, 3.0, 7, directed=True)
+    indptr, indices = view.csr("out")
+    got = kernels.hop_distances(indptr, indices, view.n)
+    ref = _nx_hops(nx, view)
+    assert not np.array_equal(ref, ref.T)
     assert np.array_equal(got, ref)
 
 
@@ -59,17 +102,53 @@ def test_hop_distances_unreachable():
     assert np.array_equal(hops, hops.T)
 
 
+def _consensus_inputs(n, seed):
+    """A random tree plus extra edges (connected), Metropolis weights."""
+    rng = np.random.default_rng(seed)
+    pairs = {(int(rng.integers(v)), v) for v in range(1, n)}
+    pairs |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False)))) for _ in range(n)}
+    eu, ev = np.array(sorted(pairs)).T
+    deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+    w = 1.0 / (1.0 + np.maximum(deg[eu], deg[ev]))
+    return eu, ev, w, rng.normal(0.0, 10.0, n)
+
+
+def _dense_consensus(eu, ev, w, x0, tol, max_rounds):
+    n = len(x0)
+    lap = np.zeros((n, n))
+    np.add.at(lap, (eu, ev), -w)
+    np.add.at(lap, (ev, eu), -w)
+    lap[np.arange(n), np.arange(n)] = -lap.sum(axis=1)
+    x, spreads = x0.copy(), [np.ptp(x0)]
+    while len(spreads) <= max_rounds and spreads[-1] > tol:
+        x = x - lap @ x
+        spreads.append(np.ptp(x))
+    return len(spreads) - 1, x, spreads
+
+
 def test_consensus_backend_matches_reference():
-    rng = np.random.default_rng(3)
-    eu = np.array([0, 1, 2, 0], dtype=np.int64)
-    ev = np.array([1, 2, 3, 3], dtype=np.int64)
-    w = np.full(4, 0.25)
-    x0 = rng.normal(size=4)
-    got = kernels.consensus_run(eu, ev, w, x0, 1e-10, 100000)
-    ref = _consensus_run_impl(eu, ev, w, x0.copy(), 1e-10, 100000)
-    assert got[0] == ref[0]
-    np.testing.assert_allclose(got[1], ref[1], atol=1e-15)
-    assert np.mean(got[1]) == pytest.approx(np.mean(x0))
+    """Against x <- x - L_w x with the weighted Laplacian L_w."""
+    eu, ev, w, x0 = _consensus_inputs(250, 3)
+    spreads = []
+    rounds, x = kernels.consensus_run(eu, ev, w, x0, 1e-6, 100_000, spreads)
+    ref_rounds, ref_x, ref_spreads = _dense_consensus(eu, ev, w, x0, 1e-6, 100_000)
+    assert 10 < rounds == ref_rounds < 100_000
+    assert len(spreads) == rounds + 1
+    np.testing.assert_allclose(spreads, ref_spreads, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(x, ref_x, rtol=0, atol=1e-9)
+    assert np.ptp(x) <= 1e-6
+    assert np.mean(x) == pytest.approx(np.mean(x0), abs=1e-12)
+
+
+def test_consensus_round_cap_matches_reference():
+    eu, ev, w, x0 = _consensus_inputs(200, 11)
+    spreads = []
+    rounds, x = kernels.consensus_run(eu, ev, w, x0, 1e-6, 25, spreads)
+    ref_rounds, ref_x, ref_spreads = _dense_consensus(eu, ev, w, x0, 1e-6, 25)
+    assert rounds == ref_rounds == 25
+    assert len(spreads) == 26 and spreads[-1] > 1e-6
+    np.testing.assert_allclose(spreads, ref_spreads, rtol=1e-12)
+    np.testing.assert_allclose(x, ref_x, rtol=0, atol=1e-12)
 
 
 def test_consensus_hits_round_cap():
@@ -83,27 +162,3 @@ def test_consensus_hits_round_cap():
 def test_empty_inputs():
     assert kernels.betweenness_raw(np.zeros(1), np.zeros(0), np.zeros(1), np.zeros(0), 0).shape == (0,)
     assert kernels.hop_distances(np.zeros(1), np.zeros(0), 0).shape == (0, 0)
-
-
-def test_fallback_backend_in_subprocess():
-    """The env flag selects the numpy backend and produces identical numbers."""
-    view = _random_csr(10, 0.3, 42)
-    indptr, indices = view.csr("both")
-    here = kernels.betweenness_raw(indptr, indices, indptr, indices, view.n)
-    code = textwrap.dedent(
-        """
-        import os
-        os.environ["VERSEGRAPH_NO_NUMBA"] = "1"
-        import numpy as np
-        from versegraph import kernels
-        assert not kernels.USING_NUMBA
-        indptr = np.array({indptr!r}, dtype=np.int64)
-        indices = np.array({indices!r}, dtype=np.int64)
-        bc = kernels.betweenness_raw(indptr, indices, indptr, indices, {n})
-        print(",".join(repr(float(x)) for x in bc))
-        """
-    ).format(indptr=indptr.tolist(), indices=indices.tolist(), n=view.n)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    there = np.array([float(x) for x in proc.stdout.strip().split(",")])
-    np.testing.assert_array_equal(here, there)
