@@ -5,8 +5,9 @@ command writes its declared outputs plus a run manifest
 (``<out>.manifest.json``) with the resolved configuration and input/output
 digests; identical invocations produce byte-identical files.
 
-Exit codes: 0 success, 2 input validation failure, 3 infeasible optimization
-scenario, 4 non-convergence.
+Exit codes: 0 success, 2 input validation failure or an input or output file
+that cannot be read or written, 3 infeasible optimization scenario,
+4 non-convergence.
 """
 
 from __future__ import annotations
@@ -181,10 +182,8 @@ def _cmd_analyze(args) -> list[str]:
             rows += [(metric, v, float(lab.labels[v])) for v in sorted(lab.labels)]
         else:
             raise ValidationError(f"unknown metric {metric!r}")
-    with open(args.out, "w") as fh:
-        fh.write("metric,vertex_id,score\n")
-        for metric, v, s in rows:
-            fh.write(f"{metric},{v},{s!r}\n")
+    io.write_text(args.out, "metric,vertex_id,score\n"
+                  + "".join(f"{metric},{v},{s!r}\n" for metric, v, s in rows))
     return [args.out]
 
 
@@ -218,8 +217,7 @@ def _cmd_optimize(args) -> list[str]:
         io.dump_json(io.report_to_dict(rep), args.out)
         for tag, trace in (("isolated", rep.trace_isolated), ("coupled", rep.trace_coupled)):
             tpath = args.out + f".trace_{tag}.csv"
-            with open(tpath, "w") as fh:
-                fh.write(io.trace_to_csv(trace))
+            io.write_text(tpath, io.trace_to_csv(trace))
             outputs.append(tpath)
     else:
         trace: list = []
@@ -233,8 +231,7 @@ def _cmd_optimize(args) -> list[str]:
         }
         io.dump_json(doc, args.out)
         tpath = args.out + ".trace.csv"
-        with open(tpath, "w") as fh:
-            fh.write(io.trace_to_csv(trace))
+        io.write_text(tpath, io.trace_to_csv(trace))
         outputs.append(tpath)
     return outputs
 
@@ -275,9 +272,8 @@ def _cmd_simulate(args) -> list[str]:
         io.dump_json({"rounds": rounds, "final_value": final, "tol": tol}, args.out)
         # per-round spread trace for plotting
         tpath = args.out + ".trace.csv"
-        with open(tpath, "w") as fh:
-            fh.write("round,spread\n")
-            fh.writelines(f"{rnd},{spread!r}\n" for rnd, spread in enumerate(spreads))
+        io.write_text(tpath, "round,spread\n"
+                      + "".join(f"{rnd},{spread!r}\n" for rnd, spread in enumerate(spreads)))
         outputs.append(tpath)
     elif args.kind == "consistency":
         storage = sorted(v.id for v in g.vertex_records.values()
@@ -323,8 +319,7 @@ def _cmd_export(args) -> list[str]:
     if args.format == "json":
         io.export_graph(g, args.out)
     elif args.format == "dot":
-        with open(args.out, "w") as fh:
-            fh.write(io.snapshot_to_dot(g.snapshot_at(args.at)))
+        io.write_text(args.out, io.snapshot_to_dot(g.snapshot_at(args.at)))
     else:
         raise ValidationError(f"unknown format {args.format!r}")
     return [args.out]
@@ -398,7 +393,8 @@ def run(argv: list[str] | None = None) -> int:
         config = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
         _write_manifest(args.command, config, getattr(args, "seed", None), inputs, outputs)
         return 0
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
+        # OSError: an unreadable input, or an unwritable output or manifest path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleError as exc:

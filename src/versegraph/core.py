@@ -310,13 +310,19 @@ class TemporalMultiLayerGraph:
             raise ValidationError(f"vertex {vid} already retired")
         if not rec.active_at(t):
             raise ValidationError(f"vertex {vid} not active at t={t}")
+        # incident edges retire at the same tick, which must not precede their start
+        incident = [e for e in self._edges.values()
+                    if e.t_end is None and (e.src == vid or e.dst == vid)]
+        late = [e.id for e in incident if e.t_start > t]
+        if late:
+            raise ValidationError(
+                f"vertex {vid} cannot retire at t={t}: open edges {late} start later"
+            )
         self._vertices[vid] = replace(rec, t_end=int(t))
         self.events.append(("vertex-", vid, int(t)))
-        # incident edges retire at the same tick
-        for eid, e in self._edges.items():
-            if e.t_end is None and (e.src == vid or e.dst == vid):
-                self._edges[eid] = replace(e, t_end=int(t))
-                self.events.append(("edge-", eid, int(t)))
+        for e in incident:
+            self._edges[e.id] = replace(e, t_end=int(t))
+            self.events.append(("edge-", e.id, int(t)))
 
     def retire_edge(self, eid: int, t: int) -> None:
         rec = self._edges.get(eid)

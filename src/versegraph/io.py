@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from typing import Optional
 
 from .core import EdgeRecord, GraphView, SnapshotView, TemporalMultiLayerGraph, VertexRecord
@@ -126,6 +127,8 @@ def _graph_from_dict(doc: dict) -> TemporalMultiLayerGraph:
                 raise ValidationError(f"edge {eid}: dst {dst} not in layer {ld}")
         t_start = int(e["t_start"])
         t_end = e.get("t_end")
+        if t_end is not None and int(t_end) < t_start:
+            raise ValidationError(f"edge {eid}: t_end must not precede t_start")
         for vid in (src, dst):
             v = vrecs[vid]
             covered = v.t_start <= t_start and (
@@ -160,10 +163,29 @@ def _graph_from_dict(doc: dict) -> TemporalMultiLayerGraph:
     return g
 
 
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, overwriting the file in place.
+
+    The file is opened without ``O_TRUNC`` and cut to the new length only if
+    it was longer.  On ext4, truncating a just-written file makes the next
+    truncate or unlink of it wait for writeback; rewriting in place does not.
+    The inode is kept, so symlinks are followed, hard links see the new
+    bytes and an existing file keeps its mode.  New files get 0o666 & ~umask.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def dump_json(doc, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_json(path: str):
@@ -173,10 +195,12 @@ def load_json(path: str):
         raise ValidationError(f"{path}: {name} found; every number must be finite")
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def export_graph(g: TemporalMultiLayerGraph, path: str) -> None:

@@ -104,6 +104,23 @@ def test_retire_cascades_to_edges(g):
     assert len(g.snapshot_at(6).edges) == 3
 
 
+def test_retire_rejects_edge_starting_later(g):
+    """Retiring v at t would stamp t_end = t on an open edge that starts after
+    t; the call is refused before anything changes."""
+    net = g.create_layer("network")
+    a = g.add_vertex({"server"}, {net}, {}, 0)
+    b = g.add_vertex({"server"}, {net}, {}, 0)
+    c = g.add_vertex({"server"}, {net}, {}, 0)
+    g.add_edge(a, b, net, net, t_start=2)
+    g.add_edge(c, a, net, net, t_start=5)
+    before = (g.vertex_records, g.edge_records, list(g.events))
+    with pytest.raises(ValidationError, match="start later"):
+        g.retire_vertex(a, 4)
+    assert (g.vertex_records, g.edge_records, list(g.events)) == before
+    g.retire_vertex(a, 5)  # same tick as the later edge's start stays legal
+    assert {e.t_end for e in g.edge_records.values()} == {5}
+
+
 def test_no_dangling_edges_ever(g):
     net = g.create_layer("network")
     vs = [g.add_vertex({"server"}, {net}) for _ in range(5)]

@@ -428,3 +428,111 @@ def test_import_rejects_vertex_ending_before_start():
     doc["vertices"][0]["t_end"] = -1
     with pytest.raises(ValidationError):
         io.graph_from_dict(doc)
+
+
+def test_import_rejects_edge_ending_before_start():
+    doc = io.graph_to_dict(_small_graph())
+    doc["edges"][1]["t_end"] = 0  # the session edge starts at 1
+    with pytest.raises(ValidationError, match="edge 1: t_end must not precede t_start"):
+        io.graph_from_dict(doc)
+
+
+def test_load_json_rejects_non_utf8(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"name": "café"}'.encode("latin-1"))
+    with pytest.raises(ValidationError, match="not UTF-8"):
+        io.load_json(str(p))
+
+
+# -- in-place output writer -------------------------------------------------
+
+def test_write_text_shorter_over_longer(tmp_path):
+    p = tmp_path / "out.txt"
+    p.write_text("x" * 1000)
+    io.write_text(str(p), "short\n")
+    assert p.read_bytes() == b"short\n"
+
+
+def test_write_text_equal_length_and_utf8(tmp_path):
+    p = tmp_path / "out.txt"
+    io.write_text(str(p), "abcdé\n")
+    io.write_text(str(p), "vwxyé\n")
+    assert p.read_bytes() == "vwxyé\n".encode("utf-8")
+
+
+def test_write_text_follows_symlink(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_text("old contents, longer than the new ones")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    io.write_text(str(link), "new\n")
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == b"new\n"
+
+
+def test_write_text_hard_link_sees_new_bytes(tmp_path):
+    p = tmp_path / "a.txt"
+    p.write_text("first version\n")
+    q = tmp_path / "b.txt"
+    q.hardlink_to(p)
+    io.write_text(str(p), "second\n")
+    assert q.read_bytes() == b"second\n"
+    assert p.stat().st_ino == q.stat().st_ino
+
+
+def test_write_text_keeps_mode(tmp_path):
+    p = tmp_path / "out.txt"
+    p.write_text("old\n")
+    p.chmod(0o640)
+    io.write_text(str(p), "new and longer\n")
+    assert p.stat().st_mode & 0o777 == 0o640
+    assert p.read_bytes() == b"new and longer\n"
+
+
+def test_cli_rerun_into_same_out_is_byte_identical(tmp_path):
+    """Every output and the manifest come out the same on a rerun, also over
+    outputs left longer than the new ones."""
+    gpath = tmp_path / "g.json"
+    cli.run(["gen", "--scenario", "social", "--seed", "5", "--out", str(gpath)])
+    out = tmp_path / "c.json"
+    files = [out, tmp_path / "c.json.trace.csv", tmp_path / "c.json.manifest.json"]
+    argv = ["simulate", "--kind", "consensus", "--in", str(gpath), "--out", str(out)]
+    assert cli.run(argv) == 0
+    first = [f.read_bytes() for f in files]
+    assert cli.run(argv) == 0
+    assert [f.read_bytes() for f in files] == first
+    for f in files:
+        with open(f, "ab") as fh:
+            fh.write(b"stale tail\n" * 100)
+    assert cli.run(argv) == 0
+    assert [f.read_bytes() for f in files] == first
+
+
+# -- filesystem errors exit 2 -----------------------------------------------
+
+def test_cli_missing_input_exit_2(tmp_path, capsys):
+    _assert_exit_2(capsys, ["analyze", "--in", tmp_path / "missing.json",
+                            "--metrics", "degree", "--out", tmp_path / "m.csv"])
+
+
+def test_cli_input_is_directory_exit_2(tmp_path, capsys):
+    _assert_exit_2(capsys, ["analyze", "--in", tmp_path, "--metrics", "degree",
+                            "--out", tmp_path / "m.csv"])
+
+
+def test_cli_non_utf8_input_exit_2(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    gpath.write_bytes(b'{"version": 1, "layers": [{"id": 0, "name": "r\xe9seau"}]}')
+    _assert_exit_2(capsys, ["analyze", "--in", gpath, "--metrics", "degree",
+                            "--out", tmp_path / "m.csv"])
+
+
+def test_cli_output_directory_missing_exit_2(tmp_path, capsys):
+    _assert_exit_2(capsys, ["gen", "--scenario", "network", "--seed", "0",
+                            "--out", tmp_path / "no_such_dir" / "g.json"])
+
+
+def test_cli_unwritable_manifest_exit_2(tmp_path, capsys):
+    (tmp_path / "g.json.manifest.json").mkdir()
+    _assert_exit_2(capsys, ["gen", "--scenario", "network", "--seed", "0",
+                            "--out", tmp_path / "g.json"])
