@@ -53,6 +53,8 @@ class DomainSpec:
             raise ValidationError(f"domain {self.id}: gamma must be > 0")
         if self.r_min >= self.r_max:
             raise ValidationError(f"domain {self.id}: r_min must be < r_max")
+        if not math.isfinite(self.r_max - self.r_min):
+            raise ValidationError(f"domain {self.id}: r_max - r_min must be finite")
 
 
 @dataclass(frozen=True)
@@ -373,8 +375,13 @@ def _energy_coeffs(scenario: Scenario, A: np.ndarray, link_row: dict[str, int]) 
     return E
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compile_scenario(scenario: Scenario) -> CompiledScenario:
-    """Collect a scenario's bounds, links and coupling terms into arrays."""
+    """Collect a scenario's bounds, links and coupling terms into arrays.
+
+    Raises ValidationError when ``Q``, ``b`` or ``c`` overflows to a
+    non-finite value, as finite but huge coefficients can make them.
+    """
     index = {d.id: i for i, d in enumerate(scenario.domains)}
     link_row = {l.id: i for i, l in enumerate(scenario.links)}
     K = len(scenario.domains)
@@ -404,6 +411,8 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
             c += e.sign * gg * lam[m] * lam[n]
         Q[m, n] += 0.5 * e.sign * q
         Q[n, m] += 0.5 * e.sign * q
+    if not (np.isfinite(Q).all() and np.isfinite(b).all() and math.isfinite(c)):
+        raise ValidationError("scenario coupling terms overflow to a non-finite value")
     return CompiledScenario(gamma, lam, lo, hi, Q, b, float(c), A, C)
 
 
@@ -478,47 +487,49 @@ PENALTY_GROWTH = 10.0
 PENALTY_MU0 = 1.0
 MULTI_STARTS = 16
 INNER_ITERS = 200
+BACKTRACK_HALVINGS = 40
 FEASIBILITY_TOL = 1e-6
 
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _halton(i: int, base: int) -> float:
-    f, r = 1.0, 0.0
-    while i > 0:
-        f /= base
-        r += f * (i % base)
-        i //= base
-    return r
-
-
 def _start_points(cs: CompiledScenario, seed: int) -> np.ndarray:
-    """Seeded low-discrepancy starts: rotated Halton points mapped to the box."""
+    """Seeded low-discrepancy starts: rotated Halton points mapped to the box.
+
+    Coordinate k of start s is the radical inverse of s + 1 in the k-th prime
+    base (the primes repeat from K = 13 on), shifted by a seeded rotation.
+    """
     K = len(cs.lo)
-    rng = np.random.default_rng(seed)
-    shift = rng.random(K)
-    pts = np.empty((MULTI_STARTS, K))
-    for s in range(MULTI_STARTS):
-        for k in range(K):
-            u = (_halton(s + 1, _HALTON_PRIMES[k % len(_HALTON_PRIMES)]) + shift[k]) % 1.0
-            pts[s, k] = cs.lo[k] + u * (cs.hi[k] - cs.lo[k])
-    return pts
+    shift = np.random.default_rng(seed).random(K)
+    base = np.array(_HALTON_PRIMES)[np.arange(K) % len(_HALTON_PRIMES)]
+    i = np.repeat(np.arange(1, MULTI_STARTS + 1)[:, None], K, axis=1)
+    f = np.ones(K)
+    h = np.zeros((MULTI_STARTS, K))
+    while i.any():  # one digit per pass, least significant first
+        f = f / base
+        h += f * (i % base)  # a finished index adds exact zeros
+        i //= base
+    u = (h + shift) % 1.0
+    return cs.lo + u * (cs.hi - cs.lo)
 
 
-def _restore_feasible(cs: CompiledScenario, r: np.ndarray) -> np.ndarray:
-    """Shrink toward the (feasible) lower-bound corner until links fit."""
+def _restore_feasible(cs: CompiledScenario, R: np.ndarray) -> np.ndarray:
+    """Shrink each start toward the (feasible) lower-bound corner until links fit.
+
+    ``R`` holds one start per row, shape (S, 1, K).  A start within
+    FEASIBILITY_TOL is kept; every other one bisects its own [t_lo, t_hi].
+    """
     lo = cs.lo
-    if cs.max_violation(r) <= FEASIBILITY_TOL:
-        return r
-    t_lo, t_hi = 0.0, 1.0
+    need = cs.max_violation(R)[:, 0] > FEASIBILITY_TOL
+    if not need.any():
+        return R
+    t_lo, t_hi = np.zeros(len(R)), np.ones(len(R))
     for _ in range(80):
         t = 0.5 * (t_lo + t_hi)
-        cand = lo + t * (r - lo)
-        if cs.max_violation(cand) <= 0.0:
-            t_lo = t
-        else:
-            t_hi = t
-    return lo + t_lo * (r - lo)
+        fits = cs.max_violation(lo + t[:, None, None] * (R - lo))[:, 0] <= 0.0
+        t_lo = np.where(fits, t, t_lo)
+        t_hi = np.where(fits, t_hi, t)
+    return np.where(need[:, None, None], lo + t_lo[:, None, None] * (R - lo), R)
 
 
 def _grid_best(cs: CompiledScenario, coupled: bool, r: np.ndarray, k: int,
@@ -574,42 +585,57 @@ def optimize(
     16 deterministic multi-starts from a seeded low-discrepancy grid; box
     projection every step; backtracking halving from step 1.0.  In coupled
     mode the returned point satisfies every link constraint within 1e-6.
+
+    All starts move together as one array, round by round; a start that has
+    stopped in a round is held fixed until the next round begins, so each
+    one follows the path it would follow on its own.
     """
     coupled = _coupled(mode)
     cs = compile_scenario(scenario)
     lo, hi = cs.lo, cs.hi
     if coupled and cs.max_violation(lo) > 0:
         raise InfeasibleError("lower-bound allocation already violates a link constraint")
-    starts = _start_points(cs, seed)
-    best_r, best_val, best_trace = None, -np.inf, []
-    for si in range(MULTI_STARTS):
-        r = starts[si].copy()
-        local_trace = []
-        it = 0
-        for rnd in range(PENALTY_ROUNDS):
-            mu = PENALTY_MU0 * PENALTY_GROWTH ** rnd
-            for _ in range(INNER_ITERS):
-                g = cs.penalized_grad(r, coupled, mu)
-                base = cs.penalized(r, coupled, mu)
-                step = 1.0
-                moved = False
-                for _ in range(40):
-                    cand = np.minimum(np.maximum(r + step * g, lo), hi)
-                    if cs.penalized(cand, coupled, mu) > base + 1e-15:
-                        r = cand
-                        moved = True
-                        break
-                    step *= 0.5
-                it += 1
-                local_trace.append((it, float(cs.value(r, coupled)), float(cs.max_violation(r))))
-                if not moved or np.linalg.norm(step * g) < 1e-12:
-                    break
-        if coupled:
-            r = _restore_feasible(cs, r)
-        val = cs.value(r, coupled)
-        if val > best_val + 1e-12:
-            best_r, best_val, best_trace = r, val, local_trace
-    best_r = _coordinate_polish(cs, coupled, best_r)
+    # One start per row, shape (S, 1, K).  The singleton axis makes every
+    # matmul in CompiledScenario a vector-matrix product per start, the BLAS
+    # call a lone (K,) allocation gets, so each start's arithmetic is bitwise
+    # what it is on its own; a (S, K) matrix product rounds differently.
+    R = _start_points(cs, seed)[:, None, :]
+    S = len(R)
+    steps = np.ldexp(1.0, -np.arange(BACKTRACK_HALVINGS))  # 1, 1/2, 1/4, ...
+    it = np.zeros(S, dtype=int)
+    log = []  # per lockstep iteration: (rows that ran it, it, value, max violation)
+    for rnd in range(PENALTY_ROUNDS):
+        mu = PENALTY_MU0 * PENALTY_GROWTH ** rnd
+        active = np.ones(S, dtype=bool)
+        for _ in range(INNER_ITERS):
+            g = cs.penalized_grad(R, coupled, mu)
+            base = cs.penalized(R, coupled, mu)
+            # every halving at once; a start takes the first that improves
+            cand = np.minimum(np.maximum(R[:, None] + steps[:, None, None] * g[:, None], lo), hi)
+            better = cs.penalized(cand, coupled, mu)[..., 0] > base + 1e-15
+            moved = better.any(axis=1)
+            j = better.argmax(axis=1)
+            step = np.where(moved, steps[j], 0.5 ** BACKTRACK_HALVINGS)
+            R = np.where((active & moved)[:, None, None], cand[np.arange(S), j], R)
+            it += active
+            log.append((active, it.copy(), cs.value(R, coupled)[:, 0], cs.max_violation(R)[:, 0]))
+            sg = step[:, None, None] * g
+            norm = np.sqrt((sg @ sg.swapaxes(1, 2))[:, 0, 0])  # per-row dot, as np.linalg.norm
+            active = active & moved & ~(norm < 1e-12)
+            if not active.any():
+                break
+    if coupled:
+        R = _restore_feasible(cs, R)
+    best, best_val = None, -np.inf
+    for si, val in enumerate(cs.value(R, coupled)[:, 0].tolist()):
+        if math.isfinite(val) and val > best_val + 1e-12:
+            best, best_val = si, val
+    if best is None:
+        raise ValidationError("no start reaches a finite objective value; "
+                              "the scenario's numbers overflow")
+    best_trace = [(int(n[best]), float(v[best]), float(m[best]))
+                  for ran, n, v, m in log if ran[best]]
+    best_r = _coordinate_polish(cs, coupled, R[best, 0])
     best_trace.append(
         (best_trace[-1][0] + 1 if best_trace else 1,
          float(cs.value(best_r, coupled)),

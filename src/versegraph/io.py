@@ -295,7 +295,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                                  float(w[0]), float(w[1]), float(w[2]),
                                  float(e.get("sign", 1.0)))
                 )
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer too large for a float
         raise ValidationError(f"malformed scenario file: {exc}") from exc
     scenario = Scenario(domains, links, nodes, edges)
     if coupling_doc == "auto":

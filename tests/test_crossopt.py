@@ -398,6 +398,7 @@ def test_scenario_validation():
     lambda: DomainSpec("a", float("nan"), 1.0, 0.0, 2.0),
     lambda: DomainSpec("a", 1.0, float("inf"), 0.0, 2.0),
     lambda: DomainSpec("a", 1.0, 1.0, float("-inf"), 2.0),
+    lambda: DomainSpec("a", 1.0, 1.0, -1e308, 1e308),  # r_max - r_min overflows
     lambda: SharedLink("l", float("inf"), {"a": 1.0}),
     lambda: SharedLink("l", 1.0, {"a": float("nan")}),
     lambda: SharedNode("n", float("nan"), 0.0, {}),
@@ -542,3 +543,162 @@ def test_phi_energy_uses_lowest_id_carrying_link_only():
     assert crossopt.phi_energy("a", "b", r, s) == pytest.approx(0.1 * 4.0 * 1.5 * 1.0 * 2.0 * 2.0)
     assert crossopt.objective(r, s, "isolated") - crossopt.objective(r, s, "coupled") == \
         pytest.approx(2.4, abs=1e-12)
+
+
+# -- batched multi-start ascent ---------------------------------------------
+
+def _halton(i, base):
+    f, r = 1.0, 0.0
+    while i > 0:
+        f /= base
+        r += f * (i % base)
+        i //= base
+    return r
+
+
+def _reference_starts(cs, seed):
+    K = len(cs.lo)
+    shift = np.random.default_rng(seed).random(K)
+    primes = crossopt._HALTON_PRIMES
+    pts = np.empty((crossopt.MULTI_STARTS, K))
+    for s in range(crossopt.MULTI_STARTS):
+        for k in range(K):
+            u = (_halton(s + 1, primes[k % len(primes)]) + shift[k]) % 1.0
+            pts[s, k] = cs.lo[k] + u * (cs.hi[k] - cs.lo[k])
+    return pts
+
+
+def _reference_restore(cs, r):
+    lo = cs.lo
+    if cs.max_violation(r) <= crossopt.FEASIBILITY_TOL:
+        return r
+    t_lo, t_hi = 0.0, 1.0
+    for _ in range(80):
+        t = 0.5 * (t_lo + t_hi)
+        if cs.max_violation(lo + t * (r - lo)) <= 0.0:
+            t_lo = t
+        else:
+            t_hi = t
+    return lo + t_lo * (r - lo)
+
+
+def _reference_optimize(scenario, mode, seed):
+    """The ascent run one start at a time on (K,) vectors: the reference for
+    the batched one in ``crossopt.optimize``.  The polish step is shared."""
+    coupled = mode == "coupled"
+    cs = crossopt.compile_scenario(scenario)
+    lo, hi = cs.lo, cs.hi
+    best_r, best_val, best_trace = None, -np.inf, []
+    for start in _reference_starts(cs, seed):
+        r = start.copy()
+        local_trace = []
+        it = 0
+        for rnd in range(crossopt.PENALTY_ROUNDS):
+            mu = crossopt.PENALTY_MU0 * crossopt.PENALTY_GROWTH ** rnd
+            for _ in range(crossopt.INNER_ITERS):
+                g = cs.penalized_grad(r, coupled, mu)
+                base = cs.penalized(r, coupled, mu)
+                step = 1.0
+                moved = False
+                for _ in range(40):
+                    cand = np.minimum(np.maximum(r + step * g, lo), hi)
+                    if cs.penalized(cand, coupled, mu) > base + 1e-15:
+                        r = cand
+                        moved = True
+                        break
+                    step *= 0.5
+                it += 1
+                local_trace.append((it, float(cs.value(r, coupled)), float(cs.max_violation(r))))
+                if not moved or np.linalg.norm(step * g) < 1e-12:
+                    break
+        if coupled:
+            r = _reference_restore(cs, r)
+        val = cs.value(r, coupled)
+        if val > best_val + 1e-12:
+            best_r, best_val, best_trace = r, val, local_trace
+    best_r = crossopt._coordinate_polish(cs, coupled, best_r)
+    best_trace.append((best_trace[-1][0] + 1 if best_trace else 1,
+                       float(cs.value(best_r, coupled)), float(cs.max_violation(best_r))))
+    return best_r, best_trace
+
+
+def _k8_scenario(seed):
+    """8 domains, 6 links of three domains each, one node on the first two
+    links, auto coupling; each link's capacity is half its joint demand."""
+    rng = np.random.default_rng(seed)
+    ids = [f"d{i}" for i in range(8)]
+    domains = [DomainSpec(d, rng.uniform(2.0, 2.5), rng.uniform(1.5, 2.5), 0.0, 4.0) for d in ids]
+    layout = ([0, 1, 4], [4, 6, 7], [1, 3, 4], [0, 4, 5], [2, 6, 7], [2, 4, 7])
+    links = []
+    for li, members in enumerate(layout):
+        coeffs = {ids[i]: float(rng.uniform(0.5, 1.5)) for i in members}
+        links.append(SharedLink(f"l{li}", 2.0 * sum(coeffs.values()), coeffs))
+    node = SharedNode("n0", rng.uniform(0.01, 0.05), rng.uniform(0.01, 0.05),
+                      {l.id: float(rng.uniform(1.0, 3.0)) for l in links[:2]})
+    s = Scenario(domains, links, [node])
+    s.coupling = auto_coupling(s)
+    return s
+
+
+_BATCH_CASES = [*(f"differential-{i}" for i in range(5)), "demo", "k8", "norm-stop"]
+
+
+def _batch_case(name):
+    if name == "demo":
+        return crossopt.demo_scenario()
+    if name == "k8":
+        return _k8_scenario(5)
+    if name == "norm-stop":
+        # in coupled mode at seed 19, 15 times a start moves but stops on
+        # ||step * g|| < 1e-12 while others go on, which the frozen rows cover
+        return _random_scenario(np.random.default_rng(17), 2, 2, 1)
+    return _differential_cases()[int(name.split("-")[1])]
+
+
+@pytest.mark.parametrize("mode", ["isolated", "coupled"])
+@pytest.mark.parametrize("name", _BATCH_CASES)
+def test_batched_ascent_matches_one_start_reference(name, mode, monkeypatch):
+    ascent_ends = []  # the winning start's point as handed to the polish step
+    polish = crossopt._coordinate_polish
+    monkeypatch.setattr(crossopt, "_coordinate_polish",
+                        lambda cs, coupled, r: ascent_ends.append(r.copy()) or polish(cs, coupled, r))
+    s = _batch_case(name)
+    seed = len(s.domains) + 17
+    want_r, want_trace = _reference_optimize(s, mode, seed)
+    trace = []
+    got_r = crossopt.optimize(s, mode, seed, trace)
+    assert ascent_ends[1].tobytes() == ascent_ends[0].tobytes()
+    assert got_r.tobytes() == want_r.tobytes()
+    assert len(trace) == len(want_trace)
+    assert [row[0] for row in trace] == [row[0] for row in want_trace]
+    assert np.allclose(np.array(trace)[:, 1:], np.array(want_trace)[:, 1:], rtol=0, atol=1e-12)
+
+
+def test_restore_feasible_bisects_each_start():
+    cs = crossopt.compile_scenario(_k8_scenario(3))
+    R = np.random.default_rng(0).uniform(0.0, 4.0, size=(12, 1, 8))
+    R[0, 0] = cs.lo  # already feasible, kept as is
+    assert (cs.max_violation(R)[1:, 0] > crossopt.FEASIBILITY_TOL).all()
+    got = crossopt._restore_feasible(cs, R)
+    assert got.shape == R.shape
+    for row, r in zip(got[:, 0], R[:, 0]):
+        assert row.tobytes() == _reference_restore(cs, r).tobytes()
+    assert (cs.max_violation(got)[:, 0] <= 0.0).all()
+
+
+@pytest.mark.parametrize("K", [1, 2, 8, 13])
+def test_start_points_match_scalar_halton(K):
+    s = Scenario([DomainSpec(f"d{k}", 1.0, 1.0, -1.0 - k, 2.0 + 0.5 * k) for k in range(K)])
+    cs = crossopt.compile_scenario(s)
+    for seed in (0, 7919):
+        got = crossopt._start_points(cs, seed)
+        assert got.tobytes() == _reference_starts(cs, seed).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_optimize_rejects_scenario_with_no_finite_start():
+    # the coupling terms are finite, but R^T Q R overflows everywhere in the box
+    s = two_domain(bounds=(1e200, 2e200), utility=True)
+    assert np.isfinite(crossopt.optimize(s, "isolated", seed=0)).all()
+    with pytest.raises(ValidationError, match="finite"):
+        crossopt.optimize(s, "coupled", seed=0)

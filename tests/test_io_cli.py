@@ -406,6 +406,24 @@ def test_cli_optimize_non_finite_exit_2(tmp_path, capsys, patch):
     assert "Traceback" not in err
 
 
+def test_cli_optimize_overflowing_scenario_exit_2(tmp_path, capsys):
+    """Finite numbers whose coupling terms overflow: (1e300)^2 / 1e-300."""
+    doc = {
+        "domains": [{"id": i, "gamma": 1.0, "lambda": 1.0, "r_min": 0.0, "r_max": 2.0}
+                    for i in "ab"],
+        "links": [{"id": "l", "capacity": 1e-300, "coeffs": {"a": 1e300, "b": 1e300}}],
+        "coupling": "auto",
+    }
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(doc))
+    for mode in ("coupled", "both"):
+        assert cli.run(["optimize", "--scenario", str(spath), "--mode", mode,
+                        "--out", str(tmp_path / "rep.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflow" in err
+        assert "Traceback" not in err
+
+
 def test_round_trip_retire_in_birth_tick(tmp_path):
     """A vertex retired in the tick it was born has an empty [t, t) lifetime,
     which the core allows; the importer must accept it too."""
