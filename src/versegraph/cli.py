@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 
 import numpy as np
@@ -58,22 +57,12 @@ def _load_params(path: str | None, allowed) -> dict:
     return doc
 
 
-def _int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # abs() compares exactly, so NaN, the infinities and integers too large
+    # for a float all fail it
+    if type(value) not in io.NUMBER or not abs(value) <= sys.float_info.max:
         raise ValidationError(f"{what} must be a finite number, got {value!r}")
     return float(value)
-
-
-def _mapping(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"{what} must be a JSON object, got {value!r}")
-    return value
 
 
 def _id_key(key: str, what: str) -> int:
@@ -104,13 +93,10 @@ GEN_PARAMS = {f.name: type(f.default) for f in dataclasses.fields(scen.Generator
 def _gen_params(path: str | None) -> dict:
     params = _load_params(path, GEN_PARAMS)
     for key, value in params.items():
-        kind = GEN_PARAMS[key]
-        if kind is float:
+        if GEN_PARAMS[key] is float:
             _number(value, key)
-        elif kind is int:
-            _int(value, key)
-        elif not isinstance(value, kind):
-            raise ValidationError(f"{key} must be a {kind.__name__}, got {value!r}")
+        else:
+            io.json_value(value, (GEN_PARAMS[key],), key)
     return params
 
 
@@ -253,14 +239,14 @@ def _cmd_simulate(args) -> list[str]:
     if layer is not None and not isinstance(layer, str):
         raise ValidationError(f"layer must be a layer name, got {layer!r}")
     g = io.import_graph(args.infile)
-    view = _view_for(g, layer, _int(params.get("at", 0), "at"))
+    view = _view_for(g, layer, io.json_value(params.get("at", 0), io.INT, "at"))
     outputs = [args.out]
     if args.kind == "consensus":
         tol = _number(params.get("tol", 1e-6), "tol")
         if tol < 0:
             raise ValidationError(f"tol must be >= 0, got {tol!r}")
         if "values" in params:
-            given = _mapping(params["values"], "values")
+            given = io.json_value(params["values"], io.OBJECT, "values")
             missing = [v for v in view.vertices if str(v) not in given]
             if missing:
                 raise ValidationError(f"values: no value for vertices {missing[:10]}")
@@ -278,18 +264,18 @@ def _cmd_simulate(args) -> list[str]:
     elif args.kind == "consistency":
         storage = sorted(v.id for v in g.vertex_records.values()
                          if "storage-node" in v.roles) or list(view.vertices)
-        n_items = _int(params.get("items", 4), "items")
+        n_items = io.json_value(params.get("items", 4), io.INT, "items")
         if n_items < 0:
             raise ValidationError(f"items must be >= 0, got {n_items}")
         items = list(range(n_items))
-        r = _int(params.get("replication", min(2, len(storage))), "replication")
+        r = io.json_value(params.get("replication", min(2, len(storage))), io.INT, "replication")
         placement = scen.replicate_items(items, storage, r)
         updates = {
             _id_key(i, "updates"): {
-                _id_key(n, f"updates[{i}]"): _int(ver, f"updates[{i}][{n}]")
-                for n, ver in _mapping(u, f"updates[{i}]").items()
+                _id_key(n, f"updates[{i}]"): io.json_value(ver, io.INT, f"updates[{i}][{n}]")
+                for n, ver in io.json_value(u, io.OBJECT, f"updates[{i}]").items()
             }
-            for i, u in _mapping(params.get("updates", {}), "updates").items()
+            for i, u in io.json_value(params.get("updates", {}), io.OBJECT, "updates").items()
         }
         if not updates and items and placement.mapping[items[0]]:
             updates = {items[0]: {placement.mapping[items[0]][0]: 1}}
@@ -300,11 +286,11 @@ def _cmd_simulate(args) -> list[str]:
             args.out,
         )
     elif args.kind == "cdn":
-        k = _int(params.get("k", 2), "k")
+        k = io.json_value(params.get("k", 2), io.INT, "k")
         demand = None
         if "demand" in params:
             demand = {_id_key(v, "demand"): _number(w, f"demand[{v}]")
-                      for v, w in _mapping(params["demand"], "demand").items()}
+                      for v, w in io.json_value(params["demand"], io.OBJECT, "demand").items()}
         caches, cost = scen.cdn_place_caches(view, k, demand)
         io.dump_json({"caches": caches, "expected_hops": cost, "k": k}, args.out)
     return outputs

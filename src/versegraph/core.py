@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -204,11 +205,21 @@ class SnapshotView:
         return (not violations), violations
 
 
+def _created(rec: VertexRecord | EdgeRecord) -> tuple:
+    """The creation event of a record."""
+    if isinstance(rec, VertexRecord):
+        return ("vertex+", rec.id, rec.roles, rec.layers, rec.attrs, rec.t_start)
+    return ("edge+", rec.id, rec.src, rec.dst, rec.layer_src, rec.layer_dst, rec.directed,
+            rec.weight, rec.relation, rec.t_start)
+
+
 class TemporalMultiLayerGraph:
     """Append-only event log of layer/vertex/edge lifecycle, with snapshots.
 
     Events are tuples ``(kind, payload...)``; replaying the log reproduces the
-    graph exactly, which the test suite exploits as an oracle.
+    graph exactly, which the test suite exploits as an oracle.  Every record,
+    from ``add_*`` or :meth:`from_records`, passes ``_check_vertex`` or
+    ``_check_edge`` before it is stored, so no edge outlives an endpoint.
     """
 
     def __init__(self) -> None:
@@ -219,6 +230,66 @@ class TemporalMultiLayerGraph:
         self._edges: dict[int, EdgeRecord] = {}
         self._next_vertex = 0
         self._next_edge = 0
+
+    @classmethod
+    def from_records(cls, layer_names: Iterable[str], vertices: Iterable[VertexRecord],
+                     edges: Iterable[EdgeRecord]) -> TemporalMultiLayerGraph:
+        """A graph of exactly these records, checked as ``add_*`` checks them, with
+        unique ids; layer ``i`` is the ``i``-th name.  The event log is canonical:
+        layers, creations by ``(t_start, id)``, then retirements by ``(t, id)``."""
+        g = cls()
+        for name in layer_names:
+            g.create_layer(name)
+        for v in vertices:
+            if v.id in g._vertices:
+                raise ValidationError(f"duplicate vertex id {v.id}")
+            g._check_vertex(v)
+            g._vertices[v.id] = v
+        for e in edges:
+            if e.id in g._edges:
+                raise ValidationError(f"duplicate edge id {e.id}")
+            g._check_edge(e)
+            g._edges[e.id] = e
+        g._next_vertex = max(g._vertices, default=-1) + 1
+        g._next_edge = max(g._edges, default=-1) + 1
+        recs = {"vertex": g._vertices.values(), "edge": g._edges.values()}
+        g.events += [_created(r) for rs in recs.values()
+                     for r in sorted(rs, key=lambda r: (r.t_start, r.id))]
+        g.events += [(kind + "-", i, t) for kind, rs in recs.items()
+                     for t, i in sorted((r.t_end, r.id) for r in rs if r.t_end is not None)]
+        return g
+
+    # -- checks ------------------------------------------------------------
+
+    def _check_vertex(self, v: VertexRecord) -> None:
+        if not v.layers:
+            raise ValidationError(f"vertex {v.id} has an empty layer set")
+        unknown = sorted(v.layers - self._layer_names.keys())
+        if unknown:
+            raise ValidationError(f"vertex {v.id} references unregistered layers {unknown}")
+        if not all(isinstance(r, str) for r in v.roles):
+            raise ValidationError(f"vertex {v.id}: every role must be a string")
+        if v.t_end is not None and v.t_end < v.t_start:
+            raise ValidationError(f"vertex {v.id}: t_end must not precede t_start")
+
+    def _check_edge(self, e: EdgeRecord) -> None:
+        if not math.isfinite(e.weight):
+            raise ValidationError(f"edge {e.id}: non-finite weight {e.weight}")
+        if e.weight < 0:
+            raise ValidationError(f"edge {e.id}: negative weight {e.weight}")
+        if not isinstance(e.relation, str):
+            raise ValidationError(f"edge {e.id}: relation must be a string, got {e.relation!r}")
+        if e.t_end is not None and e.t_end < e.t_start:
+            raise ValidationError(f"edge {e.id}: t_end must not precede t_start")
+        for vid, layer in ((e.src, e.layer_src), (e.dst, e.layer_dst)):
+            v = self._vertices.get(vid)
+            if v is None:
+                raise ValidationError(f"edge {e.id}: dangling endpoint {vid}")
+            if layer not in v.layers:
+                raise ValidationError(f"edge {e.id}: endpoint {vid} not in layer {layer}")
+            # the vertex's lifetime must cover the edge's [t_start, t_end)
+            if v.t_start > e.t_start or v.t_end is not None and (e.t_end is None or e.t_end > v.t_end):
+                raise ValidationError(f"edge {e.id}: endpoint {vid} inactive during the edge's validity")
 
     # -- construction ------------------------------------------------------
 
@@ -236,10 +307,6 @@ class TemporalMultiLayerGraph:
             raise ValidationError(f"unknown layer {name!r}")
         return self._layer_ids[name]
 
-    @property
-    def layer_names(self) -> dict[int, str]:
-        return dict(self._layer_names)
-
     def add_vertex(
         self,
         roles: Iterable[str],
@@ -247,18 +314,13 @@ class TemporalMultiLayerGraph:
         attrs: Optional[Mapping[str, Scalar]] = None,
         t_start: int = 0,
     ) -> int:
-        layer_set = frozenset(layers)
-        if not layer_set:
-            raise ValidationError("vertex must belong to at least one layer")
-        for lid in layer_set:
-            if lid not in self._layer_names:
-                raise ValidationError(f"unregistered layer {lid}")
-        vid = self._next_vertex
+        rec = VertexRecord(self._next_vertex, frozenset(roles), frozenset(layers),
+                           dict(attrs or {}), int(t_start), None)
+        self._check_vertex(rec)
         self._next_vertex += 1
-        rec = VertexRecord(vid, frozenset(roles), layer_set, dict(attrs or {}), int(t_start), None)
-        self._vertices[vid] = rec
-        self.events.append(("vertex+", vid, rec.roles, layer_set, rec.attrs, rec.t_start))
-        return vid
+        self._vertices[rec.id] = rec
+        self.events.append(_created(rec))
+        return rec.id
 
     def add_edge(
         self,
@@ -271,36 +333,14 @@ class TemporalMultiLayerGraph:
         relation: str = "",
         t_start: int = 0,
     ) -> int:
-        if not math.isfinite(weight):
-            raise ValidationError(f"non-finite edge weight {weight}")
-        if weight < 0:
-            raise ValidationError(f"negative edge weight {weight}")
-        for vid in (src, dst):
-            if vid not in self._vertices:
-                raise ValidationError(f"unknown vertex {vid}")
-            if not self._vertices[vid].active_at(t_start):
-                raise ValidationError(f"vertex {vid} not active at t={t_start}")
-        if layer_src == layer_dst:
-            for vid in (src, dst):
-                if layer_src not in self._vertices[vid].layers:
-                    raise ValidationError(
-                        f"intra-layer edge requires vertex {vid} in layer {layer_src}"
-                    )
-        else:
-            if layer_src not in self._vertices[src].layers:
-                raise ValidationError(f"src {src} not a member of layer {layer_src}")
-            if layer_dst not in self._vertices[dst].layers:
-                raise ValidationError(f"dst {dst} not a member of layer {layer_dst}")
-        eid = self._next_edge
+        """An open edge: both endpoints must exist from ``t_start`` on, unretired."""
+        rec = EdgeRecord(self._next_edge, src, dst, layer_src, layer_dst, bool(directed),
+                         float(weight), relation, int(t_start), None)
+        self._check_edge(rec)
         self._next_edge += 1
-        rec = EdgeRecord(
-            eid, src, dst, layer_src, layer_dst, bool(directed), float(weight), relation, int(t_start), None
-        )
-        self._edges[eid] = rec
-        self.events.append(
-            ("edge+", eid, src, dst, layer_src, layer_dst, bool(directed), float(weight), relation, int(t_start))
-        )
-        return eid
+        self._edges[rec.id] = rec
+        self.events.append(_created(rec))
+        return rec.id
 
     def retire_vertex(self, vid: int, t: int) -> None:
         rec = self._vertices.get(vid)
@@ -310,19 +350,19 @@ class TemporalMultiLayerGraph:
             raise ValidationError(f"vertex {vid} already retired")
         if not rec.active_at(t):
             raise ValidationError(f"vertex {vid} not active at t={t}")
-        # incident edges retire at the same tick, which must not precede their start
-        incident = [e for e in self._edges.values()
-                    if e.t_end is None and (e.src == vid or e.dst == vid)]
-        late = [e.id for e in incident if e.t_start > t]
+        # open incident edges retire at t, so must start by then; others must end by then
+        incident = [e for e in self._edges.values() if vid in (e.src, e.dst)]
+        late = [e.id for e in incident if (e.t_start if e.t_end is None else e.t_end) > t]
         if late:
             raise ValidationError(
-                f"vertex {vid} cannot retire at t={t}: open edges {late} start later"
+                f"vertex {vid} cannot retire at t={t}: edges {late} start later or end later"
             )
         self._vertices[vid] = replace(rec, t_end=int(t))
         self.events.append(("vertex-", vid, int(t)))
         for e in incident:
-            self._edges[e.id] = replace(e, t_end=int(t))
-            self.events.append(("edge-", e.id, int(t)))
+            if e.t_end is None:
+                self._edges[e.id] = replace(e, t_end=int(t))
+                self.events.append(("edge-", e.id, int(t)))
 
     def retire_edge(self, eid: int, t: int) -> None:
         rec = self._edges.get(eid)
@@ -345,10 +385,15 @@ class TemporalMultiLayerGraph:
             (e for e in self._edges.values() if e.active_at(t)),
         )
 
+    # read-only views that follow later changes; nothing is copied
     @property
-    def vertex_records(self) -> dict[int, VertexRecord]:
-        return dict(self._vertices)
+    def layer_names(self) -> Mapping[int, str]:
+        return MappingProxyType(self._layer_names)
 
     @property
-    def edge_records(self) -> dict[int, EdgeRecord]:
-        return dict(self._edges)
+    def vertex_records(self) -> Mapping[int, VertexRecord]:
+        return MappingProxyType(self._vertices)
+
+    @property
+    def edge_records(self) -> Mapping[int, EdgeRecord]:
+        return MappingProxyType(self._edges)

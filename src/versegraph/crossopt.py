@@ -99,8 +99,6 @@ class CouplingEdge:
     w_energy: float = 1.0
     w_util: float = 1.0
     sign: float = 1.0  # +1 subtracts phi as a penalty; -1 reverses
-    shared_links: tuple[str, ...] = ()
-    shared_nodes: tuple[str, ...] = ()
 
     def __post_init__(self):
         _require_finite(f"coupling edge ({self.m}, {self.n})",
@@ -158,9 +156,6 @@ class Scenario:
                 return l
         raise ValidationError(f"unknown link {lid}")
 
-    def resolved_coupling(self) -> list[CouplingEdge]:
-        return resolve_coupling(self)
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.array([d.r_min for d in self.domains], dtype=float)
         hi = np.array([d.r_max for d in self.domains], dtype=float)
@@ -168,31 +163,15 @@ class Scenario:
 
 
 def auto_coupling(scenario: Scenario) -> list[CouplingEdge]:
-    """Derive coupling edges from the scenario's shared links and nodes."""
+    """One coupling edge per domain pair that shares a link or a node."""
+
+    def shares(m: str, n: str) -> bool:
+        link = any(l.coeffs.get(m, 0.0) > 0 and l.coeffs.get(n, 0.0) > 0 for l in scenario.links)
+        return link or any(_node_serves(scenario, nd, m) and _node_serves(scenario, nd, n)
+                           for nd in scenario.nodes)
+
     ids = scenario.domain_ids
-    edges = []
-    for i, m in enumerate(ids):
-        for n in ids[i + 1:]:
-            sl = tuple(l.id for l in scenario.links
-                       if l.coeffs.get(m, 0.0) > 0 and l.coeffs.get(n, 0.0) > 0)
-            sn = tuple(nd.id for nd in scenario.nodes
-                       if _node_serves(scenario, nd, m) and _node_serves(scenario, nd, n))
-            if sl or sn:
-                edges.append(CouplingEdge(m, n, shared_links=sl, shared_nodes=sn))
-    return edges
-
-
-def resolve_coupling(scenario: Scenario) -> list[CouplingEdge]:
-    """Fill in the shared-resource lists on explicitly declared edges."""
-    out = []
-    for e in scenario.coupling:
-        sl = tuple(l.id for l in scenario.links
-                   if l.coeffs.get(e.m, 0.0) > 0 and l.coeffs.get(e.n, 0.0) > 0)
-        sn = tuple(nd.id for nd in scenario.nodes
-                   if _node_serves(scenario, nd, e.m) and _node_serves(scenario, nd, e.n))
-        out.append(CouplingEdge(e.m, e.n, e.utility, e.w_link, e.w_energy, e.w_util,
-                                e.sign, sl, sn))
-    return out
+    return [CouplingEdge(m, n) for i, m in enumerate(ids) for n in ids[i + 1:] if shares(m, n)]
 
 
 def _node_serves(scenario: Scenario, node: SharedNode, did: str) -> bool:
@@ -577,6 +556,7 @@ def _coordinate_polish(cs: CompiledScenario, coupled: bool, r: np.ndarray,
     return r
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in one ValidationError
 def optimize(
     scenario: Scenario, mode: str, seed: int = 0, trace: Optional[list] = None
 ) -> np.ndarray:
@@ -714,18 +694,18 @@ def compare(scenario: Scenario, seed: int = 0) -> OptimizationReport:
 # Coupling derivation from a multilayer snapshot
 # ---------------------------------------------------------------------------
 
-SHARED_LINK_ROLES = frozenset({"router"})
-SHARED_NODE_ROLES = frozenset({"server", "storage-node"})
+# roles of a vertex two domains may share: a router (a link), a server or
+# storage node (a node)
+SHARED_ROLES = frozenset({"router", "server", "storage-node"})
 
 
 def derive_coupling(
     snapshot: SnapshotView, domain_map: dict[str, set[int]]
 ) -> list[CouplingEdge]:
-    """Build coupling edges from a snapshot: a vertex with a router role
-    shared by two domains couples them via a link, a server/storage vertex
-    via a node, and any inter-layer edge between the subsets sets the
-    utility flag.  Vertices with other (resource-owning) roles must not be
-    shared between domains."""
+    """Build coupling edges from a snapshot: two domains are coupled when
+    they share a vertex, which must have a role in ``SHARED_ROLES`` (other
+    roles own their resources), or when an inter-layer edge joins their
+    subsets, which also sets the utility flag."""
     for did, vs in domain_map.items():
         for v in vs:
             if v not in snapshot.vertices:
@@ -735,14 +715,9 @@ def derive_coupling(
     for i, m in enumerate(dids):
         for n in dids[i + 1:]:
             shared = domain_map[m] & domain_map[n]
-            links, nodes = [], []
             for v in sorted(shared):
                 roles = snapshot.vertices[v].roles
-                if roles & SHARED_LINK_ROLES:
-                    links.append(str(v))
-                elif roles & SHARED_NODE_ROLES:
-                    nodes.append(str(v))
-                else:
+                if not roles & SHARED_ROLES:
                     raise ValidationError(
                         f"vertex {v} (roles {sorted(roles)}) is resource-owning and "
                         f"shared by domains {m} and {n}"
@@ -753,8 +728,6 @@ def derive_coupling(
                      or (e.src in domain_map[n] and e.dst in domain_map[m]))
                 for e in snapshot.edges
             )
-            if links or nodes or util:
-                edges.append(CouplingEdge(m, n, utility=util,
-                                          shared_links=tuple(links),
-                                          shared_nodes=tuple(nodes)))
+            if shared or util:
+                edges.append(CouplingEdge(m, n, utility=util))
     return edges

@@ -8,7 +8,6 @@ encoded by omitting ``t_end``.
 from __future__ import annotations
 
 import json
-import math
 import os
 from typing import Optional
 
@@ -27,39 +26,35 @@ from .errors import ValidationError
 FORMAT_VERSION = 1
 
 
+def _record_dict(rec: VertexRecord | EdgeRecord) -> dict:
+    """A record as its JSON object, sets sorted; an open ``t_end`` is left out."""
+    out = {k: v for k, v in vars(rec).items() if not (k == "t_end" and v is None)}
+    if isinstance(rec, VertexRecord):
+        out.update(roles=sorted(rec.roles), layers=sorted(rec.layers),
+                   attrs=dict(sorted(rec.attrs.items())))
+    return out
+
+
 def graph_to_dict(g: TemporalMultiLayerGraph) -> dict:
-    layers = [{"id": lid, "name": name} for lid, name in sorted(g.layer_names.items())]
-    vertices = []
-    for vid in sorted(g.vertex_records):
-        v = g.vertex_records[vid]
-        rec = {
-            "id": v.id,
-            "roles": sorted(v.roles),
-            "layers": sorted(v.layers),
-            "attrs": dict(sorted(v.attrs.items())),
-            "t_start": v.t_start,
-        }
-        if v.t_end is not None:
-            rec["t_end"] = v.t_end
-        vertices.append(rec)
-    edges = []
-    for eid in sorted(g.edge_records):
-        e = g.edge_records[eid]
-        rec = {
-            "id": e.id,
-            "src": e.src,
-            "dst": e.dst,
-            "layer_src": e.layer_src,
-            "layer_dst": e.layer_dst,
-            "directed": e.directed,
-            "weight": e.weight,
-            "relation": e.relation,
-            "t_start": e.t_start,
-        }
-        if e.t_end is not None:
-            rec["t_end"] = e.t_end
-        edges.append(rec)
-    return {"version": FORMAT_VERSION, "layers": layers, "vertices": vertices, "edges": edges}
+    return {
+        "version": FORMAT_VERSION,
+        "layers": [{"id": lid, "name": name} for lid, name in sorted(g.layer_names.items())],
+        "vertices": [_record_dict(v) for _, v in sorted(g.vertex_records.items())],
+        "edges": [_record_dict(e) for _, e in sorted(g.edge_records.items())],
+    }
+
+
+INT, NUMBER, STR, BOOL, LIST, OBJECT = (int,), (float, int), (str,), (bool,), (list,), (dict,)
+_TYPE_NAMES = {INT: "an integer", NUMBER: "a number", STR: "a string", BOOL: "a boolean",
+               LIST: "a list", OBJECT: "a JSON object"}
+
+
+def json_value(value, kind: tuple, what: str):
+    """``value`` if its type is one of ``kind``, such as ``INT``.  The type must
+    match exactly, as JSON parsing makes it: 0.7 and ``true`` are not integers."""
+    if type(value) not in kind:
+        raise ValidationError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def graph_from_dict(doc: dict) -> TemporalMultiLayerGraph:
@@ -67,100 +62,57 @@ def graph_from_dict(doc: dict) -> TemporalMultiLayerGraph:
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported interchange version {version!r}")
     try:
-        return _graph_from_dict(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed graph file: {exc!r}") from exc
+        layers, vertices, edges = _parse_graph(doc)
+    except (ValidationError, AttributeError, TypeError, OverflowError) as exc:
+        raise ValidationError(f"malformed graph file: {exc}") from exc
+    return TemporalMultiLayerGraph.from_records(layers, vertices, edges)
 
 
-def _graph_from_dict(doc: dict) -> TemporalMultiLayerGraph:
-    g = TemporalMultiLayerGraph()
-    names = set()
-    for i, layer in enumerate(doc.get("layers", [])):
-        if layer["id"] != i:
-            raise ValidationError(f"layer ids must be dense and ordered; got {layer['id']} at {i}")
-        if layer["name"] in names:
-            raise ValidationError(f"duplicate layer name {layer['name']!r}")
-        names.add(layer["name"])
-        g.create_layer(layer["name"])
-    layer_ids = set(g.layer_names)
-    vrecs: dict[int, VertexRecord] = {}
-    for v in doc.get("vertices", []):
-        vid = int(v["id"])
-        if vid in vrecs:
-            raise ValidationError(f"duplicate vertex id {vid}")
-        layers = frozenset(int(x) for x in v["layers"])
-        if not layers:
-            raise ValidationError(f"vertex {vid} has an empty layer set")
-        if not layers <= layer_ids:
-            raise ValidationError(f"vertex {vid} references unregistered layers")
-        t_start = int(v["t_start"])
-        t_end = v.get("t_end")
-        if t_end is not None and int(t_end) < t_start:
-            raise ValidationError(f"vertex {vid}: t_end must not precede t_start")
-        vrecs[vid] = VertexRecord(
-            vid, frozenset(v.get("roles", [])), layers, dict(v.get("attrs", {})),
-            t_start, None if t_end is None else int(t_end),
-        )
-    erecs: dict[int, EdgeRecord] = {}
-    for e in doc.get("edges", []):
-        eid = int(e["id"])
-        if eid in erecs:
-            raise ValidationError(f"duplicate edge id {eid}")
-        weight = float(e["weight"])
-        if not math.isfinite(weight):
-            raise ValidationError(f"edge {eid}: non-finite weight {weight}")
-        if weight < 0:
-            raise ValidationError(f"edge {eid}: negative weight {weight}")
-        src, dst = int(e["src"]), int(e["dst"])
-        for vid in (src, dst):
-            if vid not in vrecs:
-                raise ValidationError(f"edge {eid}: dangling endpoint {vid}")
-        ls, ld = int(e["layer_src"]), int(e["layer_dst"])
-        if ls == ld:
-            for vid in (src, dst):
-                if ls not in vrecs[vid].layers:
-                    raise ValidationError(f"edge {eid}: vertex {vid} not in layer {ls}")
-        else:
-            if ls not in vrecs[src].layers:
-                raise ValidationError(f"edge {eid}: src {src} not in layer {ls}")
-            if ld not in vrecs[dst].layers:
-                raise ValidationError(f"edge {eid}: dst {dst} not in layer {ld}")
-        t_start = int(e["t_start"])
-        t_end = e.get("t_end")
-        if t_end is not None and int(t_end) < t_start:
-            raise ValidationError(f"edge {eid}: t_end must not precede t_start")
-        for vid in (src, dst):
-            v = vrecs[vid]
-            covered = v.t_start <= t_start and (
-                v.t_end is None or (t_end is not None and int(t_end) <= v.t_end)
-            )
-            if not covered:
-                raise ValidationError(
-                    f"edge {eid}: endpoint {vid} inactive during the edge's validity"
-                )
-        erecs[eid] = EdgeRecord(
-            eid, src, dst, ls, ld, bool(e["directed"]), weight,
-            str(e.get("relation", "")), t_start, None if t_end is None else int(t_end),
-        )
-    g._vertices = vrecs
-    g._edges = erecs
-    g._next_vertex = max(vrecs, default=-1) + 1
-    g._next_edge = max(erecs, default=-1) + 1
-    # canonical event log: creations by (t_start, id), retirements by (t, id)
-    events: list[tuple] = []
-    for v in sorted(vrecs.values(), key=lambda v: (v.t_start, v.id)):
-        events.append(("vertex+", v.id, v.roles, v.layers, v.attrs, v.t_start))
-    for e in sorted(erecs.values(), key=lambda e: (e.t_start, e.id)):
-        events.append(
-            ("edge+", e.id, e.src, e.dst, e.layer_src, e.layer_dst, e.directed,
-             e.weight, e.relation, e.t_start)
-        )
-    for v in sorted((v for v in vrecs.values() if v.t_end is not None), key=lambda v: (v.t_end, v.id)):
-        events.append(("vertex-", v.id, v.t_end))
-    for e in sorted((e for e in erecs.values() if e.t_end is not None), key=lambda e: (e.t_end, e.id)):
-        events.append(("edge-", e.id, e.t_end))
-    g.events.extend(events)
-    return g
+# the fields of each record, in the order of the record's constructor, with
+# their JSON types; an optional field may be absent or null.  The relation's
+# type is left to core, which checks it for API callers too.
+_OPTIONAL = frozenset({"roles", "attrs", "relation", "t_end"})
+_FIELDS = {
+    "layers": {"id": INT, "name": STR},
+    "vertices": {"id": INT, "roles": LIST, "layers": LIST, "attrs": OBJECT, "t_start": INT,
+                 "t_end": INT},
+    "edges": {"id": INT, "src": INT, "dst": INT, "layer_src": INT, "layer_dst": INT,
+              "directed": BOOL, "weight": NUMBER, "relation": None, "t_start": INT, "t_end": INT},
+}
+
+
+def _records(doc: dict, key: str):
+    """The field values of each record under ``key``, type-checked; absent reads as null."""
+    kinds = _FIELDS[key]
+    valid = set()  # type signatures seen to pass: validity depends on nothing else
+    for i, rec in enumerate(json_value(doc.get(key, []), LIST, key)):
+        values = list(map(rec.get, kinds))
+        types = tuple(map(type, values))
+        if types not in valid:
+            for (k, kind), value in zip(kinds.items(), values):
+                if kind and type(value) not in kind and not (value is None and k in _OPTIONAL):
+                    json_value(value, kind, f"{key}[{i}].{k}")
+            valid.add(types)
+        yield values
+
+
+def _parse_graph(doc: dict) -> tuple[list[str], list[VertexRecord], list[EdgeRecord]]:
+    """The document's records with their JSON types checked.  Whether they
+    form a valid graph is for ``TemporalMultiLayerGraph.from_records``."""
+    layers = []
+    for lid, name in _records(doc, "layers"):
+        if lid != len(layers):
+            raise ValidationError(f"layer ids must be dense and ordered; got {lid} at {len(layers)}")
+        layers.append(name)
+    vertices = []
+    for vid, roles, layer_ids, attrs, t_start, t_end in _records(doc, "vertices"):
+        if not all(type(lid) is int for lid in layer_ids):
+            raise ValidationError(f"vertex {vid}: layer ids must be integers, got {layer_ids!r}")
+        vertices.append(VertexRecord(vid, frozenset(roles or ()), frozenset(layer_ids),
+                                     dict(attrs or {}), t_start, t_end))
+    edges = [EdgeRecord(eid, src, dst, ls, ld, directed, float(w), "" if rel is None else rel, t0, t1)
+             for eid, src, dst, ls, ld, directed, w, rel, t0, t1 in _records(doc, "edges")]
+    return layers, vertices, edges
 
 
 def write_text(path: str, text: str) -> None:

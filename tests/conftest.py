@@ -170,7 +170,7 @@ def grid_search_two_domain(scenario, mode, res=1e-3):
     u2 = 1.0 / (1.0 + np.exp(-d2.gamma * (ys - d2.lam)))
     obj = u1[:, None] + u2[None, :]
     if mode == "coupled":
-        for e in scenario.resolved_coupling():
+        for e in scenario.coupling:
             m, n = e.m, e.n
             rm = xs if m == d1.id else ys
             rn = xs if n == d1.id else ys

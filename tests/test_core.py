@@ -1,6 +1,6 @@
 import pytest
 
-from versegraph.core import TemporalMultiLayerGraph
+from versegraph.core import EdgeRecord, TemporalMultiLayerGraph, VertexRecord
 from versegraph.errors import ValidationError
 
 
@@ -113,10 +113,10 @@ def test_retire_rejects_edge_starting_later(g):
     c = g.add_vertex({"server"}, {net}, {}, 0)
     g.add_edge(a, b, net, net, t_start=2)
     g.add_edge(c, a, net, net, t_start=5)
-    before = (g.vertex_records, g.edge_records, list(g.events))
+    before = (dict(g.vertex_records), dict(g.edge_records), list(g.events))
     with pytest.raises(ValidationError, match="start later"):
         g.retire_vertex(a, 4)
-    assert (g.vertex_records, g.edge_records, list(g.events)) == before
+    assert (dict(g.vertex_records), dict(g.edge_records), list(g.events)) == before
     g.retire_vertex(a, 5)  # same tick as the later edge's start stays legal
     assert {e.t_end for e in g.edge_records.values()} == {5}
 
@@ -260,3 +260,91 @@ def test_inter_layer_self_coupling_allowed(g):
     v = g.add_vertex({"server"}, {net, con})
     eid = g.add_edge(v, v, net, con)
     assert eid in {e.id for e in g.snapshot_at(0).edges}
+
+
+# -- one set of record rules ------------------------------------------------
+
+def test_add_edge_rejects_endpoint_retired_later(g):
+    """An open edge may not start on a vertex that is already retired, even
+    at a tick the vertex was still active."""
+    net = g.create_layer("network")
+    a = g.add_vertex({"router"}, {net})
+    b = g.add_vertex({"server"}, {net})
+    g.retire_vertex(a, 5)
+    with pytest.raises(ValidationError, match="endpoint 0 inactive"):
+        g.add_edge(a, b, net, net, t_start=3)
+    assert not g.edge_records
+    for t in range(8):
+        g.snapshot_at(t).flatten()
+
+
+def test_retire_vertex_rejects_edge_ending_later(g):
+    net = g.create_layer("network")
+    a = g.add_vertex({"router"}, {net})
+    b = g.add_vertex({"server"}, {net})
+    e = g.add_edge(a, b, net, net)
+    g.retire_edge(e, 8)
+    with pytest.raises(ValidationError, match="end later"):
+        g.retire_vertex(a, 5)
+    g.retire_vertex(a, 8)
+    assert g.vertex_records[a].t_end == 8 and g.edge_records[e].t_end == 8
+
+
+def test_roles_and_relation_must_be_strings(g):
+    net = g.create_layer("network")
+    with pytest.raises(ValidationError, match="role"):
+        g.add_vertex({1, "a"}, {net})
+    a = g.add_vertex({"a"}, {net})
+    with pytest.raises(ValidationError, match="relation"):
+        g.add_edge(a, a, net, net, relation=3)
+    assert list(g.vertex_records) == [a] and g.events[-1][0] == "vertex+"
+
+
+def test_record_views_are_read_only_and_live(g):
+    net = g.create_layer("network")
+    views = (g.layer_names, g.vertex_records, g.edge_records)
+    a = g.add_vertex({"a"}, {net})
+    g.add_edge(a, a, net, net)
+    assert [len(v) for v in views] == [1, 1, 1]
+    for view in views:
+        with pytest.raises(TypeError):
+            view[7] = None
+
+
+def _records():
+    vs = [VertexRecord(4, frozenset({"r"}), frozenset({0}), {}, 2, 9),
+          VertexRecord(1, frozenset({"s"}), frozenset({0, 1}), {"k": 1}, 0, None)]
+    es = [EdgeRecord(6, 1, 4, 1, 0, True, 1.5, "x", 3, 7),
+          EdgeRecord(2, 4, 1, 0, 0, False, 0.0, "", 2, 9)]
+    return vs, es
+
+
+def test_from_records_canonical_log_and_next_ids(monkeypatch):
+    # records are taken as they are, never replayed through add_*
+    for name in ("add_vertex", "add_edge", "retire_vertex", "retire_edge"):
+        monkeypatch.setattr(TemporalMultiLayerGraph, name, None)
+    vs, es = _records()
+    g = TemporalMultiLayerGraph.from_records(["net", "soc"], vs, es)
+    assert dict(g.vertex_records) == {v.id: v for v in vs}
+    assert dict(g.edge_records) == {e.id: e for e in es}
+    assert [ev[:2] for ev in g.events] == [
+        ("layer", 0), ("layer", 1), ("vertex+", 1), ("vertex+", 4), ("edge+", 2), ("edge+", 6),
+        ("vertex-", 4), ("edge-", 6), ("edge-", 2)]
+    assert (g._next_vertex, g._next_edge) == (5, 7)
+
+
+@pytest.mark.parametrize("patch, match", [
+    (lambda vs, es: vs.append(vs[0]), "duplicate vertex id 4"),
+    (lambda vs, es: es.append(es[0]), "duplicate edge id 6"),
+    (lambda vs, es: vs.__setitem__(0, VertexRecord(4, frozenset(), frozenset({5}), {}, 0, None)),
+     "unregistered layers"),
+    (lambda vs, es: es.__setitem__(1, EdgeRecord(2, 4, 1, 0, 0, False, 0.0, "", 2, None)),
+     "edge 2: endpoint 4 inactive"),
+    (lambda vs, es: es.__setitem__(0, EdgeRecord(6, 1, 4, 0, 1, True, 1.0, "", 3, 7)),
+     "edge 6: endpoint 4 not in layer 1"),
+])
+def test_from_records_applies_the_add_rules(patch, match):
+    vs, es = _records()
+    patch(vs, es)
+    with pytest.raises(ValidationError, match=match):
+        TemporalMultiLayerGraph.from_records(["net", "soc"], vs, es)

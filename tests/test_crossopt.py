@@ -141,7 +141,7 @@ def test_phi_total_components():
     s = two_domain(gamma=(1.0, 1.0), lam=(1.0, 1.0), links=[link], nodes=[node],
                    bounds=(0.0, 9.0), coupling=[CouplingEdge("a", "b", utility=True)])
     r = np.array([2.0, 3.0])
-    edge = s.resolved_coupling()[0]
+    edge = s.coupling[0]
     expect = (
         crossopt.phi_link("a", "b", r, s)
         + crossopt.phi_energy("a", "b", r, s)
@@ -150,7 +150,7 @@ def test_phi_total_components():
     assert crossopt.phi_total(edge, r, s) == pytest.approx(expect)
     proj = CouplingEdge("a", "b", utility=True, w_energy=0.0, w_util=0.0)
     s2 = two_domain(links=[link], nodes=[node], bounds=(0.0, 9.0), coupling=[proj])
-    assert crossopt.phi_total(s2.resolved_coupling()[0], r, s2) == pytest.approx(
+    assert crossopt.phi_total(s2.coupling[0], r, s2) == pytest.approx(
         crossopt.phi_link("a", "b", r, s2)
     )
 
@@ -182,9 +182,8 @@ def test_phi_total_symmetry():
     s = two_domain(links=[link], nodes=[node], bounds=(0.0, 9.0),
                    coupling=[CouplingEdge("a", "b", utility=True)])
     r = np.array([1.2, 2.7])
-    e = s.resolved_coupling()[0]
-    rev = CouplingEdge("b", "a", utility=True, shared_links=e.shared_links,
-                       shared_nodes=e.shared_nodes)
+    e = s.coupling[0]
+    rev = CouplingEdge("b", "a", utility=True)
     assert crossopt.phi_total(e, r, s) == pytest.approx(crossopt.phi_total(rev, r, s))
 
 
@@ -354,12 +353,10 @@ def test_derive_coupling_disjoint_empty():
 
 
 def test_derive_coupling_shared_router_and_server():
-    snap, shared, u, v, *_ = _snapshot_with_shared("router")
-    edges = crossopt.derive_coupling(snap, {"m": {u, shared}, "n": {v, shared}})
-    assert len(edges) == 1 and edges[0].shared_links == (str(shared),)
-    snap, shared, u, v, *_ = _snapshot_with_shared("server")
-    edges = crossopt.derive_coupling(snap, {"m": {u, shared}, "n": {v, shared}})
-    assert len(edges) == 1 and edges[0].shared_nodes == (str(shared),)
+    for role in ("router", "server", "storage-node"):
+        snap, shared, u, v, *_ = _snapshot_with_shared(role)
+        edges = crossopt.derive_coupling(snap, {"m": {u, shared}, "n": {v, shared}})
+        assert edges == [CouplingEdge("m", "n")]
 
 
 def test_derive_coupling_inter_layer_utility_flag():
@@ -426,7 +423,6 @@ def test_coupling_change_is_seen_by_next_call():
     assert coupled < crossopt.objective(r, s, "isolated")
     s.coupling = []
     assert crossopt.objective(r, s, "coupled") == crossopt.objective(r, s, "isolated")
-    assert s.resolved_coupling() == []
     s.coupling = [CouplingEdge("a", "b", w_link=2.0)]
     assert crossopt.objective(r, s, "coupled") == pytest.approx(
         crossopt.objective(r, s, "isolated") - 2.0 * 0.2)
@@ -464,7 +460,7 @@ def _random_scenario(rng, K, n_links, n_nodes):
 
 def _reference_penalty(r, s):
     total = 0.0
-    for e in s.resolved_coupling():
+    for e in s.coupling:
         phi = e.w_link * crossopt.phi_link(e.m, e.n, r, s)
         phi += e.w_energy * crossopt.phi_energy(e.m, e.n, r, s)
         if e.utility:
@@ -695,7 +691,6 @@ def test_start_points_match_scalar_halton(K):
         assert got.tobytes() == _reference_starts(cs, seed).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_optimize_rejects_scenario_with_no_finite_start():
     # the coupling terms are finite, but R^T Q R overflows everywhere in the box
     s = two_domain(bounds=(1e200, 2e200), utility=True)
