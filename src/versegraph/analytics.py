@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import kernels
 from .core import GraphView
 from .errors import ValidationError
@@ -34,7 +36,8 @@ def degree_centrality(g: GraphView) -> CentralityReport:
     if g.n < 2:
         raise ValidationError("degree centrality needs at least 2 vertices")
     denom = g.n - 1
-    scores = {v: g.degree(v) / denom for v in g.vertices}
+    degrees = np.diff(g.csr("both")[0]).tolist()
+    scores = {v: d / denom for v, d in zip(g.vertices, degrees)}
     return CentralityReport("degree", scores)
 
 

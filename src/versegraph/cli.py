@@ -57,14 +57,6 @@ def _load_params(path: str | None, allowed) -> dict:
     return doc
 
 
-def _number(value, what: str) -> float:
-    # abs() compares exactly, so NaN, the infinities and integers too large
-    # for a float all fail it
-    if type(value) not in io.NUMBER or not abs(value) <= sys.float_info.max:
-        raise ValidationError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _id_key(key: str, what: str) -> int:
     try:
         return int(key)
@@ -94,7 +86,7 @@ def _gen_params(path: str | None) -> dict:
     params = _load_params(path, GEN_PARAMS)
     for key, value in params.items():
         if GEN_PARAMS[key] is float:
-            _number(value, key)
+            io.json_number(value, key)
         else:
             io.json_value(value, (GEN_PARAMS[key],), key)
     return params
@@ -242,7 +234,7 @@ def _cmd_simulate(args) -> list[str]:
     view = _view_for(g, layer, io.json_value(params.get("at", 0), io.INT, "at"))
     outputs = [args.out]
     if args.kind == "consensus":
-        tol = _number(params.get("tol", 1e-6), "tol")
+        tol = io.json_number(params.get("tol", 1e-6), "tol")
         if tol < 0:
             raise ValidationError(f"tol must be >= 0, got {tol!r}")
         if "values" in params:
@@ -250,7 +242,7 @@ def _cmd_simulate(args) -> list[str]:
             missing = [v for v in view.vertices if str(v) not in given]
             if missing:
                 raise ValidationError(f"values: no value for vertices {missing[:10]}")
-            values = {v: _number(given[str(v)], f"values[{v}]") for v in view.vertices}
+            values = {v: io.json_number(given[str(v)], f"values[{v}]") for v in view.vertices}
         else:
             values = {v: float(v) for v in view.vertices}
         spreads: list[float] = []
@@ -289,7 +281,7 @@ def _cmd_simulate(args) -> list[str]:
         k = io.json_value(params.get("k", 2), io.INT, "k")
         demand = None
         if "demand" in params:
-            demand = {_id_key(v, "demand"): _number(w, f"demand[{v}]")
+            demand = {_id_key(v, "demand"): io.json_number(w, f"demand[{v}]")
                       for v, w in io.json_value(params["demand"], io.OBJECT, "demand").items()}
         caches, cost = scen.cdn_place_caches(view, k, demand)
         io.dump_json({"caches": caches, "expected_hops": cost, "k": k}, args.out)

@@ -61,8 +61,8 @@ class GraphView:
     """A static single-graph slice of a snapshot: vertices plus an edge multiset.
 
     Produced by :meth:`SnapshotView.layer_subgraph` and
-    :meth:`SnapshotView.flatten`.  Immutable; adjacency structures are built
-    lazily and cached.
+    :meth:`SnapshotView.flatten`.  Immutable; its one adjacency structure is
+    :meth:`csr`, built on first use per direction.
     """
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[EdgeRecord]):
@@ -72,6 +72,8 @@ class GraphView:
         for e in self.edges:
             if e.src not in vs or e.dst not in vs:
                 raise ValidationError(f"edge {e.id} references vertex outside view")
+        self._csr: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._rows: dict[str, dict[int, tuple[int, ...]]] = {}
 
     @property
     def n(self) -> int:
@@ -85,64 +87,57 @@ class GraphView:
     def index(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
-    def _adj_undirected(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
-        for v in self.vertices:
-            adj[v].discard(v)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
-    @cached_property
-    def _adj_out(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            adj[e.src].add(e.dst)
-            if not e.directed:
-                adj[e.dst].add(e.src)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
-    @cached_property
-    def _adj_in(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            adj[e.dst].add(e.src)
-            if not e.directed:
-                adj[e.src].add(e.dst)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
     def neighbors(self, v: int, direction: str = "both") -> tuple[int, ...]:
+        """Distinct neighbor ids in ascending order: row ``v`` of :meth:`csr`,
+        kept as a tuple of ids once a direction is first read here."""
+        try:
+            return self._rows[direction][v]
+        except KeyError:
+            pass
         if v not in self.index:
             raise ValidationError(f"unknown vertex {v}")
-        if direction == "both":
-            return self._adj_undirected[v]
-        if direction == "out":
-            return self._adj_out[v]
-        if direction == "in":
-            return self._adj_in[v]
-        raise ValidationError(f"bad direction {direction!r}")
+        indptr, indices = self.csr(direction)
+        # the id objects of self.vertices, which dict lookups match by identity
+        ids = list(map(self.vertices.__getitem__, indices.tolist()))
+        ptr = indptr.tolist()
+        self._rows[direction] = {u: tuple(ids[a:b]) for u, a, b in zip(self.vertices, ptr, ptr[1:])}
+        return self._rows[direction][v]
 
     def degree(self, v: int) -> int:
         """Distinct-neighbor count, direction-agnostic, self-loops excluded."""
-        return len(self._adj_undirected[v])
+        return len(self.neighbors(v, "both"))
 
     def csr(self, direction: str = "both") -> tuple[np.ndarray, np.ndarray]:
         """Compact adjacency (indptr, indices) over positional vertex indices.
 
-        Parallel edges are collapsed.  ``direction`` is "out", "in", or
-        "both" (every edge contributes both arcs).
+        Parallel edges are collapsed and each row is sorted.  ``direction`` is
+        "out" or "in", where an undirected edge gives both arcs and self-loops
+        stay, or "both", where every edge gives both arcs and self-loops go.
+        Built once per direction; every call returns the same read-only
+        int64 arrays.
         """
-        adj = {"out": self._adj_out, "in": self._adj_in, "both": self._adj_undirected}[direction]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        chunks = []
-        for i, v in enumerate(self.vertices):
-            row = np.array([self.index[u] for u in adj[v]], dtype=np.int64)
-            chunks.append(row)
-            indptr[i + 1] = indptr[i] + len(row)
-        indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-        return indptr, indices
+        if direction not in self._csr:
+            if direction not in ("out", "in", "both"):
+                raise ValidationError(f"bad direction {direction!r}")
+            pos = self.index
+            src = np.array([pos[e.src] for e in self.edges], dtype=np.int64)
+            dst = np.array([pos[e.dst] for e in self.edges], dtype=np.int64)
+            if direction == "in":
+                src, dst = dst, src
+            if direction == "both":
+                src, dst = src[src != dst], dst[src != dst]
+                back = np.ones(len(src), dtype=bool)
+            else:
+                back = np.array([not e.directed for e in self.edges], dtype=bool)
+            # sorted unique arc keys tail * n + head: rows in order, heads ascending
+            # (not np.unique, whose first call imports numpy.ma: 0.7 MB resident)
+            arcs = np.sort(np.concatenate([src * self.n + dst, dst[back] * self.n + src[back]]))
+            arcs = arcs[np.diff(arcs, prepend=-1) != 0]
+            indptr = np.searchsorted(arcs, np.arange(self.n + 1) * self.n)
+            indices = arcs % self.n
+            indptr.flags.writeable = indices.flags.writeable = False
+            self._csr[direction] = (indptr, indices)
+        return self._csr[direction]
 
 
 class SnapshotView:
@@ -269,6 +264,12 @@ class TemporalMultiLayerGraph:
             raise ValidationError(f"vertex {v.id} references unregistered layers {unknown}")
         if not all(isinstance(r, str) for r in v.roles):
             raise ValidationError(f"vertex {v.id}: every role must be a string")
+        for key, value in v.attrs.items():
+            # JSON scalars that the interchange file can hold
+            finite = not isinstance(value, float) or math.isfinite(value)
+            if not (isinstance(key, str) and isinstance(value, (str, int, float)) and finite):
+                raise ValidationError(f"vertex {v.id}: attrs must map strings to strings, "
+                                      f"booleans, integers or finite numbers; got {key!r}: {value!r}")
         if v.t_end is not None and v.t_end < v.t_start:
             raise ValidationError(f"vertex {v.id}: t_end must not precede t_start")
 

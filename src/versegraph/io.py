@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from typing import Optional
 
 from .core import EdgeRecord, GraphView, SnapshotView, TemporalMultiLayerGraph, VertexRecord
@@ -55,6 +56,15 @@ def json_value(value, kind: tuple, what: str):
     if type(value) not in kind:
         raise ValidationError(f"{what} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
+
+
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number that a float holds finitely."""
+    # abs() compares exactly, so NaN, the infinities and integers too large
+    # for a float all fail it
+    if type(value) not in NUMBER or not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def graph_from_dict(doc: dict) -> TemporalMultiLayerGraph:
@@ -220,40 +230,64 @@ def view_to_dot(g: GraphView, edge_highlights: Optional[dict[int, str]] = None) 
 # Optimization scenario and report files
 # ---------------------------------------------------------------------------
 
+def _field(obj: dict, key: str, kind: tuple, what: str, default=None):
+    """``obj[key]`` read as ``kind``, a NUMBER as a finite float.  An absent
+    key reads as ``default``; without one it is an error."""
+    what = f"{what}.{key}".lstrip(".")
+    if key not in obj and default is None:
+        raise ValidationError(f"{what} is missing")
+    value = obj.get(key, default)
+    return json_number(value, what) if kind is NUMBER else json_value(value, kind, what)
+
+
+def _objects(obj: dict, key: str, what: str = "", default=None) -> list[tuple[dict, str]]:
+    """``(item, name)`` for each item of the list ``obj[key]``, which must be objects."""
+    items = _field(obj, key, LIST, what, default)
+    what = f"{what}.{key}".lstrip(".")
+    return [(json_value(x, OBJECT, f"{what}[{i}]"), f"{what}[{i}]") for i, x in enumerate(items)]
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
+    """A scenario read with the JSON type rules.  Without explicit coupling
+    edges (``"coupling": "auto"`` or no key) they are derived."""
+    # only the reads are wrapped: the range checks of the specs built below
+    # keep their own messages
     try:
-        domains = [
-            DomainSpec(str(d["id"]), float(d["gamma"]), float(d["lambda"]),
-                       float(d["r_min"]), float(d["r_max"]))
-            for d in doc["domains"]
-        ]
-        links = [
-            SharedLink(str(l["id"]), float(l["capacity"]),
-                       {str(k): float(a) for k, a in l.get("coeffs", {}).items()})
-            for l in doc.get("links", [])
-        ]
-        nodes = [
-            SharedNode(str(n["id"]), float(n["eps_tx"]), float(n["eps_rx"]),
-                       {str(i["link"]): float(i["distance"]) for i in n.get("incident", [])})
-            for n in doc.get("nodes", [])
-        ]
-        coupling_doc = doc.get("coupling", "auto")
-        edges = []
-        if coupling_doc != "auto":
-            for e in coupling_doc.get("edges", []):
-                w = e.get("weights", [1.0, 1.0, 1.0])
-                edges.append(
-                    CouplingEdge(str(e["m"]), str(e["n"]), bool(e.get("utility", False)),
-                                 float(w[0]), float(w[1]), float(w[2]),
-                                 float(e.get("sign", 1.0)))
-                )
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: an integer too large for a float
+        doc = json_value(doc, OBJECT, "scenario")
+        domains = [(_field(d, "id", STR, w),
+                    *(_field(d, k, NUMBER, w) for k in ("gamma", "lambda", "r_min", "r_max")))
+                   for d, w in _objects(doc, "domains")]
+        links = [(_field(l, "id", STR, w), _field(l, "capacity", NUMBER, w),
+                  {k: json_number(a, f"{w}.coeffs.{k}")
+                   for k, a in _field(l, "coeffs", OBJECT, w, {}).items()})
+                 for l, w in _objects(doc, "links", default=[])]
+        nodes = [(_field(n, "id", STR, w), _field(n, "eps_tx", NUMBER, w),
+                  _field(n, "eps_rx", NUMBER, w),
+                  {_field(i, "link", STR, wi): _field(i, "distance", NUMBER, wi)
+                   for i, wi in _objects(n, "incident", w, [])})
+                 for n, w in _objects(doc, "nodes", default=[])]
+        coupling = doc.get("coupling", "auto")
+        edges = [] if coupling == "auto" else [
+            _coupling_edge(e, w)
+            for e, w in _objects(json_value(coupling, OBJECT, "coupling"), "edges", "coupling", [])]
+    except ValidationError as exc:
         raise ValidationError(f"malformed scenario file: {exc}") from exc
-    scenario = Scenario(domains, links, nodes, edges)
-    if coupling_doc == "auto":
+    scenario = Scenario([DomainSpec(*d) for d in domains], [SharedLink(*l) for l in links],
+                        [SharedNode(*n) for n in nodes], [CouplingEdge(*e) for e in edges])
+    if coupling == "auto":
         scenario.coupling = auto_coupling(scenario)
     return scenario
+
+
+def _coupling_edge(e: dict, what: str) -> tuple:
+    """The ``CouplingEdge`` arguments of one coupling entry."""
+    weights = _field(e, "weights", LIST, what, [1.0, 1.0, 1.0])
+    if len(weights) != 3:
+        raise ValidationError(f"{what}.weights must hold 3 numbers, got {len(weights)}")
+    return (_field(e, "m", STR, what), _field(e, "n", STR, what),
+            _field(e, "utility", BOOL, what, False),
+            *(json_number(x, f"{what}.weights[{j}]") for j, x in enumerate(weights)),
+            _field(e, "sign", NUMBER, what, 1.0))
 
 
 def load_scenario(path: str) -> Scenario:

@@ -30,12 +30,10 @@ def laplacian(g: GraphView) -> np.ndarray:
     """L = D - A on collapsed undirected adjacency, rows in ascending vertex id."""
     if g.n < 1:
         raise ValidationError("empty graph")
+    indptr, indices = g.csr("both")
     L = np.zeros((g.n, g.n))
-    for i, v in enumerate(g.vertices):
-        for u in g.neighbors(v, "both"):
-            j = g.index[u]
-            L[i, j] = -1.0
-            L[i, i] += 1.0
+    L[np.repeat(np.arange(g.n), np.diff(indptr)), indices] = -1.0
+    L[np.diag_indices(g.n)] = np.diff(indptr)
     return L
 
 
@@ -66,14 +64,12 @@ def fiedler_vector(L: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[float, np.n
 
 
 def _cut_count(g: GraphView, assignment: dict[int, int]) -> int:
-    seen = set()
-    cut = 0
-    for e in g.edges:
-        key = (min(e.src, e.dst), max(e.src, e.dst))
-        if e.src != e.dst and key not in seen and assignment[e.src] != assignment[e.dst]:
-            cut += 1
-        seen.add(key)
-    return cut
+    """Distinct neighbor pairs, self-loops excluded, whose ends sit in different blocks."""
+    indptr, indices = g.csr("both")
+    rows = np.repeat(np.arange(g.n), np.diff(indptr))
+    block = np.array([assignment[v] for v in g.vertices])
+    upper = rows < indices
+    return int(np.count_nonzero(block[rows[upper]] != block[indices[upper]]))
 
 
 def spectral_bisection(g: GraphView, tol: float = DEFAULT_TOL) -> PartitionResult:
@@ -130,11 +126,11 @@ def spectral_kway(g: GraphView, k: int, tol: float = DEFAULT_TOL) -> PartitionRe
         if sub.n == 1:
             blocks = [target] + blocks
             break
-        if weakly_connected_components(sub).count != 1:
+        comps = weakly_connected_components(sub)
+        if comps.count != 1:
             # disconnected block: peel off one component instead of eigensplit
-            labels = weakly_connected_components(sub).labels
-            first = min(labels.values())
-            a = {v for v, c in labels.items() if c == first}
+            first = min(comps.labels.values())
+            a = {v for v, c in comps.labels.items() if c == first}
             blocks.extend([a, target - a])
             continue
         part = spectral_bisection(sub, tol)

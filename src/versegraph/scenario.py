@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .analytics import weakly_connected_components
+from .analytics import bfs_order, weakly_connected_components
 from .core import GraphView, TemporalMultiLayerGraph
 from .errors import ConvergenceError, ValidationError
 
@@ -290,12 +290,13 @@ def consensus_sim(
         raise ValidationError("values must cover exactly the topology's vertices")
     order = topology.vertices
     x0 = np.array([float(values[v]) for v in order])
-    pairs = sorted({(min(e.src, e.dst), max(e.src, e.dst)) for e in topology.edges if e.src != e.dst})
-    eu = np.array([topology.index[a] for a, _ in pairs], dtype=np.int64)
-    ev = np.array([topology.index[b] for _, b in pairs], dtype=np.int64)
-    w = np.array(
-        [1.0 / (1.0 + max(topology.degree(a), topology.degree(b))) for a, b in pairs]
-    )
+    # each distinct neighbor pair once, as the upper triangle of the adjacency
+    indptr, indices = topology.csr("both")
+    degree = np.diff(indptr)
+    rows = np.repeat(np.arange(topology.n), degree)
+    upper = rows < indices
+    eu, ev = rows[upper], indices[upper]
+    w = 1.0 / (1.0 + np.maximum(degree[eu], degree[ev]))
     rounds, x = kernels.consensus_run(eu, ev, w, x0, tol, max_rounds, spreads)
     if rounds >= max_rounds and (x.max() - x.min()) > tol:
         raise ConvergenceError(f"consensus did not converge in {max_rounds} rounds")
@@ -310,22 +311,15 @@ def trust_path(g: GraphView, a: int, b: int) -> Optional[list[int]]:
     for v in (a, b):
         if v not in g.index:
             raise ValidationError(f"unknown vertex {v}")
-    prev: dict[int, int] = {a: -1}
-    frontier = [a]
-    while frontier and b not in prev:
-        nxt = set()
-        for u in frontier:
-            for w in g.neighbors(u, "out"):
-                if w not in prev and w not in nxt:
-                    prev[w] = u
-                    nxt.add(w)
-        frontier = sorted(nxt)
-    if b not in prev:
+    dist = bfs_order(g, a)[1]
+    if b not in dist:
         return None
+    # walk back: the smallest-id in-neighbor one level closer to a
     path = [b]
     while path[-1] != a:
-        path.append(prev[path[-1]])
-    return list(reversed(path))
+        w = path[-1]
+        path.append(next(u for u in g.neighbors(w, "in") if dist.get(u) == dist[w] - 1))
+    return path[::-1]
 
 
 def anomaly_scores(
@@ -334,7 +328,7 @@ def anomaly_scores(
     """Degree z-scores (population stddev) and the |z| > threshold flag set."""
     if g.n < 2:
         raise ValidationError("anomaly baseline needs at least 2 vertices")
-    degrees = np.array([g.degree(v) for v in g.vertices], dtype=float)
+    degrees = np.diff(g.csr("both")[0]).astype(float)
     mean = degrees.mean()
     std = degrees.std()
     if std == 0:

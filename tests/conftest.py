@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 
 import pytest
 
+import versegraph
 from versegraph.core import EdgeRecord, GraphView
+
+# tests that start ``python -m versegraph.cli`` need their child process to
+# import the same package as the tests, also when only pytest's pythonpath
+# setting put it on the path
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(versegraph.__file__)), os.environ.get("PYTHONPATH")]))
 
 
 def make_view(n, edges, directed=False):

@@ -1,5 +1,6 @@
 import pytest
 
+from versegraph import io
 from versegraph.core import EdgeRecord, TemporalMultiLayerGraph, VertexRecord
 from versegraph.errors import ValidationError
 
@@ -298,6 +299,27 @@ def test_roles_and_relation_must_be_strings(g):
     with pytest.raises(ValidationError, match="relation"):
         g.add_edge(a, a, net, net, relation=3)
     assert list(g.vertex_records) == [a] and g.events[-1][0] == "vertex+"
+
+
+@pytest.mark.parametrize("attrs", [
+    {"x": float("nan")}, {"x": float("inf")}, {1: 2, "a": 3}, {"x": [1]}, {"x": None},
+    {"x": {"y": 1}},
+])
+def test_attrs_must_be_json_scalars(g, attrs):
+    net = g.create_layer("network")
+    with pytest.raises(ValidationError, match="vertex 0: attrs"):
+        g.add_vertex({"a"}, {net}, attrs)
+    bad = VertexRecord(0, frozenset({"a"}), frozenset({net}), attrs, 0, None)
+    with pytest.raises(ValidationError, match="vertex 0: attrs"):
+        TemporalMultiLayerGraph.from_records(["network"], [bad], [])
+    assert not g.vertex_records
+
+
+def test_scalar_attrs_round_trip(g):
+    net = g.create_layer("network")
+    g.add_vertex({"a"}, {net}, {"s": "x", "b": True, "i": 10 ** 30, "f": -2.5})
+    doc = io.graph_to_dict(g)
+    assert io.graph_to_dict(io.graph_from_dict(doc)) == doc
 
 
 def test_record_views_are_read_only_and_live(g):

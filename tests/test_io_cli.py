@@ -382,6 +382,99 @@ def test_scenario_from_dict_rejects_bad_coupling():
             io.scenario_from_dict({"domains": doms, "coupling": coupling})
 
 
+def _typed_scenario():
+    return {
+        "domains": [{"id": i, "gamma": 1.0, "lambda": 0.5, "r_min": 0.0, "r_max": 2.0}
+                    for i in "ab"],
+        "links": [{"id": "l", "capacity": 3.0, "coeffs": {"a": 1.0, "b": 1.0}}],
+        "nodes": [{"id": "n", "eps_tx": 0.1, "eps_rx": 0.1,
+                   "incident": [{"link": "l", "distance": 1.0}]}],
+        "coupling": {"edges": [{"m": "a", "n": "b", "utility": False,
+                                "weights": [1.0, 1.0, 1.0], "sign": 1.0}]},
+    }
+
+
+SCENARIO_TYPE_CASES = [
+    ("coupling.edges.0.utility", "false"),
+    ("coupling.edges.0.weights", "123"),
+    ("coupling.edges.0.weights", [1.0, 1.0, 1.0, 1.0]),
+    ("coupling.edges.0.weights.1", "1"),
+    ("coupling.edges.0.m", 0),
+    ("coupling.edges.0.sign", None),
+    ("domains.0.gamma", "2"),
+    ("domains.0.gamma", True),
+    ("domains.0.id", 7),
+    ("links.0.capacity", 10 ** 400),
+    ("links.0.coeffs.a", "1"),
+    ("nodes.0.incident.0.distance", "1"),
+    ("nodes.0.incident", {"l": 1.0}),
+    ("domains.1", "b"),
+    ("coupling", "manual"),
+]
+
+
+@pytest.mark.parametrize("path, value", SCENARIO_TYPE_CASES,
+                         ids=[path for path, _ in SCENARIO_TYPE_CASES])
+def test_cli_optimize_reads_scenario_with_json_types(tmp_path, capsys, path, value):
+    doc = _typed_scenario()
+    *parents, key = path.split(".")
+    container = doc
+    for k in parents:
+        container = container[int(k) if k.isdigit() else k]
+    container[int(key) if key.isdigit() else key] = value
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(doc))
+    assert cli.run(["optimize", "--scenario", str(spath), "--mode", "coupled",
+                    "--out", str(tmp_path / "rep.json")]) == 2
+    err = capsys.readouterr().err
+    # the message names the field the way the file spells its path
+    field = ".".join(f"[{k}]" if k.isdigit() else k for k in path.split(".")).replace(".[", "[")
+    assert err.startswith("error: malformed scenario file: ") and field in err, err
+
+
+RANGE_CASES = [
+    ("domains.0.gamma", 0.0, "error: domain a: gamma must be > 0"),
+    ("links.0.capacity", -1.0, "error: link l: capacity must be > 0"),
+    ("nodes.0.incident.0.distance", 0, "error: node n: distance to l must be > 0"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", RANGE_CASES,
+                         ids=[path for path, _, _ in RANGE_CASES])
+def test_cli_optimize_scenario_range_errors_keep_their_messages(tmp_path, capsys, path, value,
+                                                                 message):
+    # well-typed but out of range: the spec's own check speaks, not the reader
+    doc = _typed_scenario()
+    *parents, key = path.split(".")
+    container = doc
+    for k in parents:
+        container = container[int(k) if k.isdigit() else k]
+    container[int(key) if key.isdigit() else key] = value
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(doc))
+    assert cli.run(["optimize", "--scenario", str(spath), "--mode", "coupled",
+                    "--out", str(tmp_path / "rep.json")]) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
+def test_typed_scenario_is_accepted(tmp_path):
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(_typed_scenario()))
+    assert cli.run(["optimize", "--scenario", str(spath), "--mode", "coupled",
+                    "--out", str(tmp_path / "rep.json")]) == 0
+
+
+def test_graph_file_with_non_scalar_attrs_exit_2(tmp_path, capsys):
+    doc = io.graph_to_dict(_small_graph())
+    doc["vertices"][0]["attrs"] = {"x": [1]}
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(doc))
+    assert cli.run(["export", "--in", str(gpath), "--format", "json",
+                    "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: vertex 0: attrs") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("patch", [
     lambda doc: doc["domains"][0].update(gamma=float("nan")),
     lambda doc: doc["links"][0].update(capacity=float("inf")),

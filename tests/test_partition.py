@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from versegraph import partition
+from versegraph.core import EdgeRecord, GraphView
 from versegraph.errors import ValidationError
 
 from conftest import make_view, random_simple_edges
@@ -126,6 +127,45 @@ def test_cut_count_matches_recount():
         recount = sum(1 for u, v in ((e.src, e.dst) for e in g.edges)
                       if part.assignment[u] != part.assignment[v])
         assert part.cut_edges == recount
+
+
+def _laplacian_reference(g):
+    """The per-vertex loop the Laplacian used to be, on distinct non-loop pairs
+    taken from the edge list."""
+    pairs = {frozenset((e.src, e.dst)) for e in g.edges if e.src != e.dst}
+    L = np.zeros((g.n, g.n))
+    for pair in pairs:
+        i, j = (g.index[v] for v in pair)
+        L[i, j] = L[j, i] = -1.0
+        L[i, i] += 1.0
+        L[j, j] += 1.0
+    return L
+
+
+def _cut_count_reference(g, assignment):
+    seen = set()
+    cut = 0
+    for e in g.edges:
+        key = (min(e.src, e.dst), max(e.src, e.dst))
+        if e.src != e.dst and key not in seen and assignment[e.src] != assignment[e.dst]:
+            cut += 1
+        seen.add(key)
+    return cut
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_laplacian_and_cut_count_match_loop_references(seed):
+    # parallel edges, self-loops and mixed directions, on ids that are not positions
+    rng = random.Random(seed)
+    ids = sorted(rng.sample(range(50), rng.randint(1, 14)))
+    edges = [(rng.choice(ids), rng.choice(ids), 1.0, rng.random() < 0.5)
+             for _ in range(rng.randint(0, 30))]
+    g = GraphView(ids, [EdgeRecord(i, u, v, 0, 0, d, w, "", 0, None)
+                        for i, (u, v, w, d) in enumerate(edges + edges[:3])])
+    assert np.array_equal(partition.laplacian(g), _laplacian_reference(g))
+    for _ in range(5):
+        assignment = {v: rng.randrange(3) for v in ids}
+        assert partition._cut_count(g, assignment) == _cut_count_reference(g, assignment)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])

@@ -269,6 +269,35 @@ def test_consensus_disconnected_rejected():
         consensus_sim({0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, view)
 
 
+def _consensus_reference(values, topology, tol):
+    """consensus_sim's old pair list: sorted distinct non-loop pairs from the
+    edge list, Metropolis weights from recounted degrees."""
+    pairs = sorted({(min(e.src, e.dst), max(e.src, e.dst)) for e in topology.edges if e.src != e.dst})
+    nbrs = {v: set() for v in topology.vertices}
+    for a, b in pairs:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    eu = np.array([topology.index[a] for a, _ in pairs], dtype=np.int64)
+    ev = np.array([topology.index[b] for _, b in pairs], dtype=np.int64)
+    w = np.array([1.0 / (1.0 + max(len(nbrs[a]), len(nbrs[b]))) for a, b in pairs])
+    x0 = np.array([float(values[v]) for v in topology.vertices])
+    rounds, x = scenario.kernels.consensus_run(eu, ev, w, x0, tol, 1_000_000)
+    return int(rounds), float(np.mean(x))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_consensus_matches_pair_list_reference(seed):
+    # a random spanning tree keeps the view connected; extra edges add
+    # parallels, reversed duplicates and self-loops
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 20))
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    edges += [(int(a), int(b)) for a, b in rng.integers(0, n, size=(n, 2))]
+    view = make_view(n, [(b, a) if rng.random() < 0.3 else (a, b) for a, b in edges])
+    values = {v: float(x) for v, x in zip(view.vertices, rng.normal(0.0, 5.0, n))}
+    assert consensus_sim(values, view, 1e-9) == _consensus_reference(values, view, 1e-9)
+
+
 def test_consensus_value_coverage():
     view = make_view(2, [(0, 1)])
     with pytest.raises(ValidationError):
@@ -281,6 +310,41 @@ def test_trust_path_directed():
     assert trust_path(view, 0, 2) == [0, 1, 2]  # smaller-id tie break
     assert trust_path(view, 2, 0) is None
     assert trust_path(view, 0, 0) == [0]
+
+
+def _trust_path_reference(g, a, b):
+    """The level-by-level search trust_path used to run on its own: each vertex
+    keeps the first predecessor that reaches it, frontiers in ascending id."""
+    prev = {a: -1}
+    frontier = [a]
+    while frontier and b not in prev:
+        nxt = set()
+        for u in frontier:
+            for w in g.neighbors(u, "out"):
+                if w not in prev and w not in nxt:
+                    prev[w] = u
+                    nxt.add(w)
+        frontier = sorted(nxt)
+    if b not in prev:
+        return None
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    return list(reversed(path))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_trust_path_matches_reference(seed):
+    # a seeded random graph, mostly directed edges, plus the isolated vertex n
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 14))
+    edges = [(int(u), int(v), 1.0, bool(rng.random() < 0.8))
+             for u, v in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))]
+    view = make_view(n + 1, edges)
+    paths = {(a, b): trust_path(view, a, b) for a in view.vertices for b in view.vertices}
+    assert paths == {(a, b): _trust_path_reference(view, a, b) for a, b in paths}
+    assert all(paths[a, a] == [a] for a in view.vertices)
+    assert all(paths[a, n] is None for a in range(n))
 
 
 def test_anomaly_star_hub():
