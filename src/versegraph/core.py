@@ -154,6 +154,7 @@ class SnapshotView:
         self.layers = dict(layers)
         self.vertices: dict[int, VertexRecord] = {v.id: v for v in sorted(vertices, key=lambda v: v.id)}
         self.edges: tuple[EdgeRecord, ...] = tuple(sorted(edges, key=lambda e: e.id))
+        self._views: dict[Optional[int], GraphView] = {}  # layer id, None = flattened
 
     @property
     def inter_layer_edges(self) -> tuple[EdgeRecord, ...]:
@@ -165,23 +166,28 @@ class SnapshotView:
         return tuple(v.id for v in self.vertices.values() if layer in v.layers)
 
     def layer_subgraph(self, layer: int) -> GraphView:
-        """Single-layer view: V_i plus only the intra-layer edges of ``layer``."""
-        vs = self.layer_vertices(layer)
-        es = [e for e in self.edges if e.intra_layer and e.layer_src == layer]
-        return GraphView(vs, es)
+        """Single-layer view: V_i plus only the intra-layer edges of ``layer``.
+        Built on the first call per layer; later calls return the same view."""
+        if layer not in self._views:
+            vs = self.layer_vertices(layer)
+            es = [e for e in self.edges if e.intra_layer and e.layer_src == layer]
+            self._views[layer] = GraphView(vs, es)
+        return self._views[layer]
 
     def flatten(self) -> GraphView:
-        """Union of all layer vertex sets with every intra- and inter-layer edge."""
-        return GraphView(self.vertices.keys(), self.edges)
+        """Union of all layer vertex sets with every intra- and inter-layer edge.
+        Built on the first call; later calls return the same view."""
+        if None not in self._views:
+            self._views[None] = GraphView(self.vertices.keys(), self.edges)
+        return self._views[None]
 
     def neighbors(
         self, v: int, direction: str = "both", layer: Optional[int] = None
     ) -> tuple[int, ...]:
         if v not in self.vertices:
             raise ValidationError(f"unknown vertex {v}")
-        if layer is not None:
-            return self.layer_subgraph(layer).neighbors(v, direction) if v in self.layer_vertices(layer) else ()
-        return self.flatten().neighbors(v, direction)
+        view = self.flatten() if layer is None else self.layer_subgraph(layer)
+        return view.neighbors(v, direction) if v in view.index else ()
 
     def validate_bipartite(
         self, layer: int, part_a: set[str], part_b: set[str]

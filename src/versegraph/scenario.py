@@ -226,7 +226,22 @@ def replicate_items(items: list[int], nodes: list[int], r: int) -> ReplicaPlacem
 @dataclass
 class ConsistencyResult:
     rounds: dict[int, int]  # item -> first round all replicas agreed
-    divergent: frozenset[int]  # items whose replicas span multiple components
+    divergent: frozenset[int]  # items whose replicas fall apart among themselves
+
+
+def _replicas_split(reps: set[int], topology: GraphView) -> bool:
+    """True when ``reps`` is disconnected in the subgraph of ``topology`` it
+    induces: no path of adjacent replicas joins some pair of them."""
+    if not reps:
+        return False
+    start = min(reps)
+    seen, stack = {start}, [start]
+    while stack:
+        for u in topology.neighbors(stack.pop(), "both"):
+            if u in reps and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) < len(reps)
 
 
 def consistency_sim(
@@ -238,7 +253,9 @@ def consistency_sim(
 
     ``updates`` gives per-item initial version numbers at specific replicas
     (unlisted replicas start at version 0).  Replicas exchange versions with
-    neighboring replicas of the same item over the topology.
+    neighboring replicas of the same item over the topology, so an item is
+    divergent when its replicas are disconnected in the subgraph they
+    induce; every other item agrees after at most ``len(reps) - 1`` rounds.
     """
     for item, reps in placement.mapping.items():
         for v in reps:
@@ -246,17 +263,13 @@ def consistency_sim(
                 raise ValidationError(f"replica node {v} missing from topology")
     rounds: dict[int, int] = {}
     divergent = set()
-    comp = weakly_connected_components(topology).labels
     for item, reps in placement.mapping.items():
-        if not reps:
-            rounds[item] = 0
-            continue
-        if len({comp[v] for v in reps}) > 1:
+        rset = set(reps)
+        if _replicas_split(rset, topology):
             divergent.add(item)
             continue
         versions = {v: 0 for v in reps}
         versions.update({v: ver for v, ver in updates.get(item, {}).items() if v in versions})
-        rset = set(reps)
         rnd = 0
         while len(set(versions.values())) > 1:
             rnd += 1
@@ -264,8 +277,6 @@ def consistency_sim(
                 v: max([versions[v]] + [versions[u] for u in topology.neighbors(v, "both") if u in rset])
                 for v in reps
             }
-            if rnd > topology.n + 1:
-                raise ConvergenceError("consistency propagation failed to settle")
         rounds[item] = rnd
     return ConsistencyResult(rounds, frozenset(divergent))
 

@@ -1,7 +1,7 @@
 import pytest
 
 from versegraph import io
-from versegraph.core import EdgeRecord, TemporalMultiLayerGraph, VertexRecord
+from versegraph.core import EdgeRecord, GraphView, TemporalMultiLayerGraph, VertexRecord
 from versegraph.errors import ValidationError
 
 
@@ -231,6 +231,34 @@ def test_neighbors_direction_and_filter(g):
     assert item not in snap.neighbors(hub, "in")
     with pytest.raises(ValidationError):
         snap.neighbors(999)
+
+
+def test_snapshot_views_built_once(g):
+    """A snapshot keeps its flattened and per-layer views; neighbors reads
+    them and answers as a freshly built view does."""
+    net = g.create_layer("network")
+    con = g.create_layer("content")
+    vs = [g.add_vertex({"server"}, {net}) for _ in range(4)] + [g.add_vertex({"item"}, {con, net})]
+    for a, b, la, lb, d in [(0, 1, net, net, False), (1, 2, net, net, True), (2, 3, net, net, False),
+                            (3, 4, net, con, True), (4, 0, net, net, False)]:
+        g.add_edge(vs[a], vs[b], la, lb, directed=d)
+    snap = g.snapshot_at(0)
+    assert snap.flatten() is snap.flatten()
+    assert snap.layer_subgraph(net) is snap.layer_subgraph(net)
+    assert snap.layer_subgraph(con) is snap.layer_subgraph(con)
+    assert snap.layer_subgraph(net) is not snap.layer_subgraph(con)
+    fresh = {None: GraphView(snap.vertices.keys(), snap.edges),
+             net: GraphView(snap.layer_vertices(net),
+                            [e for e in snap.edges if e.intra_layer and e.layer_src == net]),
+             con: GraphView(snap.layer_vertices(con), [])}
+    for layer, view in fresh.items():
+        for v in vs:
+            for direction in ("out", "in", "both"):
+                want = view.neighbors(v, direction) if v in view.index else ()
+                assert snap.neighbors(v, direction, layer=layer) == want
+    assert snap.neighbors(vs[0], layer=con) == ()
+    with pytest.raises(ValidationError):
+        snap.neighbors(vs[0], layer=7)
 
 
 def test_validate_bipartite(g):

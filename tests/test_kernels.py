@@ -1,7 +1,8 @@
 """Kernels against independent oracles: networkx for betweenness and hop
 distances, a dense Laplacian loop for consensus.  Graphs have a few hundred
 vertices, so every BFS runs over several source blocks, and trailing
-isolated vertices give CSR rows without arcs."""
+isolated vertices give CSR rows without arcs.  The BFS kernels are also held
+bit for bit to a full pull over every row, kept here as the reference."""
 
 import numpy as np
 import pytest
@@ -100,6 +101,104 @@ def test_hop_distances_unreachable():
     hops = kernels.hop_distances(indptr, indices, 4)
     assert hops[0, 1] == 1 and hops[0, 2] == -1
     assert np.array_equal(hops, hops.T)
+
+
+# -- full-pull reference: every level sums every row -------------------------
+
+def _ref_puller(indptr, indices):
+    if len(indices) == 0:
+        return np.zeros_like
+    rows = np.flatnonzero(indptr[:-1] < indptr[1:])
+    starts = indptr[rows]
+
+    def pull(x):
+        out = np.zeros_like(x)
+        out[rows] = np.add.reduceat(x[indices], starts, axis=0)
+        return out
+
+    return pull
+
+
+def _ref_bfs(pull, sources, n):
+    cols = np.arange(len(sources))
+    dist = np.full((n, len(sources)), -1, dtype=np.int64)
+    sigma = np.zeros((n, len(sources)))
+    dist[sources, cols] = 0
+    sigma[sources, cols] = 1.0
+    frontier = sigma.copy()
+    level = 0
+    while True:
+        reach = pull(frontier)
+        new = (reach > 0) & (dist < 0)
+        if not new.any():
+            return dist, sigma
+        level += 1
+        dist[new] = level
+        sigma[new] = reach[new]
+        frontier = np.where(new, reach, 0.0)
+
+
+def _ref_betweenness_raw(indptr, indices, rindptr, rindices, n):
+    bc = np.zeros(n)
+    fwd = _ref_puller(rindptr, rindices)
+    back = _ref_puller(indptr, indices)
+    for lo in range(0, n, 64):
+        dist, sigma = _ref_bfs(fwd, np.arange(lo, min(lo + 64, n)), n)
+        inv_sigma = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+        delta = np.zeros_like(sigma)
+        for d in range(int(dist.max()), 1, -1):
+            z = np.where(dist == d, (1.0 + delta) * inv_sigma, 0.0)
+            delta += np.where(dist == d - 1, sigma * back(z), 0.0)
+        bc += delta.sum(axis=1)
+    return bc
+
+
+def _ref_hop_distances(indptr, indices, n):
+    out = np.empty((n, n), dtype=np.int64)
+    pull = _ref_puller(indptr, indices)
+    for lo in range(0, n, 64):
+        out[:, lo:lo + 64] = _ref_bfs(pull, np.arange(lo, min(lo + 64, n)), n)[0]
+    return out
+
+
+def _hub_view(n, seed, directed):
+    """Two disconnected random parts on 0..n-4, each with a hub joined both
+    ways to up to 14 vertices and a self-loop, then three isolated vertices.
+    When ``directed``, four in five edges are directed arcs."""
+    rng = np.random.default_rng(seed)
+    live = n - 3
+    edges = []
+    for lo, hi in ((0, live // 2), (live // 2, live)):
+        edges += [tuple(rng.integers(lo, hi, 2)) for _ in range(2 * (hi - lo))]
+        spokes = rng.choice(np.arange(lo + 1, hi), min(hi - lo - 1, 14), replace=False)
+        edges += [e for v in spokes for e in ((lo, v), (v, lo))]
+        edges.append((hi - 1, hi - 1))
+    return make_view(n, [(int(a), int(b), 1.0, directed and rng.random() < 0.8)
+                         for a, b in edges])
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("n", [13, 40, 63, 64, 65, 150])
+def test_bfs_kernels_equal_full_pull_bitwise(n, directed):
+    """Row-restricted pulls give every bit of the full pull: directed and
+    symmetric CSR, self-loops kept ("out"/"in") or dropped ("both"), hubs
+    whose rows sum pairwise, blocks shorter than 64 and a partial last one."""
+    view = _hub_view(n, 1000 + n, directed)
+    assert view.directed == directed
+    for fwd, back in (("out", "in"), ("both", "both")):
+        indptr, indices = view.csr(fwd)
+        rindptr, rindices = view.csr(back)
+        if n >= 40:
+            assert np.diff(indptr).max() >= 9 and np.diff(rindptr).max() >= 9
+        got = kernels.betweenness_raw(indptr, indices, rindptr, rindices, n)
+        ref = _ref_betweenness_raw(indptr, indices, rindptr, rindices, n)
+        assert ref.sum() > 0
+        assert np.array_equal(got, ref)
+    for direction in ("out", "in", "both"):
+        indptr, indices = view.csr(direction)
+        hops = kernels.hop_distances(indptr, indices, n)
+        assert (hops == -1).any()
+        assert np.array_equal(hops, _ref_hop_distances(indptr, indices, n))
 
 
 def _consensus_inputs(n, seed):

@@ -245,6 +245,29 @@ def test_consistency_divergent_replicas():
     assert 1 not in res.rounds
 
 
+def test_consistency_replicas_split_within_one_component():
+    """Versions pass only between adjacent replicas: replicas 0 and 2 of a
+    connected path 0-1-2 never meet, while 0, 1, 2 agree through 1."""
+    view = make_view(3, [(0, 1), (1, 2)])
+    placement = scenario.ReplicaPlacement({1: (0, 2), 2: (0, 1, 2)}, 2)
+    res = consistency_sim(placement, view, {1: {0: 3}, 2: {0: 3}})
+    assert res.divergent == frozenset({1})
+    assert res.rounds == {2: 2}
+
+
+def test_consistency_cli_reports_nonadjacent_replicas(tmp_path):
+    from versegraph import cli, io
+
+    graph, params, out = (str(tmp_path / f) for f in ("g.json", "p.json", "c.json"))
+    assert cli.run(["gen", "--scenario", "network", "--seed", "1", "--out", graph]) == 0
+    io.dump_json({"items": 6, "replication": 2, "updates": {"4": {"4": 1}}}, params)
+    assert cli.run(["simulate", "--kind", "consistency", "--in", graph,
+                    "--params", params, "--out", out]) == 0
+    doc = io.load_json(out)
+    assert 4 in doc["divergent"] and "4" not in doc["rounds"]
+    assert doc["rounds"]["0"] == 0
+
+
 def test_consensus_k2():
     view = make_view(2, [(0, 1)])
     rounds, value = consensus_sim({0: 0.0, 1: 6.0}, view)
