@@ -95,23 +95,29 @@ def weakly_connected_components(g: GraphView) -> ComponentLabeling:
     return ComponentLabeling(labels, len(set(labels.values())))
 
 
-def bfs_order(g: GraphView, root: int) -> tuple[list[int], dict[int, int]]:
-    """BFS visit order and hop distances; ties expand in ascending vertex id."""
-    if root not in g.index:
-        raise ValidationError(f"unknown root {root}")
-    dist = {root: 0}
-    order = [root]
-    frontier = [root]
+def bfs_levels(g: GraphView, sources, direction: str = "out", within=None) -> dict[int, int]:
+    """Hop level of every vertex reached from ``sources`` (level 0), in visit
+    order: level by level, each level in ascending vertex id.  With ``within``
+    a set of ids, the search enters no vertex outside it."""
+    frontier = sorted(set(sources))
+    dist = dict.fromkeys(frontier, 0)
     level = 0
     while frontier:
         level += 1
         nxt = set()
         for u in frontier:
-            for w in g.neighbors(u, "out"):
-                if w not in dist and w not in nxt:
+            for w in g.neighbors(u, direction):
+                if w not in dist:
                     nxt.add(w)
+        if within is not None:
+            nxt.intersection_update(within)
         frontier = sorted(nxt)
         for w in frontier:
             dist[w] = level
-        order.extend(frontier)
-    return order, dist
+    return dist
+
+
+def bfs_order(g: GraphView, root: int) -> tuple[list[int], dict[int, int]]:
+    """BFS visit order and hop distances; ties expand in ascending vertex id."""
+    dist = bfs_levels(g, [root])
+    return list(dist), dist

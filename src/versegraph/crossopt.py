@@ -467,6 +467,7 @@ PENALTY_MU0 = 1.0
 MULTI_STARTS = 16
 INNER_ITERS = 200
 BACKTRACK_HALVINGS = 40
+POLISH_SWEEPS = 3
 FEASIBILITY_TOL = 1e-6
 
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -528,8 +529,7 @@ def _grid_best(cs: CompiledScenario, coupled: bool, r: np.ndarray, k: int,
     return best_x, best_v
 
 
-def _coordinate_polish(cs: CompiledScenario, coupled: bool, r: np.ndarray,
-                       sweeps: int = 3) -> np.ndarray:
+def _coordinate_polish(cs: CompiledScenario, coupled: bool, r: np.ndarray) -> np.ndarray:
     """Per-coordinate line search on the exact feasible interval.
 
     Penalty methods land slightly off the active constraint; this nails the
@@ -537,7 +537,7 @@ def _coordinate_polish(cs: CompiledScenario, coupled: bool, r: np.ndarray,
     """
     lo, hi = cs.lo, cs.hi
     r = r.copy()
-    for _ in range(sweeps):
+    for _ in range(POLISH_SWEEPS):
         for k in range(len(r)):
             upper = hi[k]
             if coupled:

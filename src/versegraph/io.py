@@ -12,7 +12,7 @@ import os
 import sys
 from typing import Optional
 
-from .core import EdgeRecord, GraphView, SnapshotView, TemporalMultiLayerGraph, VertexRecord
+from .core import EdgeRecord, SnapshotView, TemporalMultiLayerGraph, VertexRecord
 from .crossopt import (
     CouplingEdge,
     DomainSpec,
@@ -58,6 +58,14 @@ def json_value(value, kind: tuple, what: str):
     return value
 
 
+def _known(obj: dict, keys, what: str) -> dict:
+    """``obj``, a JSON object, if it holds no key outside ``keys``."""
+    unknown = sorted(json_value(obj, OBJECT, what).keys() - set(keys))
+    if unknown:
+        raise ValidationError(f"{what} has unknown keys {unknown}")
+    return obj
+
+
 def json_number(value, what: str) -> float:
     """``value`` as a float if it is a JSON number that a float holds finitely."""
     # abs() compares exactly, so NaN, the infinities and integers too large
@@ -94,21 +102,25 @@ _FIELDS = {
 def _records(doc: dict, key: str):
     """The field values of each record under ``key``, type-checked; absent reads as null."""
     kinds = _FIELDS[key]
-    valid = set()  # type signatures seen to pass: validity depends on nothing else
+    # the keys, then the field types, of records seen to pass: validity
+    # depends on nothing else, and the field count is fixed per kind
+    valid = set()
     for i, rec in enumerate(json_value(doc.get(key, []), LIST, key)):
         values = list(map(rec.get, kinds))
-        types = tuple(map(type, values))
-        if types not in valid:
+        sig = (*rec, *map(type, values))
+        if sig not in valid:
+            _known(rec, kinds, f"{key}[{i}]")
             for (k, kind), value in zip(kinds.items(), values):
                 if kind and type(value) not in kind and not (value is None and k in _OPTIONAL):
                     json_value(value, kind, f"{key}[{i}].{k}")
-            valid.add(types)
+            valid.add(sig)
         yield values
 
 
 def _parse_graph(doc: dict) -> tuple[list[str], list[VertexRecord], list[EdgeRecord]]:
     """The document's records with their JSON types checked.  Whether they
     form a valid graph is for ``TemporalMultiLayerGraph.from_records``."""
+    _known(doc, ("version", *_FIELDS), "graph")
     layers = []
     for lid, name in _records(doc, "layers"):
         if lid != len(layers):
@@ -209,23 +221,6 @@ def snapshot_to_dot(
     return "\n".join(lines) + "\n"
 
 
-def view_to_dot(g: GraphView, edge_highlights: Optional[dict[int, str]] = None) -> str:
-    edge_highlights = edge_highlights or {}
-    lines = ["digraph view {"]
-    for v in g.vertices:
-        lines.append(f'  v{v} [label="{v}"];')
-    for e in g.edges:
-        attrs = []
-        if not e.directed:
-            attrs.append("dir=none")
-        if e.id in edge_highlights:
-            attrs.append(f'color="{edge_highlights[e.id]}"')
-        attr_str = f' [{", ".join(attrs)}]' if attrs else ""
-        lines.append(f"  v{e.src} -> v{e.dst}{attr_str};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Optimization scenario and report files
 # ---------------------------------------------------------------------------
@@ -240,11 +235,13 @@ def _field(obj: dict, key: str, kind: tuple, what: str, default=None):
     return json_number(value, what) if kind is NUMBER else json_value(value, kind, what)
 
 
-def _objects(obj: dict, key: str, what: str = "", default=None) -> list[tuple[dict, str]]:
-    """``(item, name)`` for each item of the list ``obj[key]``, which must be objects."""
+def _objects(obj: dict, key: str, keys: tuple, what: str = "",
+             default=None) -> list[tuple[dict, str]]:
+    """``(item, name)`` for each item of the list ``obj[key]``, which must be
+    objects holding no key outside ``keys``."""
     items = _field(obj, key, LIST, what, default)
     what = f"{what}.{key}".lstrip(".")
-    return [(json_value(x, OBJECT, f"{what}[{i}]"), f"{what}[{i}]") for i, x in enumerate(items)]
+    return [(_known(x, keys, f"{what}[{i}]"), f"{what}[{i}]") for i, x in enumerate(items)]
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -253,23 +250,24 @@ def scenario_from_dict(doc: dict) -> Scenario:
     # only the reads are wrapped: the range checks of the specs built below
     # keep their own messages
     try:
-        doc = json_value(doc, OBJECT, "scenario")
-        domains = [(_field(d, "id", STR, w),
-                    *(_field(d, k, NUMBER, w) for k in ("gamma", "lambda", "r_min", "r_max")))
-                   for d, w in _objects(doc, "domains")]
+        doc = _known(doc, ("domains", "links", "nodes", "coupling"), "scenario")
+        numbers = ("gamma", "lambda", "r_min", "r_max")
+        domains = [(_field(d, "id", STR, w), *(_field(d, k, NUMBER, w) for k in numbers))
+                   for d, w in _objects(doc, "domains", ("id", *numbers))]
         links = [(_field(l, "id", STR, w), _field(l, "capacity", NUMBER, w),
                   {k: json_number(a, f"{w}.coeffs.{k}")
                    for k, a in _field(l, "coeffs", OBJECT, w, {}).items()})
-                 for l, w in _objects(doc, "links", default=[])]
+                 for l, w in _objects(doc, "links", ("id", "capacity", "coeffs"), default=[])]
         nodes = [(_field(n, "id", STR, w), _field(n, "eps_tx", NUMBER, w),
                   _field(n, "eps_rx", NUMBER, w),
                   {_field(i, "link", STR, wi): _field(i, "distance", NUMBER, wi)
-                   for i, wi in _objects(n, "incident", w, [])})
-                 for n, w in _objects(doc, "nodes", default=[])]
+                   for i, wi in _objects(n, "incident", ("link", "distance"), w, [])})
+                 for n, w in _objects(doc, "nodes", ("id", "eps_tx", "eps_rx", "incident"), default=[])]
         coupling = doc.get("coupling", "auto")
         edges = [] if coupling == "auto" else [
             _coupling_edge(e, w)
-            for e, w in _objects(json_value(coupling, OBJECT, "coupling"), "edges", "coupling", [])]
+            for e, w in _objects(_known(coupling, ("edges",), "coupling"), "edges",
+                                 ("m", "n", "utility", "weights", "sign"), "coupling", [])]
     except ValidationError as exc:
         raise ValidationError(f"malformed scenario file: {exc}") from exc
     scenario = Scenario([DomainSpec(*d) for d in domains], [SharedLink(*l) for l in links],

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .analytics import bfs_order, weakly_connected_components
+from .analytics import bfs_levels, bfs_order, weakly_connected_components
 from .core import GraphView, TemporalMultiLayerGraph
 from .errors import ConvergenceError, ValidationError
 
@@ -42,15 +42,21 @@ class GeneratorConfig:
             raise ValidationError("attachment must be >= 1")
 
 
-def _preferential_targets(rng, degrees: dict[int, int], count: int) -> list[int]:
-    """Distinct degree-proportional picks (degree+1 smoothing for isolates)."""
-    pool = sorted(degrees)
-    chosen = []
-    for _ in range(min(count, len(pool))):
-        weights = np.array([degrees[v] + 1.0 for v in pool])
-        idx = rng.choice(len(pool), p=weights / weights.sum())
-        chosen.append(pool.pop(int(idx)))
-    return chosen
+def _attach(rng, n: int, m: int) -> list[tuple[int, int]]:
+    """``(new, earlier)`` position pairs in draw order: each position i >= 1 of
+    0..n-1 links to min(m, i) distinct earlier ones, each drawn from those left
+    with probability proportional to degree + 1 (smoothing for isolates)."""
+    degree = np.zeros(n)
+    pairs = []
+    for new in range(1, n):
+        pool = np.arange(new)
+        weights = degree[:new] + 1.0
+        for _ in range(min(m, new)):
+            idx = rng.choice(len(pool), p=weights / weights.sum())
+            pairs.append((new, int(pool[idx])))
+            degree[[new, pool[idx]]] += 1  # weights is a copy: seen from the next position on
+            pool, weights = np.delete(pool, idx), np.delete(weights, idx)
+    return pairs
 
 
 def gen_network_layer(
@@ -62,18 +68,10 @@ def gen_network_layer(
         raise ValidationError("need at least one router")
     rng = np.random.default_rng(cfg.seed)
     layer = g.create_layer(name)
-    routers = []
-    degrees: dict[int, int] = {}
-    for i in range(cfg.routers):
-        vid = g.add_vertex({"router"}, {layer}, {}, t)
-        if routers:
-            for target in _preferential_targets(rng, degrees, cfg.attachment):
-                g.add_edge(vid, target, layer, layer, directed=False, weight=1.0,
-                           relation="backbone", t_start=t)
-                degrees[target] += 1
-                degrees[vid] = degrees.get(vid, 0) + 1
-        routers.append(vid)
-        degrees.setdefault(vid, 0)
+    routers = [g.add_vertex({"router"}, {layer}, {}, t) for _ in range(cfg.routers)]
+    for a, b in _attach(rng, cfg.routers, cfg.attachment):
+        g.add_edge(routers[a], routers[b], layer, layer, directed=False, weight=1.0,
+                   relation="backbone", t_start=t)
     servers = []
     uplink: dict[int, int] = {}
     for _ in range(cfg.servers):
@@ -109,14 +107,9 @@ def gen_social_layer(
                 g.add_edge(u, v, layer, layer, directed=False, weight=1.0,
                            relation="social", t_start=t)
         return layer
-    degrees = {users[0]: 0}
-    for u in users[1:]:
-        for target in _preferential_targets(rng, degrees, cfg.attachment):
-            g.add_edge(u, target, layer, layer, directed=False, weight=1.0,
-                       relation="social", t_start=t)
-            degrees[target] += 1
-            degrees[u] = degrees.get(u, 0) + 1
-        degrees.setdefault(u, 0)
+    for a, b in _attach(rng, cfg.users, cfg.attachment):
+        g.add_edge(users[a], users[b], layer, layer, directed=False, weight=1.0,
+                   relation="social", t_start=t)
     return layer
 
 
@@ -168,6 +161,7 @@ class VersionDag:
 # CDN cache placement and replication
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore")  # an overflow ends in one ValidationError
 def cdn_place_caches(
     g: GraphView, k: int, demand: Optional[dict[int, float]] = None
 ) -> tuple[list[int], float]:
@@ -179,25 +173,31 @@ def cdn_place_caches(
         raise ValidationError("cache placement requires a connected graph")
     if demand is None:
         demand = {v: 1.0 for v in g.vertices}
+    outside = sorted(set(demand) - g.index.keys())
+    if outside:
+        raise ValidationError(f"demand names vertices outside the view: {outside[:10]}")
+    w = np.array([demand.get(v, 0.0) for v in g.vertices])
+    wsum = w.sum()  # finite only if every term is
+    if not ((w >= 0).all() and 0 < wsum < np.inf):
+        raise ValidationError(f"demand must be >= 0 at every vertex with a positive, finite "
+                              f"total; the total is {wsum}")
     indptr, indices = g.csr("both")
     hops = kernels.hop_distances(indptr, indices, g.n)
-    w = np.array([demand.get(v, 0.0) for v in g.vertices])
-    wsum = w.sum()
-    if wsum <= 0:
-        raise ValidationError("total demand must be positive")
     chosen: list[int] = []
     best_dist = np.full(g.n, np.inf)
+    scores = np.empty((g.n, g.n))  # one n×n buffer for all rounds, not two temporaries each
     for _ in range(k):
-        best_v, best_cost = None, np.inf
-        for i, v in enumerate(g.vertices):
-            if v in chosen:
-                continue
-            cost = float(np.sum(w * np.minimum(best_dist, hops[i])))
-            if cost < best_cost - 1e-12 or (abs(cost - best_cost) <= 1e-12 and (best_v is None or v < best_v)):
-                best_v, best_cost = v, cost
-        chosen.append(best_v)
-        best_dist = np.minimum(best_dist, hops[g.index[best_v]])
-    return chosen, float(np.sum(w * best_dist) / wsum)
+        # row i: the demand-weighted hops if vertex i joined the caches
+        np.multiply(w, np.minimum(best_dist, hops, out=scores), out=scores)
+        best_i, best_cost = None, np.inf
+        for i, cost in enumerate(scores.sum(axis=1).tolist()):
+            if cost < best_cost - 1e-12 and i not in chosen:
+                best_i, best_cost = i, cost
+        if best_i is None:
+            raise ValidationError("demand too large: every placement cost overflows")
+        chosen.append(best_i)
+        best_dist = np.minimum(best_dist, hops[best_i])
+    return [g.vertices[i] for i in chosen], best_cost / float(wsum)
 
 
 @dataclass(frozen=True)
@@ -229,21 +229,6 @@ class ConsistencyResult:
     divergent: frozenset[int]  # items whose replicas fall apart among themselves
 
 
-def _replicas_split(reps: set[int], topology: GraphView) -> bool:
-    """True when ``reps`` is disconnected in the subgraph of ``topology`` it
-    induces: no path of adjacent replicas joins some pair of them."""
-    if not reps:
-        return False
-    start = min(reps)
-    seen, stack = {start}, [start]
-    while stack:
-        for u in topology.neighbors(stack.pop(), "both"):
-            if u in reps and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) < len(reps)
-
-
 def consistency_sim(
     placement: ReplicaPlacement,
     topology: GraphView,
@@ -255,32 +240,34 @@ def consistency_sim(
     (unlisted replicas start at version 0).  Replicas exchange versions with
     neighboring replicas of the same item over the topology, so an item is
     divergent when its replicas are disconnected in the subgraph they
-    induce; every other item agrees after at most ``len(reps) - 1`` rounds.
+    induce.  Every other item agrees in as many rounds as its farthest
+    replica is hops, within that subgraph, from a holder of the newest version.
     """
-    for item, reps in placement.mapping.items():
-        for v in reps:
-            if v not in topology.index:
-                raise ValidationError(f"replica node {v} missing from topology")
+    missing = sorted({v for reps in placement.mapping.values() for v in reps} - topology.index.keys())
+    if missing:
+        raise ValidationError(f"replica nodes {missing[:10]} missing from topology")
+    for item, given in updates.items():
+        if item not in placement.mapping:
+            raise ValidationError(f"updates: item {item} is not placed")
+        strays = sorted(set(given) - set(placement.mapping[item]))
+        if strays:
+            raise ValidationError(f"updates[{item}]: nodes {strays} hold no replica of item {item}")
     rounds: dict[int, int] = {}
     divergent = set()
     for item, reps in placement.mapping.items():
         rset = set(reps)
-        if _replicas_split(rset, topology):
+        if len(bfs_levels(topology, reps[:1], "both", rset)) < len(rset):
             divergent.add(item)
             continue
         versions = {v: 0 for v in reps}
-        versions.update({v: ver for v, ver in updates.get(item, {}).items() if v in versions})
-        rnd = 0
-        while len(set(versions.values())) > 1:
-            rnd += 1
-            versions = {
-                v: max([versions[v]] + [versions[u] for u in topology.neighbors(v, "both") if u in rset])
-                for v in reps
-            }
-        rounds[item] = rnd
+        versions.update(updates.get(item, {}))
+        newest = max(versions.values(), default=0)
+        holders = [v for v, ver in versions.items() if ver == newest]
+        rounds[item] = max(bfs_levels(topology, holders, "both", rset).values(), default=0)
     return ConsistencyResult(rounds, frozenset(divergent))
 
 
+@np.errstate(over="ignore")  # an overflow ends in one ValidationError
 def consensus_sim(
     values: dict[int, float],
     topology: GraphView,
@@ -301,6 +288,8 @@ def consensus_sim(
         raise ValidationError("values must cover exactly the topology's vertices")
     order = topology.vertices
     x0 = np.array([float(values[v]) for v in order])
+    if not x0.max() - x0.min() < np.inf:
+        raise ValidationError("values must be finite and spread less than a float holds")
     # each distinct neighbor pair once, as the upper triangle of the adjacency
     indptr, indices = topology.csr("both")
     degree = np.diff(indptr)
@@ -311,7 +300,10 @@ def consensus_sim(
     rounds, x = kernels.consensus_run(eu, ev, w, x0, tol, max_rounds, spreads)
     if rounds >= max_rounds and (x.max() - x.min()) > tol:
         raise ConvergenceError(f"consensus did not converge in {max_rounds} rounds")
-    return int(rounds), float(np.mean(x))
+    mean = float(np.mean(x))
+    if not abs(mean) < np.inf:
+        raise ValidationError("the mean of the values overflows a float")
+    return int(rounds), mean
 
 
 def trust_path(g: GraphView, a: int, b: int) -> Optional[list[int]]:

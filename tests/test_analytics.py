@@ -155,6 +155,17 @@ def test_bfs_unknown_root():
         analytics.bfs_order(make_view(2, []), 9)
 
 
+def test_bfs_levels_sources_direction_and_within():
+    g = make_view(6, [(0, 1, 1.0, True), (1, 2, 1.0, True), (3, 2, 1.0, True),
+                      (4, 3, 1.0, True), (5, 4, 1.0, True)])
+    # several sources share level 0; each level in ascending id
+    assert list(analytics.bfs_levels(g, [5, 0]).items()) == [(0, 0), (5, 0), (1, 1), (4, 1),
+                                                             (2, 2), (3, 2)]
+    assert analytics.bfs_levels(g, [2], "in") == {2: 0, 1: 1, 3: 1, 0: 2, 4: 2, 5: 3}
+    assert analytics.bfs_levels(g, [0], "both", within={0, 1, 3}) == {0: 0, 1: 1}
+    assert analytics.bfs_levels(g, []) == {}
+
+
 def test_bfs_matches_unit_dijkstra():
     from versegraph import netopt
 

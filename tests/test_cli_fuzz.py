@@ -154,6 +154,7 @@ def test_graph_file_fuzz(tmp_path_factory, edits):
     ("edges", "relation", ["x"]),
     ("edges", "weight", 10 ** 400),
     ("vertices", "layers", [1.0]),  # equal to layer 1 as a set member, but not an integer
+    ("edges", "t_ned", 5),  # a misspelled key read as an open edge
 ])
 def test_graph_file_wrong_types_exit_2(tmp_path, capsys, where, key, value):
     doc = _graph_doc()

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from versegraph import scenario
-from versegraph.core import TemporalMultiLayerGraph
+from versegraph import kernels, scenario
+from versegraph.core import EdgeRecord, GraphView, TemporalMultiLayerGraph
 from versegraph.errors import ValidationError
 from versegraph.scenario import (
     GeneratorConfig,
@@ -99,6 +101,54 @@ def test_social_preferential_edge_count():
     view = g.snapshot_at(0).layer_subgraph(layer)
     # user 1 gets 1 edge, user 2 gets 2, the rest get 3
     assert len(view.edges) == 1 + 2 + 3 * 27
+
+
+def _attach_reference(rng, n, m):
+    """The sampler the generators used to inline: a degree dict, and for each
+    pick a weight list rebuilt from the earlier positions not yet picked."""
+    degrees: dict[int, int] = {}
+    pairs = []
+    for new in range(n):
+        pool = sorted(degrees)
+        targets = []
+        for _ in range(min(m, len(pool))):
+            weights = np.array([degrees[v] + 1.0 for v in pool])
+            targets.append(pool.pop(int(rng.choice(len(pool), p=weights / weights.sum()))))
+        for target in targets:
+            pairs.append((new, target))
+            degrees[target] += 1
+        degrees[new] = len(targets)
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_attach_matches_degree_dict_reference(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        n, m, draw_seed = int(rng.integers(0, 90)), int(rng.integers(1, 6)), int(rng.integers(2**32))
+        got_rng, want_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+        assert scenario._attach(got_rng, n, m) == _attach_reference(want_rng, n, m)
+        # the stream is left where the reference left it, for the draws after
+        assert got_rng.random() == want_rng.random()
+
+
+# sha256 of `versegraph gen --scenario <name> --seed 1`, written by the
+# per-pick degree-dict sampler that _attach replaced
+GEN_SHA256 = {
+    "network": "ba907958e0125e0d680d9e3873e917f122e23b1159686632caa9ddc11f5acc20",
+    "social": "135cae2221719ff0e8abae8d82f6acade6d030355f00d87edd8153104c9e7d0e",
+    "cms": "590e83847337e68ef4be8814791e146b06a0cc3e8c854e335e157fcf43a2cc83",
+    "multilayer": "d547bdaf7b648878b6d6dab96fa5cce7217d7484200a1bab30a0d9808349ee88",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEN_SHA256))
+def test_gen_output_bytes_pinned(tmp_path, name):
+    from versegraph import cli
+
+    path = tmp_path / "g.json"
+    assert cli.run(["gen", "--scenario", name, "--seed", "1", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_SHA256[name]
 
 
 def test_cms_bipartite_valid():
@@ -201,6 +251,60 @@ def test_cdn_validation():
         cdn_place_caches(view, 0)
     with pytest.raises(ValidationError):
         cdn_place_caches(view, 4)
+    with pytest.raises(ValidationError, match="outside the view"):
+        cdn_place_caches(view, 1, {0: 1.0, 7: 1.0})
+    with pytest.raises(ValidationError, match=">= 0"):
+        cdn_place_caches(view, 1, {0: 1.0, 1: -0.5})
+
+
+def _cdn_reference(g, k, demand):
+    """The loop cdn_place_caches ran: one np.sum per candidate vertex, a
+    candidate winning when it beats the best by more than 1e-12 or ties it
+    with a smaller id."""
+    hops = kernels.hop_distances(*g.csr("both"), g.n)
+    w = np.array([demand.get(v, 0.0) for v in g.vertices])
+    chosen: list[int] = []
+    best_dist = np.full(g.n, np.inf)
+    for _ in range(k):
+        best_v, best_cost = None, np.inf
+        for i, v in enumerate(g.vertices):
+            if v in chosen:
+                continue
+            cost = float(np.sum(w * np.minimum(best_dist, hops[i])))
+            if cost < best_cost - 1e-12 or (abs(cost - best_cost) <= 1e-12
+                                            and (best_v is None or v < best_v)):
+                best_v, best_cost = v, cost
+        chosen.append(best_v)
+        best_dist = np.minimum(best_dist, hops[g.index[best_v]])
+    return chosen, float(np.sum(w * best_dist) / w.sum())
+
+
+def _random_connected_view(rng, n):
+    """A random spanning tree plus extra edges, some directed, over n
+    scattered vertex ids, so positions and ids differ."""
+    ids = sorted(int(v) for v in rng.choice(10 * n, size=n, replace=False))
+    pairs = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    pairs += [(int(a), int(b)) for a, b in rng.integers(0, n, size=(n // 2, 2))]
+    edges = [EdgeRecord(j, ids[a], ids[b], 0, 0, bool(rng.random() < 0.2), 1.0, "", 0, None)
+             for j, (a, b) in enumerate(pairs)]
+    return GraphView(ids, edges)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 40, 129, 300, 1500])
+def test_cdn_matches_per_candidate_reference(n):
+    rng = np.random.default_rng(n)
+    view = _random_connected_view(rng, n)
+    k = min(n, 5)
+    uniform = {v: 1.0 for v in view.vertices}  # many exact ties
+    sparse = {v: float(rng.uniform(0.0, 4.0)) for v in view.vertices if rng.random() < 0.5}
+    sparse[view.vertices[-1]] = 0.5
+    dense = {v: float(rng.exponential()) for v in view.vertices}
+    single = {view.vertices[n // 2]: 1.0}  # no cache after the first lowers the cost
+    for demand in (uniform, sparse, dense, single):
+        want_caches, want_cost = _cdn_reference(view, k, demand)
+        caches, cost = cdn_place_caches(view, k, demand)
+        assert caches == want_caches
+        assert cost.hex() == want_cost.hex()
 
 
 def test_replicate_round_robin_balance():
@@ -266,6 +370,66 @@ def test_consistency_cli_reports_nonadjacent_replicas(tmp_path):
     doc = io.load_json(out)
     assert 4 in doc["divergent"] and "4" not in doc["rounds"]
     assert doc["rounds"]["0"] == 0
+
+
+def _consistency_reference(placement, topology, updates):
+    """The rounds consistency_sim used to run: a DFS for the split test, then
+    synchronous rounds in which each replica takes the newest version among
+    itself and its adjacent replicas, until all agree."""
+    rounds, divergent = {}, set()
+    for item, reps in placement.mapping.items():
+        rset = set(reps)
+        seen = {min(rset)} if rset else set()
+        stack = list(seen)
+        while stack:
+            for u in topology.neighbors(stack.pop(), "both"):
+                if u in rset and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        if len(seen) < len(rset):
+            divergent.add(item)
+            continue
+        versions = {v: 0 for v in reps}
+        versions.update(updates.get(item, {}))
+        rnd = 0
+        while len(set(versions.values())) > 1:
+            rnd += 1
+            versions = {v: max([versions[v]] + [versions[u] for u in topology.neighbors(v, "both")
+                                                if u in rset])
+                        for v in reps}
+        rounds[item] = rnd
+    return rounds, frozenset(divergent)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_consistency_matches_round_loop_reference(seed):
+    # sparse graphs with some directed edges; replicas in any order, some items
+    # with none; versions below, at and above the default 0
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        n = int(rng.integers(1, 16))
+        edges = [(int(u), int(v), 1.0, bool(rng.random() < 0.3))
+                 for u, v in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))]
+        view = make_view(n, edges)
+        mapping = {item: tuple(int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)),
+                                                          replace=False))
+                   for item in range(6)}
+        updates = {item: {v: int(rng.integers(-3, 4)) for v in reps if rng.random() < 0.4}
+                   for item, reps in mapping.items() if rng.random() < 0.7}
+        placement = scenario.ReplicaPlacement(mapping, 0)
+        res = consistency_sim(placement, view, updates)
+        assert (res.rounds, res.divergent) == _consistency_reference(placement, view, updates)
+
+
+@pytest.mark.parametrize("updates, message", [
+    ({9: {0: 1}}, "item 9 is not placed"),
+    ({1: {1: 2}}, r"nodes \[1\] hold no replica of item 1"),
+])
+def test_consistency_rejects_updates_that_name_nothing(updates, message):
+    view = make_view(3, [(0, 1), (1, 2)])
+    placement = scenario.ReplicaPlacement({1: (0, 2), 2: (0, 1, 2)}, 2)
+    with pytest.raises(ValidationError, match=message):
+        consistency_sim(placement, view, updates)
 
 
 def test_consensus_k2():
