@@ -11,10 +11,10 @@ live log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,12 +23,11 @@ from .errors import ValidationError
 Scalar = str | float | int | bool
 
 
-@dataclass(frozen=True)
-class VertexRecord:
+class VertexRecord(NamedTuple):
     id: int
     roles: frozenset[str]
     layers: frozenset[int]
-    attrs: Mapping[str, Scalar]
+    attrs: Mapping[str, Scalar]  # read-only; a graph stores a private copy
     t_start: int
     t_end: Optional[int]  # None = still open
 
@@ -36,8 +35,7 @@ class VertexRecord:
         return self.t_start <= t and (self.t_end is None or t < self.t_end)
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     id: int
     src: int
     dst: int
@@ -55,6 +53,42 @@ class EdgeRecord:
 
     def active_at(self, t: int) -> bool:
         return self.t_start <= t and (self.t_end is None or t < self.t_end)
+
+
+def _int(value, what: str) -> int:
+    """``value`` as a plain int, read by ``operator.index``; a bool is refused."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return int(operator.index(value))
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _plain_edge(eid, src, dst, layer_src, layer_dst, directed, weight, relation, t_start,
+                t_end) -> tuple:
+    """The fields of an edge with its ids and ticks as plain ints, ``directed``
+    as a bool and ``weight`` as a float."""
+    eid = _int(eid, "edge id")
+    src, dst, layer_src, layer_dst, t_start = (
+        _int(x, f"edge {eid}: {name}") for name, x in (
+            ("src", src), ("dst", dst), ("layer_src", layer_src), ("layer_dst", layer_dst),
+            ("t_start", t_start)))
+    t_end = None if t_end is None else _int(t_end, f"edge {eid}: t_end")
+    try:
+        weight = float(weight)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"edge {eid}: weight must be a finite number, got {weight!r}") from None
+    return eid, src, dst, layer_src, layer_dst, bool(directed), weight, relation, t_start, t_end
+
+
+_INT, _STR = frozenset({int}), frozenset({str})
+_NO_ATTRS: Mapping[str, Scalar] = MappingProxyType({})  # shared by every vertex without attrs
+# the field types of an edge that need no conversion
+_EDGE_TYPES = frozenset((int, int, int, int, int, bool, float, str, int, t_end)
+                        for t_end in (int, type(None)))
 
 
 class GraphView:
@@ -207,11 +241,11 @@ class SnapshotView:
 
 
 def _created(rec: VertexRecord | EdgeRecord) -> tuple:
-    """The creation event of a record."""
-    if isinstance(rec, VertexRecord):
-        return ("vertex+", rec.id, rec.roles, rec.layers, rec.attrs, rec.t_start)
-    return ("edge+", rec.id, rec.src, rec.dst, rec.layer_src, rec.layer_dst, rec.directed,
-            rec.weight, rec.relation, rec.t_start)
+    """The creation event of a record: its fields up to ``t_start``."""
+    return ("vertex+" if isinstance(rec, VertexRecord) else "edge+", *rec[:-1])
+
+
+_BY_START = operator.attrgetter("t_start", "id")
 
 
 class TemporalMultiLayerGraph:
@@ -219,8 +253,8 @@ class TemporalMultiLayerGraph:
 
     Events are tuples ``(kind, payload...)``; replaying the log reproduces the
     graph exactly, which the test suite exploits as an oracle.  Every record,
-    from ``add_*`` or :meth:`from_records`, passes ``_check_vertex`` or
-    ``_check_edge`` before it is stored, so no edge outlives an endpoint.
+    from ``add_*`` or :meth:`from_records`, is built by ``_vertex`` or
+    ``_edge``, which check it, so no edge outlives an endpoint.
     """
 
     def __init__(self) -> None:
@@ -236,71 +270,94 @@ class TemporalMultiLayerGraph:
     def from_records(cls, layer_names: Iterable[str], vertices: Iterable[VertexRecord],
                      edges: Iterable[EdgeRecord]) -> TemporalMultiLayerGraph:
         """A graph of exactly these records, checked as ``add_*`` checks them, with
-        unique ids; layer ``i`` is the ``i``-th name.  The event log is canonical:
+        unique ids; layer ``i`` is the ``i``-th name.  A record may also be given
+        as the tuple of its fields; each is stored as built by ``add_*``, with
+        plain ints and a private copy of its attrs.  The event log is canonical:
         layers, creations by ``(t_start, id)``, then retirements by ``(t, id)``."""
         g = cls()
         for name in layer_names:
             g.create_layer(name)
-        for v in vertices:
+        for v in map(g._vertex, vertices):
             if v.id in g._vertices:
                 raise ValidationError(f"duplicate vertex id {v.id}")
-            g._check_vertex(v)
             g._vertices[v.id] = v
-        for e in edges:
+        for e in map(g._edge, edges):
             if e.id in g._edges:
                 raise ValidationError(f"duplicate edge id {e.id}")
-            g._check_edge(e)
             g._edges[e.id] = e
         g._next_vertex = max(g._vertices, default=-1) + 1
         g._next_edge = max(g._edges, default=-1) + 1
         recs = {"vertex": g._vertices.values(), "edge": g._edges.values()}
-        g.events += [_created(r) for rs in recs.values()
-                     for r in sorted(rs, key=lambda r: (r.t_start, r.id))]
+        g.events += [_created(r) for rs in recs.values() for r in sorted(rs, key=_BY_START)]
         g.events += [(kind + "-", i, t) for kind, rs in recs.items()
                      for t, i in sorted((r.t_end, r.id) for r in rs if r.t_end is not None)]
         return g
 
     # -- checks ------------------------------------------------------------
 
-    def _check_vertex(self, v: VertexRecord) -> None:
-        if not v.layers:
-            raise ValidationError(f"vertex {v.id} has an empty layer set")
-        unknown = sorted(v.layers - self._layer_names.keys())
-        if unknown:
-            raise ValidationError(f"vertex {v.id} references unregistered layers {unknown}")
-        if not all(isinstance(r, str) for r in v.roles):
-            raise ValidationError(f"vertex {v.id}: every role must be a string")
-        for key, value in v.attrs.items():
+    def _vertex(self, fields: Iterable) -> VertexRecord:
+        """The record to store for a vertex's fields, if they pass the checks.
+        It holds plain ints, frozensets and a read-only private copy of the
+        attrs: values that the interchange file holds exactly."""
+        vid, roles, layers, attrs, t_start, t_end = fields
+        if type(vid) is not int:
+            vid = _int(vid, "vertex id")
+        layers, roles = frozenset(layers), frozenset(roles)
+        attrs = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
+        if not _INT.issuperset(map(type, layers)):
+            layers = frozenset(_int(lid, f"vertex {vid}: layer id") for lid in layers)
+        if type(t_start) is not int:
+            t_start = _int(t_start, f"vertex {vid}: t_start")
+        if t_end is not None and type(t_end) is not int:
+            t_end = _int(t_end, f"vertex {vid}: t_end")
+        if not layers:
+            raise ValidationError(f"vertex {vid} has an empty layer set")
+        if not self._layer_names.keys() >= layers:
+            unknown = sorted(layers - self._layer_names.keys())
+            raise ValidationError(f"vertex {vid} references unregistered layers {unknown}")
+        if not _STR.issuperset(map(type, roles)) and not all(isinstance(r, str) for r in roles):
+            raise ValidationError(f"vertex {vid}: every role must be a string")
+        for key, value in attrs.items():
             # JSON scalars that the interchange file can hold
             finite = not isinstance(value, float) or math.isfinite(value)
             if not (isinstance(key, str) and isinstance(value, (str, int, float)) and finite):
-                raise ValidationError(f"vertex {v.id}: attrs must map strings to strings, "
+                raise ValidationError(f"vertex {vid}: attrs must map strings to strings, "
                                       f"booleans, integers or finite numbers; got {key!r}: {value!r}")
-        if v.t_end is not None and v.t_end < v.t_start:
-            raise ValidationError(f"vertex {v.id}: t_end must not precede t_start")
+        if t_end is not None and t_end < t_start:
+            raise ValidationError(f"vertex {vid}: t_end must not precede t_start")
+        return VertexRecord(vid, roles, layers, attrs, t_start, t_end)
 
-    def _check_edge(self, e: EdgeRecord) -> None:
-        if not math.isfinite(e.weight):
-            raise ValidationError(f"edge {e.id}: non-finite weight {e.weight}")
-        if e.weight < 0:
-            raise ValidationError(f"edge {e.id}: negative weight {e.weight}")
-        if not isinstance(e.relation, str):
-            raise ValidationError(f"edge {e.id}: relation must be a string, got {e.relation!r}")
-        if e.t_end is not None and e.t_end < e.t_start:
-            raise ValidationError(f"edge {e.id}: t_end must not precede t_start")
-        for vid, layer in ((e.src, e.layer_src), (e.dst, e.layer_dst)):
+    def _edge(self, fields: Iterable) -> EdgeRecord:
+        """The record to store for an edge's fields, if they pass the checks:
+        plain ints, a bool and a float, as for a vertex.  A record that holds
+        them already is stored as it is."""
+        if tuple(map(type, fields)) not in _EDGE_TYPES:
+            fields = _plain_edge(*fields)
+        e = fields if type(fields) is EdgeRecord else EdgeRecord._make(fields)
+        eid, src, dst, layer_src, layer_dst, _, weight, relation, t_start, t_end = e
+        if not 0.0 <= weight < math.inf:
+            raise ValidationError(f"edge {eid}: non-finite weight {weight}" if not math.isfinite(weight)
+                                  else f"edge {eid}: negative weight {weight}")
+        if not isinstance(relation, str):
+            raise ValidationError(f"edge {eid}: relation must be a string, got {relation!r}")
+        if t_end is not None and t_end < t_start:
+            raise ValidationError(f"edge {eid}: t_end must not precede t_start")
+        for vid, layer in ((src, layer_src), (dst, layer_dst)):
             v = self._vertices.get(vid)
             if v is None:
-                raise ValidationError(f"edge {e.id}: dangling endpoint {vid}")
+                raise ValidationError(f"edge {eid}: dangling endpoint {vid}")
             if layer not in v.layers:
-                raise ValidationError(f"edge {e.id}: endpoint {vid} not in layer {layer}")
+                raise ValidationError(f"edge {eid}: endpoint {vid} not in layer {layer}")
             # the vertex's lifetime must cover the edge's [t_start, t_end)
-            if v.t_start > e.t_start or v.t_end is not None and (e.t_end is None or e.t_end > v.t_end):
-                raise ValidationError(f"edge {e.id}: endpoint {vid} inactive during the edge's validity")
+            if v.t_start > t_start or v.t_end is not None and (t_end is None or t_end > v.t_end):
+                raise ValidationError(f"edge {eid}: endpoint {vid} inactive during the edge's validity")
+        return e
 
     # -- construction ------------------------------------------------------
 
     def create_layer(self, name: str) -> int:
+        if not isinstance(name, str):
+            raise ValidationError(f"layer name must be a string, got {name!r}")
         if name in self._layer_ids:
             raise ValidationError(f"duplicate layer name {name!r}")
         lid = len(self._layer_ids)
@@ -321,9 +378,7 @@ class TemporalMultiLayerGraph:
         attrs: Optional[Mapping[str, Scalar]] = None,
         t_start: int = 0,
     ) -> int:
-        rec = VertexRecord(self._next_vertex, frozenset(roles), frozenset(layers),
-                           dict(attrs or {}), int(t_start), None)
-        self._check_vertex(rec)
+        rec = self._vertex((self._next_vertex, roles, layers, attrs or {}, t_start, None))
         self._next_vertex += 1
         self._vertices[rec.id] = rec
         self.events.append(_created(rec))
@@ -341,9 +396,8 @@ class TemporalMultiLayerGraph:
         t_start: int = 0,
     ) -> int:
         """An open edge: both endpoints must exist from ``t_start`` on, unretired."""
-        rec = EdgeRecord(self._next_edge, src, dst, layer_src, layer_dst, bool(directed),
-                         float(weight), relation, int(t_start), None)
-        self._check_edge(rec)
+        rec = self._edge((self._next_edge, src, dst, layer_src, layer_dst, directed, weight,
+                          relation, t_start, None))
         self._next_edge += 1
         self._edges[rec.id] = rec
         self.events.append(_created(rec))
@@ -353,6 +407,7 @@ class TemporalMultiLayerGraph:
         rec = self._vertices.get(vid)
         if rec is None:
             raise ValidationError(f"unknown vertex {vid}")
+        t = _int(t, "retirement tick")
         if rec.t_end is not None:
             raise ValidationError(f"vertex {vid} already retired")
         if not rec.active_at(t):
@@ -364,23 +419,24 @@ class TemporalMultiLayerGraph:
             raise ValidationError(
                 f"vertex {vid} cannot retire at t={t}: edges {late} start later or end later"
             )
-        self._vertices[vid] = replace(rec, t_end=int(t))
-        self.events.append(("vertex-", vid, int(t)))
+        self._vertices[rec.id] = rec._replace(t_end=t)
+        self.events.append(("vertex-", rec.id, t))
         for e in incident:
             if e.t_end is None:
-                self._edges[e.id] = replace(e, t_end=int(t))
-                self.events.append(("edge-", e.id, int(t)))
+                self._edges[e.id] = e._replace(t_end=t)
+                self.events.append(("edge-", e.id, t))
 
     def retire_edge(self, eid: int, t: int) -> None:
         rec = self._edges.get(eid)
         if rec is None:
             raise ValidationError(f"unknown edge {eid}")
+        t = _int(t, "retirement tick")
         if rec.t_end is not None:
             raise ValidationError(f"edge {eid} already retired")
         if not rec.active_at(t):
             raise ValidationError(f"edge {eid} not active at t={t}")
-        self._edges[eid] = replace(rec, t_end=int(t))
-        self.events.append(("edge-", eid, int(t)))
+        self._edges[rec.id] = rec._replace(t_end=t)
+        self.events.append(("edge-", rec.id, t))
 
     # -- queries -----------------------------------------------------------
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
-from .core import EdgeRecord, SnapshotView, TemporalMultiLayerGraph, VertexRecord
+from .core import EdgeRecord, Scalar, SnapshotView, TemporalMultiLayerGraph, VertexRecord
 from .crossopt import (
     CouplingEdge,
     DomainSpec,
@@ -29,7 +29,7 @@ FORMAT_VERSION = 1
 
 def _record_dict(rec: VertexRecord | EdgeRecord) -> dict:
     """A record as its JSON object, sets sorted; an open ``t_end`` is left out."""
-    out = {k: v for k, v in vars(rec).items() if not (k == "t_end" and v is None)}
+    out = {k: v for k, v in rec._asdict().items() if not (k == "t_end" and v is None)}
     if isinstance(rec, VertexRecord):
         out.update(roles=sorted(rec.roles), layers=sorted(rec.layers),
                    attrs=dict(sorted(rec.attrs.items())))
@@ -43,6 +43,56 @@ def graph_to_dict(g: TemporalMultiLayerGraph) -> dict:
         "vertices": [_record_dict(v) for _, v in sorted(g.vertex_records.items())],
         "edges": [_record_dict(e) for _, e in sorted(g.edge_records.items())],
     }
+
+
+# The bytes of json.dumps(graph_to_dict(g), indent=2, sort_keys=True): one
+# template per record with its keys in sorted order.  Strings go through the
+# C escaper json.dumps uses; a graph stores plain ints, bools and floats, so
+# %d and %r write what int.__repr__ and float.__repr__ write.
+_str = json.encoder.encode_basestring_ascii
+_BOOL = ("false", "true")
+_GRAPH = '{\n  "edges": %s,\n  "layers": %s,\n  "version": %d,\n  "vertices": %s\n}\n'
+_LAYER = '    {\n      "id": %d,\n      "name": %s\n    }'
+_VERTEX = ('    {\n      "attrs": %s,\n      "id": %d,\n      "layers": %s,\n      "roles": %s,\n'
+           '%s      "t_start": %d\n    }')
+_EDGE = ('    {\n      "directed": %s,\n      "dst": %d,\n      "id": %d,\n      "layer_dst": %d,\n'
+         '      "layer_src": %d,\n      "relation": %s,\n      "src": %d,\n%s      "t_start": %d,\n'
+         '      "weight": %r\n    }')
+_T_END = '      "t_end": %d,\n'
+
+
+def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON array, or object, of items already written one level deeper
+    than ``indent``."""
+    return "%s\n%s\n%s%s" % (brackets[0], ",\n".join(items), indent, brackets[1]) if items else brackets
+
+
+def _scalar(value: Scalar) -> str:
+    """An attr value as json.dumps writes it; its type order puts bool before int."""
+    if isinstance(value, str):
+        return _str(value)
+    if isinstance(value, bool):
+        return _BOOL[value]
+    return int.__repr__(value) if isinstance(value, int) else float.__repr__(value)
+
+
+def graph_to_json(g: TemporalMultiLayerGraph) -> str:
+    """``json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\\n"``, written
+    record by record from fixed templates."""
+    layers = [_LAYER % (lid, _str(name)) for lid, name in sorted(g.layer_names.items())]
+    vertices = [_VERTEX % (
+        _block(["        %s: %s" % (_str(k), _scalar(x)) for k, x in sorted(attrs.items())],
+               "      ", "{}"),
+        vid, _block(["        %d" % lid for lid in sorted(layer_ids)], "      "),
+        _block(["        " + _str(r) for r in sorted(roles)], "      "),
+        "" if t_end is None else _T_END % t_end, t_start)
+        for _, (vid, roles, layer_ids, attrs, t_start, t_end) in sorted(g.vertex_records.items())]
+    edges = [_EDGE % (_BOOL[directed], dst, eid, ld, ls, _str(rel), src,
+                      "" if t_end is None else _T_END % t_end, t_start, w)
+             for _, (eid, src, dst, ls, ld, directed, w, rel, t_start, t_end)
+             in sorted(g.edge_records.items())]
+    return _GRAPH % (_block(edges, "  "), _block(layers, "  "), FORMAT_VERSION,
+                     _block(vertices, "  "))
 
 
 INT, NUMBER, STR, BOOL, LIST, OBJECT = (int,), (float, int), (str,), (bool,), (list,), (dict,)
@@ -99,42 +149,49 @@ _FIELDS = {
 }
 
 
-def _records(doc: dict, key: str):
-    """The field values of each record under ``key``, type-checked; absent reads as null."""
+def _records(doc: dict, key: str, make=tuple) -> tuple[list[tuple], Iterable[tuple]]:
+    """The field values of each record under ``key``, type-checked, absent
+    read as null, each made into a tuple by ``make``; and the field types
+    that occur."""
     kinds = _FIELDS[key]
-    # the keys, then the field types, of records seen to pass: validity
-    # depends on nothing else, and the field count is fixed per kind
-    valid = set()
+    records = []
+    # the field types of records seen to pass, each with its count of
+    # non-null fields: a record holding only those keys has no unknown key,
+    # and with that, validity depends on nothing but the field types
+    valid: dict[tuple, int] = {}
     for i, rec in enumerate(json_value(doc.get(key, []), LIST, key)):
-        values = list(map(rec.get, kinds))
-        sig = (*rec, *map(type, values))
-        if sig not in valid:
+        values = make(map(rec.get, kinds))
+        types = tuple(map(type, values))
+        if valid.get(types) != len(rec):
             _known(rec, kinds, f"{key}[{i}]")
             for (k, kind), value in zip(kinds.items(), values):
                 if kind and type(value) not in kind and not (value is None and k in _OPTIONAL):
                     json_value(value, kind, f"{key}[{i}].{k}")
-            valid.add(sig)
-        yield values
+            valid[types] = len(kinds) - types.count(type(None))
+        records.append(values)
+    return records, valid.keys()
 
 
-def _parse_graph(doc: dict) -> tuple[list[str], list[VertexRecord], list[EdgeRecord]]:
-    """The document's records with their JSON types checked.  Whether they
-    form a valid graph is for ``TemporalMultiLayerGraph.from_records``."""
+def _parse_graph(doc: dict) -> tuple[list[str], list[tuple], list[EdgeRecord]]:
+    """The layer names, the vertices' field tuples and the edge records of
+    the document, with their JSON types checked.  Whether they form a valid
+    graph is for ``TemporalMultiLayerGraph.from_records``."""
     _known(doc, ("version", *_FIELDS), "graph")
-    layers = []
-    for lid, name in _records(doc, "layers"):
-        if lid != len(layers):
-            raise ValidationError(f"layer ids must be dense and ordered; got {lid} at {len(layers)}")
-        layers.append(name)
+    layers, _ = _records(doc, "layers")
+    for i, (lid, _) in enumerate(layers):
+        if lid != i:
+            raise ValidationError(f"layer ids must be dense and ordered; got {lid} at {i}")
     vertices = []
-    for vid, roles, layer_ids, attrs, t_start, t_end in _records(doc, "vertices"):
+    for vid, roles, layer_ids, attrs, t_start, t_end in _records(doc, "vertices")[0]:
         if not all(type(lid) is int for lid in layer_ids):
             raise ValidationError(f"vertex {vid}: layer ids must be integers, got {layer_ids!r}")
-        vertices.append(VertexRecord(vid, frozenset(roles or ()), frozenset(layer_ids),
-                                     dict(attrs or {}), t_start, t_end))
-    edges = [EdgeRecord(eid, src, dst, ls, ld, directed, float(w), "" if rel is None else rel, t0, t1)
-             for eid, src, dst, ls, ld, directed, w, rel, t0, t1 in _records(doc, "edges")]
-    return layers, vertices, edges
+        vertices.append((vid, frozenset(roles or ()), frozenset(layer_ids), attrs or {}, t_start, t_end))
+    edges, types = _records(doc, "edges", EdgeRecord._make)
+    # an exported file holds float weights and every relation
+    if any(t[6] is int or t[7] is type(None) for t in types):
+        edges = [e._replace(weight=float(e.weight), relation="" if e.relation is None else e.relation)
+                 for e in edges]
+    return [name for _, name in layers], vertices, edges
 
 
 def write_text(path: str, text: str) -> None:
@@ -178,7 +235,7 @@ def load_json(path: str):
 
 
 def export_graph(g: TemporalMultiLayerGraph, path: str) -> None:
-    dump_json(graph_to_dict(g), path)
+    write_text(path, graph_to_json(g))
 
 
 def import_graph(path: str) -> TemporalMultiLayerGraph:
@@ -188,6 +245,11 @@ def import_graph(path: str) -> TemporalMultiLayerGraph:
 # ---------------------------------------------------------------------------
 # DOT
 # ---------------------------------------------------------------------------
+
+def _dot_str(text: str) -> str:
+    """``text`` for a quoted DOT string: backslash and double quote escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
 
 def snapshot_to_dot(
     s: SnapshotView, edge_highlights: Optional[dict[int, str]] = None
@@ -201,20 +263,21 @@ def snapshot_to_dot(
     lines = ["digraph snapshot {"]
     for lid in sorted(s.layers):
         lines.append(f'  subgraph cluster_{lid} {{')
-        lines.append(f'    label="{s.layers[lid]}";')
+        lines.append(f'    label="{_dot_str(s.layers[lid])}";')
         for vid, v in s.vertices.items():
             if min(v.layers) == lid:
-                roles = ",".join(sorted(v.roles))
+                roles = _dot_str(",".join(sorted(v.roles)))
+                # \n in a DOT label is a line break
                 lines.append(f'    v{vid} [label="{vid}\\n{roles}"];')
         lines.append("  }")
     for e in s.edges:
-        attrs = [f'label="{e.relation}"'] if e.relation else []
+        attrs = [f'label="{_dot_str(e.relation)}"'] if e.relation else []
         if not e.directed:
             attrs.append("dir=none")
         if not e.intra_layer:
             attrs.append("style=dashed")
         if e.id in edge_highlights:
-            attrs.append(f'color="{edge_highlights[e.id]}"')
+            attrs.append(f'color="{_dot_str(edge_highlights[e.id])}"')
         attr_str = f' [{", ".join(attrs)}]' if attrs else ""
         lines.append(f"  v{e.src} -> v{e.dst}{attr_str};")
     lines.append("}")

@@ -1,3 +1,7 @@
+import json
+from types import MappingProxyType
+
+import numpy as np
 import pytest
 
 from versegraph import io
@@ -398,3 +402,88 @@ def test_from_records_applies_the_add_rules(patch, match):
     patch(vs, es)
     with pytest.raises(ValidationError, match=match):
         TemporalMultiLayerGraph.from_records(["net", "soc"], vs, es)
+
+
+def _types(rec) -> list[type]:
+    return [type(x) for x in (*rec, *getattr(rec, "layers", ()))]
+
+
+def test_ids_and_ticks_must_be_integers(g):
+    # each call was stored as given, or truncated, and the graph then
+    # exported a file that import refuses, or did not export at all
+    assert pytest.raises(ValidationError, g.create_layer, 5).match("layer name must be a string")
+    net = g.create_layer("network")
+    with pytest.raises(ValidationError, match="layer id must be an integer, got True"):
+        g.add_vertex({"x"}, {True})
+    with pytest.raises(ValidationError, match="t_start must be an integer, got 2.7"):
+        g.add_vertex({"x"}, {net}, t_start=2.7)
+    a = g.add_vertex({"x"}, {np.int64(net)}, t_start=np.int64(1))
+    with pytest.raises(ValidationError, match="dst must be an integer, got True"):
+        g.add_edge(np.int64(a), True, 0, 0, t_start=1)
+    with pytest.raises(ValidationError, match="t_start must be an integer, got 1.0"):
+        g.add_edge(a, a, net, net, t_start=1.0)
+    e = g.add_edge(np.int64(a), np.int32(a), np.int8(net), net, directed=1, weight=3, t_start=np.int64(2))
+    with pytest.raises(ValidationError, match="retirement tick must be an integer, got 5.5"):
+        g.retire_edge(e, 5.5)
+    g.retire_vertex(np.int64(a), np.int64(5))
+    assert _types(g.vertex_records[a]) == [int, frozenset, frozenset, MappingProxyType, int, int, int]
+    assert _types(g.edge_records[e]) == [int, int, int, int, int, bool, float, str, int, int]
+    assert g.events == [("layer", 0, "network"), ("vertex+", 0, frozenset({"x"}), frozenset({0}), {}, 1),
+                        ("edge+", 0, 0, 0, 0, 0, True, 3.0, "", 2), ("vertex-", 0, 5), ("edge-", 0, 5)]
+    assert all(type(x) in (str, int, bool, float, frozenset, MappingProxyType)
+               for ev in g.events for x in ev)
+    assert io.graph_to_json(g) == json.dumps(io.graph_to_dict(g), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("patch, match", [
+    (lambda vs, es: vs.__setitem__(0, vs[0]._replace(id=True)), "vertex id must be an integer"),
+    (lambda vs, es: vs.__setitem__(0, vs[0]._replace(t_start=2.0)), "vertex 4: t_start"),
+    (lambda vs, es: vs.__setitem__(1, vs[1]._replace(layers=frozenset({0, True}))),
+     "vertex 1: layer id must be an integer, got True"),
+    (lambda vs, es: vs.__setitem__(1, vs[1]._replace(layers=frozenset({0.0}))), "vertex 1: layer id"),
+    (lambda vs, es: es.__setitem__(0, es[0]._replace(t_end=False)), "edge 6: t_end"),
+    (lambda vs, es: es.__setitem__(0, es[0]._replace(src="1")), "edge 6: src"),
+    (lambda vs, es: es.__setitem__(0, es[0]._replace(weight="x")), "edge 6: weight must be a finite"),
+    (lambda vs, es: es.__setitem__(0, es[0]._replace(weight=10 ** 400)), "edge 6: weight must be a finite"),
+])
+def test_from_records_applies_the_integer_rule(patch, match):
+    vs, es = _records()
+    patch(vs, es)
+    with pytest.raises(ValidationError, match=match):
+        TemporalMultiLayerGraph.from_records(["net", "soc"], vs, es)
+    with pytest.raises(ValidationError, match="layer name must be a string"):
+        TemporalMultiLayerGraph.from_records(["net", 1], *_records())
+
+
+def test_from_records_stores_plain_ints_and_private_attrs():
+    vs, es = _records()
+    attrs = {"k": 1}
+    vs[1] = vs[1]._replace(id=np.int64(1), attrs=attrs, layers=[np.int16(0), 1])
+    es[0] = es[0]._replace(src=np.int64(1), weight=np.float32(1.5), directed=np.bool_(True))
+    g = TemporalMultiLayerGraph.from_records(["net", "soc"], vs, es)
+    attrs["k"] = 2
+    assert _types(g.vertex_records[1]) == [int, frozenset, frozenset, MappingProxyType, int,
+                                           type(None), int, int]
+    assert _types(g.edge_records[6]) == [int, int, int, int, int, bool, float, str, int, int]
+    assert dict(g.vertex_records[1].attrs) == {"k": 1}
+    # an edge record that needs no conversion is stored as it is given
+    assert g.edge_records[2] is es[1]
+
+
+def test_stored_attrs_are_read_only(g):
+    net = g.create_layer("network")
+    attrs = {"k": 1.5}
+    v = g.add_vertex({"a"}, {net}, attrs)
+    attrs["k"] = float("nan")  # the caller's dict is not the stored one
+    before = io.graph_to_json(g)
+    with pytest.raises(TypeError):
+        g.vertex_records[v].attrs["k"] = float("nan")
+    with pytest.raises(TypeError):
+        g.vertex_records[v].attrs["new"] = 1
+    with pytest.raises(AttributeError):
+        g.vertex_records[v].attrs.clear()
+    assert io.graph_to_json(g) == before
+    assert io.graph_to_dict(g)["vertices"][0]["attrs"] == {"k": 1.5}
+    g2 = io.graph_from_dict(io.graph_to_dict(g))
+    with pytest.raises(TypeError):
+        g2.vertex_records[v].attrs["k"] = 0

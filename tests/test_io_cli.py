@@ -147,6 +147,25 @@ def test_dot_highlights():
     assert 'color="red"' in dot
 
 
+def test_dot_escapes_quoted_strings():
+    g = TemporalMultiLayerGraph()
+    net = g.create_layer('net"work')
+    a = g.add_vertex({'r"x', "a\\b"}, {net})
+    b = g.add_vertex(set(), {net})
+    g.add_edge(a, b, net, net, relation='up"link\\')
+    dot = io.snapshot_to_dot(g.snapshot_at(0), {0: 'x"'})
+    assert dot.splitlines() == [
+        "digraph snapshot {",
+        "  subgraph cluster_0 {",
+        '    label="net\\"work";',
+        '    v0 [label="0\\na\\\\b,r\\"x"];',
+        '    v1 [label="1\\n"];',
+        "  }",
+        '  v0 -> v1 [label="up\\"link\\\\", color="x\\""];',
+        "}",
+    ]
+
+
 # -- CLI --------------------------------------------------------------------
 
 def test_cli_gen_analyze_partition(tmp_path):

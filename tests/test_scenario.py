@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -149,6 +150,31 @@ def test_gen_output_bytes_pinned(tmp_path, name):
     path = tmp_path / "g.json"
     assert cli.run(["gen", "--scenario", name, "--seed", "1", "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_SHA256[name]
+
+
+# sha256 of `versegraph gen --scenario multilayer` at the cli-pipeline
+# benchmark's params (1x: 1,160 vertices) and at four times its counts (4x:
+# 4,640 vertices), written by json.dumps(indent=2) before the fixed-schema
+# writer replaced it
+PIPELINE_PARAMS = {"routers": 150, "servers": 40, "devices": 260, "users": 500, "admins": 10,
+                   "items": 200, "edge_prob": 0.2}
+PIPELINE_GEN_SHA256 = {
+    (1, 1): "1da0d4cd749eb98e7738c83d5af707912eed096f08452af141e8d45528b7bf1a",
+    (1, 7919): "290c16cec2d917df5dd72b1ea4dc134e577c8d373c6160585154c8b95c848aca",
+    (4, 7919): "f86d0c81359a570ccce55facd34c96ff41e013b72636f8461963eebe5809f4af",
+}
+
+
+@pytest.mark.parametrize("scale, seed", sorted(PIPELINE_GEN_SHA256))
+def test_pipeline_gen_output_bytes_pinned(tmp_path, scale, seed):
+    from versegraph import cli
+
+    params = {k: v if k == "edge_prob" else v * scale for k, v in PIPELINE_PARAMS.items()}
+    (tmp_path / "p.json").write_text(json.dumps(params))
+    path = tmp_path / "g.json"
+    assert cli.run(["gen", "--scenario", "multilayer", "--seed", str(seed),
+                    "--params", str(tmp_path / "p.json"), "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PIPELINE_GEN_SHA256[scale, seed]
 
 
 def test_cms_bipartite_valid():
