@@ -84,6 +84,16 @@ def _plain_edge(eid, src, dst, layer_src, layer_dst, directed, weight, relation,
     return eid, src, dst, layer_src, layer_dst, bool(directed), weight, relation, t_start, t_end
 
 
+def _utf8(text: str, what: str) -> None:
+    """Refuse a string that UTF-8 cannot encode: one holding a surrogate code
+    point, which a JSON ``\\ud800`` escape can carry but no output file can.
+    Callers skip ASCII strings, which always encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"{what} {text!r} cannot be encoded as UTF-8") from None
+
+
 _INT, _STR = frozenset({int}), frozenset({str})
 _NO_ATTRS: Mapping[str, Scalar] = MappingProxyType({})  # shared by every vertex without attrs
 # the field types of an edge that need no conversion
@@ -302,7 +312,16 @@ class TemporalMultiLayerGraph:
         vid, roles, layers, attrs, t_start, t_end = fields
         if type(vid) is not int:
             vid = _int(vid, "vertex id")
-        layers, roles = frozenset(layers), frozenset(roles)
+        # a string is iterable, but as roles it would give one role per
+        # character, as bytes give one layer id per byte
+        if isinstance(roles, (str, bytes)) or isinstance(layers, (str, bytes)):
+            raise ValidationError(f"vertex {vid}: roles and layers must be collections, "
+                                  f"not a string")
+        try:
+            layers, roles = frozenset(layers), frozenset(roles)
+        except TypeError:
+            raise ValidationError(f"vertex {vid}: roles and layers must be collections of "
+                                  f"hashable values, got {roles!r} and {layers!r}") from None
         attrs = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
         if not _INT.issuperset(map(type, layers)):
             layers = frozenset(_int(lid, f"vertex {vid}: layer id") for lid in layers)
@@ -317,12 +336,19 @@ class TemporalMultiLayerGraph:
             raise ValidationError(f"vertex {vid} references unregistered layers {unknown}")
         if not _STR.issuperset(map(type, roles)) and not all(isinstance(r, str) for r in roles):
             raise ValidationError(f"vertex {vid}: every role must be a string")
+        if not "".join(roles).isascii():
+            for role in roles:
+                _utf8(role, f"vertex {vid}: role")
         for key, value in attrs.items():
             # JSON scalars that the interchange file can hold
             finite = not isinstance(value, float) or math.isfinite(value)
             if not (isinstance(key, str) and isinstance(value, (str, int, float)) and finite):
                 raise ValidationError(f"vertex {vid}: attrs must map strings to strings, "
                                       f"booleans, integers or finite numbers; got {key!r}: {value!r}")
+            if not key.isascii():
+                _utf8(key, f"vertex {vid}: attr key")
+            if isinstance(value, str) and not value.isascii():
+                _utf8(value, f"vertex {vid}: attr {key!r} value")
         if t_end is not None and t_end < t_start:
             raise ValidationError(f"vertex {vid}: t_end must not precede t_start")
         return VertexRecord(vid, roles, layers, attrs, t_start, t_end)
@@ -340,6 +366,8 @@ class TemporalMultiLayerGraph:
                                   else f"edge {eid}: negative weight {weight}")
         if not isinstance(relation, str):
             raise ValidationError(f"edge {eid}: relation must be a string, got {relation!r}")
+        if not relation.isascii():
+            _utf8(relation, f"edge {eid}: relation")
         if t_end is not None and t_end < t_start:
             raise ValidationError(f"edge {eid}: t_end must not precede t_start")
         for vid, layer in ((src, layer_src), (dst, layer_dst)):
@@ -358,6 +386,8 @@ class TemporalMultiLayerGraph:
     def create_layer(self, name: str) -> int:
         if not isinstance(name, str):
             raise ValidationError(f"layer name must be a string, got {name!r}")
+        if not name.isascii():
+            _utf8(name, "layer name")
         if name in self._layer_ids:
             raise ValidationError(f"duplicate layer name {name!r}")
         lid = len(self._layer_ids)

@@ -169,13 +169,13 @@ def betweenness_raw(
 
 
 def hop_distances(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
-    """All-pairs unweighted hop distances; -1 where unreachable.
+    """All-pairs unweighted hop distances as int32; -1 where unreachable.
 
     ``out[s, t]`` is the hop count of the shortest path s -> t along the CSR
     arcs.  Pulling over out-neighbors measures distances *to* the block's
     sources, which fills the block's columns.
     """
-    out = np.empty((n, n), dtype=np.int64)
+    out = np.empty((n, n), dtype=np.int32)
     if n == 0:
         return out
     indptr, indices = _as_csr(indptr, indices)

@@ -18,6 +18,8 @@ from .analytics import bfs_levels, bfs_order, weakly_connected_components
 from .core import GraphView, TemporalMultiLayerGraph
 from .errors import ConvergenceError, ValidationError
 
+CDN_SCORE_BYTES = 1 << 20  # size of the buffer cdn_place_caches scores candidates in
+
 
 @dataclass
 class GeneratorConfig:
@@ -185,12 +187,19 @@ def cdn_place_caches(
     hops = kernels.hop_distances(indptr, indices, g.n)
     chosen: list[int] = []
     best_dist = np.full(g.n, np.inf)
-    scores = np.empty((g.n, g.n))  # one n×n buffer for all rounds, not two temporaries each
+    # candidate rows are scored a block at a time in one buffer reused by
+    # every round; each row's sum is the same whatever the block's height
+    rows = min(g.n, max(1, CDN_SCORE_BYTES // (8 * g.n)))
+    scores = np.empty((rows, g.n))
+    costs = np.empty(g.n)
     for _ in range(k):
-        # row i: the demand-weighted hops if vertex i joined the caches
-        np.multiply(w, np.minimum(best_dist, hops, out=scores), out=scores)
+        # costs[i]: the demand-weighted hops if vertex i joined the caches
+        for a in range(0, g.n, rows):
+            block = scores[:min(rows, g.n - a)]
+            np.multiply(w, np.minimum(best_dist, hops[a:a + rows], out=block), out=block)
+            block.sum(axis=1, out=costs[a:a + rows])
         best_i, best_cost = None, np.inf
-        for i, cost in enumerate(scores.sum(axis=1).tolist()):
+        for i, cost in enumerate(costs.tolist()):
             if cost < best_cost - 1e-12 and i not in chosen:
                 best_i, best_cost = i, cost
         if best_i is None:

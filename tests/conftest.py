@@ -18,6 +18,16 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [os.path.dirname(os.path.dirname(versegraph.__file__)), os.environ.get("PYTHONPATH")]))
 
 
+# the cli-pipeline benchmark's `gen --scenario multilayer` params (1x: 1,160
+# vertices when flattened); other scales multiply every count
+PIPELINE_PARAMS = {"routers": 150, "servers": 40, "devices": 260, "users": 500, "admins": 10,
+                   "items": 200, "edge_prob": 0.2}
+
+
+def pipeline_params(scale):
+    return {k: v if k == "edge_prob" else v * scale for k, v in PIPELINE_PARAMS.items()}
+
+
 def make_view(n, edges, directed=False):
     """GraphView over vertices 0..n-1.
 

@@ -166,6 +166,23 @@ def test_graph_file_wrong_types_exit_2(tmp_path, capsys, where, key, value):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ("layers", "name", "net\ud800"),
+    ("vertices", "roles", ["user", "\udfff"]),
+    ("edges", "relation", "x\udbff"),
+])
+def test_graph_file_lone_surrogate_exit_2(tmp_path, capsys, where, key, value):
+    # valid JSON (json.dumps writes the escape), but no UTF-8 output can hold
+    # it: the DOT export ended in UnicodeEncodeError
+    doc = _graph_doc()
+    doc[where][-1][key] = value
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(doc))
+    for argv in GRAPH_COMMANDS:
+        assert cli.run([argv[0], "--in", str(gpath), *argv[1:], "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv, params", [
     (["gen", "--scenario", "social", "--seed", "1"], {"edge_prob": 10 ** 400}),
     (["simulate", "--kind", "consensus"], {"tol": 10 ** 400}),

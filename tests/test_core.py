@@ -333,6 +333,44 @@ def test_roles_and_relation_must_be_strings(g):
     assert list(g.vertex_records) == [a] and g.events[-1][0] == "vertex+"
 
 
+@pytest.mark.parametrize("roles, layers", [
+    ("router", None),  # one role per character
+    ({"a"}, 0),  # an int is no collection
+    ({"a"}, "0"),
+    ({"a"}, b"\x00"),  # one layer id per byte
+    ([["a"]], None),  # unhashable roles
+    ({"a"}, [{0}]),
+])
+def test_add_vertex_refuses_bad_roles_and_layers(g, roles, layers):
+    net = g.create_layer("network")
+    with pytest.raises(ValidationError, match="vertex 0: roles and layers"):
+        g.add_vertex(roles, {net} if layers is None else layers)
+    assert not g.vertex_records and len(g.events) == 1
+
+
+def test_strings_must_encode_as_utf8(g):
+    # a lone surrogate, which a JSON \ud800 escape can carry, is refused
+    # wherever a graph keeps a string; other non-ASCII text is kept
+    with pytest.raises(ValidationError, match="layer name"):
+        g.create_layer("net\ud800")
+    net = g.create_layer("n\u00e9t")
+    with pytest.raises(ValidationError, match="vertex 0: role"):
+        g.add_vertex({"ok", "r\udfff"}, {net})
+    with pytest.raises(ValidationError, match="vertex 0: attr key"):
+        g.add_vertex({"a"}, {net}, {"k\udc00": 1})
+    with pytest.raises(ValidationError, match="vertex 0: attr 'k' value"):
+        g.add_vertex({"a"}, {net}, {"k": "v\ud83d"})
+    a = g.add_vertex({"caf\u00e9"}, {net}, {"\u00fc": "\U0001f600"})
+    with pytest.raises(ValidationError, match="edge 0: relation"):
+        g.add_edge(a, a, net, net, relation="x\udbff")
+    g.add_edge(a, a, net, net, relation="\u00fcber")
+    assert list(g.layer_names.values()) == ["n\u00e9t"] and len(g.events) == 3
+    bad = EdgeRecord(0, 0, 0, 0, 0, True, 1.0, "\ud800", 0, None)
+    vs = [VertexRecord(0, frozenset({"a"}), frozenset({0}), {}, 0, None)]
+    with pytest.raises(ValidationError, match="edge 0: relation"):
+        TemporalMultiLayerGraph.from_records(["net"], vs, [bad])
+
+
 @pytest.mark.parametrize("attrs", [
     {"x": float("nan")}, {"x": float("inf")}, {1: 2, "a": 3}, {"x": [1]}, {"x": None},
     {"x": {"y": 1}},

@@ -28,7 +28,8 @@ LAYERS = ["network", "social", "content"]
 TICKS = range(0, 12)
 
 # text that json.dumps escapes: non-ASCII, quote, backslash, control
-# characters, a line separator and a lone surrogate
+# characters, a line separator, an astral character (written as a surrogate
+# pair) and a lone surrogate, which the API refuses
 TEXT = st.one_of(st.text(max_size=4),
                  st.sampled_from(["net\"work", "up\"link\\", "r\"x", "caf\u00e9", "\u2028",
                                   "\ud800", "tab\there", "\x00\x1f", "\U0001f600"]))
@@ -86,7 +87,7 @@ def _apply(g: TemporalMultiLayerGraph, op: tuple) -> None:
     ("edge", 0, 1, 0, 0, True, 1.0, "", 0, False), ("retire_edge", 0, 8),
     ("retire_vertex", 0, 5)])
 # every case of the writer at once, and ids and ticks the file cannot hold
-@example(names=["net\"work", "caf\u00e9\u2028", "\ud800\\"], ops=[
+@example(names=["net\"work", "caf\u00e9\u2028", "\U0001f600\\"], ops=[
     ("vertex", {"r\"x", "\x00"}, {0, 2}, {"b": True, "i": 2 ** 70, "f": -0.0, "s": "\\\""}, 0),
     ("vertex", set(), {1}, {"\u00e9": 5e-324, "n": -3, "g": 1e22}, 1),
     ("vertex", {"user"}, {True}, {}, 2.7),
@@ -96,7 +97,10 @@ def _apply(g: TemporalMultiLayerGraph, op: tuple) -> None:
 def test_accepted_operations_round_trip(tmp_path_factory, names, ops):
     g = TemporalMultiLayerGraph()
     for name in names:
-        g.create_layer(name)
+        try:
+            g.create_layer(name)
+        except ValidationError:
+            pass
     for op in ops:
         try:
             _apply(g, op)

@@ -99,6 +99,7 @@ def test_hop_distances_unreachable():
     view = make_view(4, [(0, 1), (2, 3)])
     indptr, indices = view.csr("both")
     hops = kernels.hop_distances(indptr, indices, 4)
+    assert hops.dtype == np.int32
     assert hops[0, 1] == 1 and hops[0, 2] == -1
     assert np.array_equal(hops, hops.T)
 

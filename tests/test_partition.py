@@ -1,13 +1,16 @@
+import hashlib
+import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from versegraph import partition
+from versegraph import cli, io, partition
 from versegraph.core import EdgeRecord, GraphView
-from versegraph.errors import ValidationError
+from versegraph.errors import ConvergenceError, ValidationError
 
-from conftest import make_view, random_simple_edges
+from conftest import make_view, pipeline_params, random_simple_edges
 
 
 def clique_pair(m):
@@ -18,14 +21,19 @@ def clique_pair(m):
     return make_view(2 * m, edges)
 
 
+def _as_dense(L):
+    """The operator applied to every unit vector: its matrix, column by column."""
+    return L @ np.eye(L.shape[0])
+
+
 def test_laplacian_k2():
     L = partition.laplacian(make_view(2, [(0, 1)]))
-    assert np.array_equal(L, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert np.array_equal(_as_dense(L), np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_laplacian_empty_graph():
     L = partition.laplacian(make_view(3, []))
-    assert np.array_equal(L, np.zeros((3, 3)))
+    assert np.array_equal(_as_dense(L), np.zeros((3, 3)))
 
 
 def test_laplacian_row_sums_and_symmetry():
@@ -33,7 +41,7 @@ def test_laplacian_row_sums_and_symmetry():
     for _ in range(10):
         n = rng.randint(1, 10)
         g = make_view(n, random_simple_edges(n, 0.5, rng))
-        L = partition.laplacian(g)
+        L = _as_dense(partition.laplacian(g))
         assert np.allclose(L.sum(axis=1), 0.0)
         assert np.array_equal(L, L.T)
 
@@ -45,7 +53,7 @@ def test_laplacian_psd():
     rand = np.random.default_rng(0)
     for _ in range(100):
         v = rand.normal(size=8)
-        assert v @ L @ v >= -1e-8
+        assert v @ (L @ v) >= -1e-8
 
 
 def test_fiedler_k2():
@@ -162,10 +170,15 @@ def test_laplacian_and_cut_count_match_loop_references(seed):
              for _ in range(rng.randint(0, 30))]
     g = GraphView(ids, [EdgeRecord(i, u, v, 0, 0, d, w, "", 0, None)
                         for i, (u, v, w, d) in enumerate(edges + edges[:3])])
-    assert np.array_equal(partition.laplacian(g), _laplacian_reference(g))
+    L = partition.laplacian(g)
+    assert np.array_equal(L @ np.eye(g.n), _laplacian_reference(g))
+    x = np.random.default_rng(seed).normal(size=(g.n, 3))
+    assert np.allclose(L @ x, _laplacian_reference(g) @ x, rtol=0, atol=1e-12)
+    assert np.array_equal(L @ x[:, 0], (L @ x)[:, 0])
     for _ in range(5):
         assignment = {v: rng.randrange(3) for v in ids}
-        assert partition._cut_count(g, assignment) == _cut_count_reference(g, assignment)
+        block = np.array([assignment[v] for v in ids])
+        assert partition._cut_count(L, block) == _cut_count_reference(g, assignment)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
@@ -235,3 +248,218 @@ def test_bisection_beats_or_matches_exhaustive_on_cliques():
     part = partition.spectral_bisection(g)
     S = {v for v, b in part.assignment.items() if b == 0}
     assert S in (best[1], set(range(n)) - best[1])
+
+
+# -- the LOBPCG solver against the dense oracle -------------------------------
+
+def _matrix_from_csr(L):
+    """The dense matrix of an operator, built from its CSR for the eigh
+    oracle (applying L to the identity would gather n times every arc)."""
+    n = L.shape[0]
+    D = np.zeros((n, n))
+    D[np.repeat(np.arange(n), np.diff(L.indptr)), L.indices] = -1.0
+    D[np.diag_indices(n)] = L.diagonal()
+    return D
+
+
+def _assert_matches_oracle(D, lam, v):
+    """The solver's contract, and lambda_2 and |v| as dense eigh gives them;
+    where lambda_2 is not simple, v lies in its eigenspace instead."""
+    w, U = np.linalg.eigh(D)
+    n = len(w)
+    assert lam == pytest.approx(w[1], rel=1e-12, abs=1e-12)
+    assert np.linalg.norm(D @ v - lam * v) <= partition.DEFAULT_TOL
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert abs(v.sum()) <= 1e-12
+    assert v[np.abs(v) > 1e-12][0] > 0
+    if w[1] - w[0] > 1e-3 and (n == 2 or w[2] - w[1] > 1e-3):
+        assert np.abs(np.abs(v) - np.abs(U[:, 1])).max() <= 1e-8
+    else:
+        space = U[:, np.abs(w - w[1]) <= 1e-9]
+        assert np.linalg.norm(v - space @ (space.T @ v)) <= 1e-8
+
+
+def _shapes(n, rng):
+    """Edge lists on vertices 0..n-1: path, cycle, star, complete and random."""
+    yield [(i, i + 1) for i in range(n - 1)]
+    yield [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
+    yield [(0, i) for i in range(1, n)]
+    yield [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for p in (0.3, 0.6):
+        for _ in range(3):
+            yield random_simple_edges(n, p, rng)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_fiedler_small_views_match_dense_oracle(n):
+    # n <= 3 * BLOCK + 1: the Rayleigh-Ritz basis can fill the whole space
+    rng = random.Random(500 + n)
+    for edges in _shapes(n, rng):
+        g = make_view(n, edges)
+        D = _laplacian_reference(g)
+        _assert_matches_oracle(D, *partition.fiedler_vector(partition.laplacian(g)))
+        # a dense array is accepted as the operator too
+        lam, v = partition.fiedler_vector(D)
+        _assert_matches_oracle(D, lam, v)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (6, [(0, 1), (1, 2)]),  # trailing rows with no arcs
+    (5, [(0, 1), (3, 4)]),  # an empty row between rows with arcs
+    (7, [(1, 2), (2, 3), (3, 1), (5, 6)]),  # a leading empty row
+    (4, []),  # no arcs at all
+    (30, [(i, i + 1) for i in range(0, 28, 2)]),  # 14 pairs and two isolated vertices
+])
+def test_isolated_vertices(n, edges):
+    g = make_view(n, edges)
+    L, D = partition.laplacian(g), _laplacian_reference(g)
+    x = np.random.default_rng(n).normal(size=(n, 3))
+    assert np.allclose(L @ x, D @ x, rtol=0, atol=1e-12)
+    assert np.allclose(L @ x[:, 1], D @ x[:, 1], rtol=0, atol=1e-12)
+    # reduceat gives an empty segment the value at its start: a row with no
+    # arcs must read deg * x = 0 all the same
+    empty = np.diff(L.indptr) == 0
+    assert empty.any() and not (L @ x)[empty].any() and not (L @ x[:, 0])[empty].any()
+    lam, v = partition.fiedler_vector(L)
+    assert abs(lam) <= 1e-12
+    _assert_matches_oracle(D, lam, v)
+
+
+@pytest.mark.parametrize("parts", [[3, 3], [4, 5, 6], [20, 30]])
+def test_disconnected_view_lambda_zero(parts):
+    # each part a cycle; the null space holds one indicator per part
+    edges, base = [], 0
+    for size in parts:
+        edges += [(base + i, base + (i + 1) % size) for i in range(size)]
+        base += size
+    g = make_view(base, edges)
+    lam, v = partition.fiedler_vector(partition.laplacian(g))
+    assert abs(lam) <= 1e-12
+    _assert_matches_oracle(_laplacian_reference(g), lam, v)
+
+
+def test_fiedler_random_views_match_dense_oracle():
+    rng = random.Random(77)
+    for n in (20, 60, 150):
+        for p in (0.05, 0.2):
+            g = make_view(n, random_simple_edges(n, p, rng))
+            _assert_matches_oracle(_laplacian_reference(g),
+                                   *partition.fiedler_vector(partition.laplacian(g)))
+
+
+def test_iteration_cap_raises_convergence_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(partition, "MAX_ITER", 2)
+    g = make_view(40, [(i, i + 1) for i in range(39)])
+    with pytest.raises(ConvergenceError, match="did not converge in 2 iterations"):
+        partition.fiedler_vector(partition.laplacian(g))
+    # the CLI maps it to exit code 4
+    path = str(tmp_path / "g.json")
+    assert cli.run(["gen", "--scenario", "network", "--seed", "1", "--out", path]) == 0
+    assert cli.run(["partition", "--in", path, "--k", "2", "--out", str(tmp_path / "p.json")]) == 4
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_tol_below_rounding_is_met_at_the_rounding_floor():
+    # a residual under about eps * ||L|| cannot be reached: such a tol asks
+    # for 64 * eps * (2 * max degree) instead of running into the cap
+    rng = random.Random(3)
+    for n, edges in [(50, [(i, i + 1) for i in range(49)]),
+                     (200, random_simple_edges(200, 0.5, rng))]:
+        L = partition.laplacian(make_view(n, edges))
+        lam, v = partition.fiedler_vector(L, tol=1e-30)
+        floor = 64 * np.finfo(np.float64).eps * 2 * L.diagonal().max()
+        assert np.linalg.norm(L @ v - lam * v) <= floor
+
+
+def test_fiedler_rejects_bad_input():
+    with pytest.raises(ValidationError):
+        partition.fiedler_vector(partition.laplacian(make_view(3, [(0, 1)])), tol=0.0)
+    with pytest.raises(ValidationError):
+        partition.fiedler_vector(partition.laplacian(make_view(1, [])))
+    with pytest.raises(ValidationError):
+        partition.laplacian(make_view(0, []))
+
+
+# -- the cli-pipeline graphs ---------------------------------------------------
+
+# sha256 of `versegraph partition --k 4` on `gen --scenario multilayer` at the
+# cli-pipeline params (1x, 1,160 vertices) and four times its counts (4x,
+# 4,640 vertices), written when the Fiedler vector came from a dense eigh
+PARTITION_SHA256 = {
+    (1, 1): "b23bd32f8fce626e0a1a12bb995c3bfae6b8955099a8ce832962d28b9d3aba26",
+    (1, 2): "9a17cb39eae1377d85f36aa89d5d7fe93375b69821bea7db76a27149bd900290",
+    (1, 3): "9710641af89956824b940ab9c6924e1bdea23c6bf928a9ecaa6a41c249e3f973",
+    (1, 4): "ff89646bed2b8560f3c41e44904e760c0d5f5d718716a95f5ac0e4a63bdf4791",
+    (1, 5): "917a5ca0e1e93e716ce20d6f17cad832600915b7ae1dc7fbeb9949de4ce67602",
+    (1, 6): "ad52eca92b43870296485f0762eb4e85ae7cb017ccc446249fad8f9474ec5165",
+    (1, 7): "3fcf93e8de967ca206260c0cb3735231b1cb65d5b51f352a89911a3d53442fbb",
+    (1, 8): "e2c70db159059abcad2f8b3ffb3176b4f24885b8c11def271cc9b477eda6711c",
+    (1, 9): "5d0573097e3c07c9d14e881ce42670580c7637b90ec59e2d329d063377c4a7c6",
+    (1, 10): "c94fd8964b54e1a9d2557176a8ac71921fe52757cce161e05e8e261c41344a96",
+    (1, 7919): "41942a9c61c68d9725f6f9b268b52d5ec88fb1d14cb699476632cde0079e13d3",
+    (4, 7919): "825ae13b60c7416ffdf239b246f016d688de575897475c03e8ea2eb04de7227e",
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline_graph(tmp_path_factory):
+    """``pipeline_graph(scale, seed)``: the path of that graph file, written
+    by `gen` on first use."""
+    work = tmp_path_factory.mktemp("pipeline")
+    paths = {}
+
+    def get(scale, seed):
+        if (scale, seed) not in paths:
+            params, path = work / f"p{scale}.json", work / f"g{scale}_{seed}.json"
+            params.write_text(json.dumps(pipeline_params(scale)))
+            assert cli.run(["gen", "--scenario", "multilayer", "--seed", str(seed),
+                            "--params", str(params), "--out", str(path)]) == 0
+            paths[scale, seed] = str(path)
+        return paths[scale, seed]
+    return get
+
+
+@pytest.mark.parametrize("scale, seed", sorted(PARTITION_SHA256))
+def test_pipeline_partition_bytes_pinned(pipeline_graph, tmp_path, scale, seed):
+    out = tmp_path / "p.json"
+    assert cli.run(["partition", "--in", pipeline_graph(scale, seed), "--k", "4",
+                    "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PARTITION_SHA256[scale, seed]
+
+
+@pytest.mark.parametrize("seed", [*range(1, 11), 7919])
+def test_fiedler_sign_margin_on_pipeline_graphs(pipeline_graph, monkeypatch, seed):
+    """In each of the three solves of a k=4 partition, the smallest |v_i| is
+    at least 10^3 times the largest error of v against dense eigh, so every
+    sign of the split is the exact eigenvector's: a change that eats into the
+    margin fails here before it moves a vertex."""
+    solves = []
+    solve = partition.fiedler_vector
+
+    def record(L, tol=partition.DEFAULT_TOL):
+        lam, v = solve(L, tol)
+        solves.append((L, lam, v))
+        return lam, v
+    monkeypatch.setattr(partition, "fiedler_vector", record)
+    view = io.import_graph(pipeline_graph(1, seed)).snapshot_at(0).flatten()
+    partition.spectral_kway(view, 4)
+    assert [L.shape[0] for L, _, _ in solves][0] == view.n and len(solves) == 3
+    for L, lam, v in solves:
+        w, U = np.linalg.eigh(_matrix_from_csr(L))
+        u = U[:, 1] * np.sign(U[:, 1] @ v)
+        assert lam == pytest.approx(w[1], rel=1e-9)
+        assert np.abs(v).min() >= 1e3 * np.abs(v - u).max()
+
+
+def test_kway_peak_memory_below_one_dense_laplacian(pipeline_graph):
+    """No n x n float64 array on the partition path: the traced peak of a
+    k=4 partition of the 1x flattened graph stays under n^2 * 8 bytes."""
+    view = io.import_graph(pipeline_graph(1, 1)).snapshot_at(0).flatten()
+    tracemalloc.start()
+    try:
+        partition.spectral_kway(view, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert view.n == 1160
+    assert peak < view.n ** 2 * 8

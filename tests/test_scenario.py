@@ -21,7 +21,7 @@ from versegraph.scenario import (
     trust_path,
 )
 
-from conftest import make_view
+from conftest import make_view, pipeline_params
 
 
 def _network_view(cfg, layer_name="network"):
@@ -156,8 +156,6 @@ def test_gen_output_bytes_pinned(tmp_path, name):
 # benchmark's params (1x: 1,160 vertices) and at four times its counts (4x:
 # 4,640 vertices), written by json.dumps(indent=2) before the fixed-schema
 # writer replaced it
-PIPELINE_PARAMS = {"routers": 150, "servers": 40, "devices": 260, "users": 500, "admins": 10,
-                   "items": 200, "edge_prob": 0.2}
 PIPELINE_GEN_SHA256 = {
     (1, 1): "1da0d4cd749eb98e7738c83d5af707912eed096f08452af141e8d45528b7bf1a",
     (1, 7919): "290c16cec2d917df5dd72b1ea4dc134e577c8d373c6160585154c8b95c848aca",
@@ -169,8 +167,7 @@ PIPELINE_GEN_SHA256 = {
 def test_pipeline_gen_output_bytes_pinned(tmp_path, scale, seed):
     from versegraph import cli
 
-    params = {k: v if k == "edge_prob" else v * scale for k, v in PIPELINE_PARAMS.items()}
-    (tmp_path / "p.json").write_text(json.dumps(params))
+    (tmp_path / "p.json").write_text(json.dumps(pipeline_params(scale)))
     path = tmp_path / "g.json"
     assert cli.run(["gen", "--scenario", "multilayer", "--seed", str(seed),
                     "--params", str(tmp_path / "p.json"), "--out", str(path)]) == 0
@@ -329,6 +326,20 @@ def test_cdn_matches_per_candidate_reference(n):
     for demand in (uniform, sparse, dense, single):
         want_caches, want_cost = _cdn_reference(view, k, demand)
         caches, cost = cdn_place_caches(view, k, demand)
+        assert caches == want_caches
+        assert cost.hex() == want_cost.hex()
+
+
+@pytest.mark.parametrize("n, rows", [(40, 1), (40, 3), (129, 7), (300, 299)])
+def test_cdn_scored_in_row_blocks_matches_reference(monkeypatch, n, rows):
+    """Blocks of ``rows`` candidates, the last one shorter unless rows divides n."""
+    monkeypatch.setattr(scenario, "CDN_SCORE_BYTES", 8 * n * rows)
+    rng = np.random.default_rng(1000 + n)
+    view = _random_connected_view(rng, n)
+    for demand in ({v: 1.0 for v in view.vertices},
+                   {v: float(rng.exponential()) for v in view.vertices}):
+        want_caches, want_cost = _cdn_reference(view, 5, demand)
+        caches, cost = cdn_place_caches(view, 5, demand)
         assert caches == want_caches
         assert cost.hex() == want_cost.hex()
 
