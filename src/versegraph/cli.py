@@ -109,17 +109,16 @@ def _build_graph(name: str, seed: int, params: dict) -> TemporalMultiLayerGraph:
         social = scen.gen_social_layer(g, cfg)
         content = scen.gen_cms_bipartite(g, cfg)
         rng = np.random.default_rng(cfg.seed + 1)
-        users = [v for v in g.vertex_records.values() if "user" in v.roles]
-        items = [v for v in g.vertex_records.values() if "content-item" in v.roles]
-        servers = [v for v in g.vertex_records.values() if "server" in v.roles]
-        for u in users:
+        items = g.vertices_with_role("content-item")
+        servers = g.vertices_with_role("server")
+        for u in g.vertices_with_role("user"):
             if items and rng.random() < 0.5:
                 item = items[int(rng.integers(len(items)))]
-                g.add_edge(u.id, item.id, social, content, directed=True,
+                g.add_edge(u, item, social, content, directed=True,
                            weight=1.0, relation="authors", t_start=0)
             if servers and rng.random() < 0.3:
                 srv = servers[int(rng.integers(len(servers)))]
-                g.add_edge(u.id, srv.id, social, net, directed=True,
+                g.add_edge(u, srv, social, net, directed=True,
                            weight=1.0, relation="session", t_start=0)
     return g
 
@@ -170,6 +169,8 @@ def _cmd_analyze(args) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _cmd_partition(args) -> list[str]:
+    if args.k < 2:
+        raise ValidationError(f"k must be >= 2, got {args.k}")
     g = io.import_graph(args.infile)
     view = _view_for(g, args.layer, args.at)
     result = partition.spectral_kway(view, args.k) if args.k > 2 else partition.spectral_bisection(view)
@@ -254,8 +255,7 @@ def _cmd_simulate(args) -> list[str]:
                       + "".join(f"{rnd},{spread!r}\n" for rnd, spread in enumerate(spreads)))
         outputs.append(tpath)
     elif args.kind == "consistency":
-        storage = sorted(v.id for v in g.vertex_records.values()
-                         if "storage-node" in v.roles) or list(view.vertices)
+        storage = sorted(g.vertices_with_role("storage-node")) or list(view.vertices)
         n_items = io.json_value(params.get("items", 4), io.INT, "items")
         if n_items < 0:
             raise ValidationError(f"items must be >= 0, got {n_items}")
@@ -366,6 +366,9 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler, input_attrs = _COMMANDS[args.command]
     try:
+        # numpy seeds its generators from non-negative integers only
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"seed must be >= 0, got {args.seed}")
         outputs = handler(args)
         inputs = [p for attr in input_attrs if (p := getattr(args, attr, None))]
         config = {k: v for k, v in sorted(vars(args).items()) if k != "command"}

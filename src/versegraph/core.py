@@ -1,11 +1,13 @@
-"""Event-sourced temporal multi-layer graph.
+"""Event-sourced temporal multi-layer graph, stored as columns.
 
 The container records layer registrations, vertex/edge creations and
-retirements as an append-only event log.  ``snapshot_at(t)`` materializes an
-immutable :class:`SnapshotView` holding exactly the records whose half-open
-validity interval ``[t_start, t_end)`` covers ``t``.  All analytics run on
-snapshots or on the :class:`GraphView` objects derived from them, never on the
-live log.
+retirements as an append-only event log.  Its vertices and edges are held as
+numpy columns, one row per record in the order the records were added; a
+record is built from its row when it is first read.  ``snapshot_at(t)``
+materializes an immutable :class:`SnapshotView` holding exactly the rows
+whose half-open validity interval ``[t_start, t_end)`` covers ``t``.  All
+analytics run on snapshots or on the :class:`GraphView` objects derived from
+them, never on the live log.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
+from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,8 +58,15 @@ class EdgeRecord(NamedTuple):
         return self.t_start <= t and (self.t_end is None or t < self.t_end)
 
 
-def _int(value, what: str) -> int:
-    """``value`` as a plain int, read by ``operator.index``; a bool is refused."""
+# Ids and ticks are stored as int64 and must lie strictly within ±2**62; an
+# open t_end is stored as OPEN, above every tick.
+_LIMIT = 2 ** 62
+OPEN = int(np.iinfo(np.int64).max)
+
+
+def _int(value, what: str, *args) -> int:
+    """``value`` as a plain int, read by ``operator.index``; a bool is refused.
+    The error names ``what % args``."""
     if type(value) is int:
         return value
     if not isinstance(value, bool):
@@ -64,19 +74,30 @@ def _int(value, what: str) -> int:
             return int(operator.index(value))
         except TypeError:
             pass
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+    raise ValidationError(f"{what % args} must be an integer, got {value!r}")
+
+
+def _stored_int(value, what: str, *args) -> int:
+    """An id or tick that a column stores: an int within (-2**62, 2**62).
+    Endpoints and layer ids need no such check: they must name what exists."""
+    if type(value) is not int:
+        value = _int(value, what, *args)
+    if -_LIMIT < value < _LIMIT:
+        return value
+    raise ValidationError(f"{what % args} must be an integer between -2**62 and 2**62, got {value!r}")
 
 
 def _plain_edge(eid, src, dst, layer_src, layer_dst, directed, weight, relation, t_start,
                 t_end) -> tuple:
     """The fields of an edge with its ids and ticks as plain ints, ``directed``
     as a bool and ``weight`` as a float."""
-    eid = _int(eid, "edge id")
-    src, dst, layer_src, layer_dst, t_start = (
-        _int(x, f"edge {eid}: {name}") for name, x in (
-            ("src", src), ("dst", dst), ("layer_src", layer_src), ("layer_dst", layer_dst),
-            ("t_start", t_start)))
-    t_end = None if t_end is None else _int(t_end, f"edge {eid}: t_end")
+    eid = _stored_int(eid, "edge id")
+    src = _int(src, "edge %s: src", eid)
+    dst = _int(dst, "edge %s: dst", eid)
+    layer_src = _int(layer_src, "edge %s: layer_src", eid)
+    layer_dst = _int(layer_dst, "edge %s: layer_dst", eid)
+    t_start = _stored_int(t_start, "edge %s: t_start", eid)
+    t_end = None if t_end is None else _stored_int(t_end, "edge %s: t_end", eid)
     try:
         weight = float(weight)
     except (TypeError, ValueError, OverflowError):
@@ -94,30 +115,187 @@ def _utf8(text: str, what: str) -> None:
         raise ValidationError(f"{what} {text!r} cannot be encoded as UTF-8") from None
 
 
+def _encodes(texts: Iterable[str]) -> bool:
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 _INT, _STR = frozenset({int}), frozenset({str})
-_NO_ATTRS: Mapping[str, Scalar] = MappingProxyType({})  # shared by every vertex without attrs
 # the field types of an edge that need no conversion
 _EDGE_TYPES = frozenset((int, int, int, int, int, bool, float, str, int, t_end)
                         for t_end in (int, type(None)))
+_NO_ATTRS: Mapping[str, Scalar] = MappingProxyType({})  # shared by every vertex without attrs
+
+# The columns of each kind of record, in the order of its fields.  Role and
+# layer sets are stored as codes into the graph's table of distinct sets.
+_VERTEX_COLUMNS = {"id": np.int64, "roles": np.int64, "layers": np.int64, "attrs": object,
+                   "t_start": np.int64, "t_end": np.int64}
+_EDGE_COLUMNS = {"id": np.int64, "src": np.int64, "dst": np.int64, "layer_src": np.int64,
+                 "layer_dst": np.int64, "directed": bool, "weight": np.float64, "relation": object,
+                 "t_start": np.int64, "t_end": np.int64}
+# the value types a column takes without a call to _vertex or _edge
+_FAST_VERTEX = (_INT, frozenset({list, tuple, set, frozenset}), frozenset({list, tuple, set, frozenset}),
+                frozenset({dict, MappingProxyType}), _INT, frozenset({int, type(None)}))
+_FAST_EDGE = (_INT, _INT, _INT, _INT, _INT, frozenset({bool}), frozenset({float}), _STR, _INT,
+              frozenset({int, type(None)}))
+
+
+class _Columns:
+    """Numpy columns of one kind of record, one row per record in the order
+    the records were added.  Appended rows wait in a list until a column is
+    next read, then are written into arrays that keep room to grow."""
+
+    def __init__(self, dtypes: Mapping[str, type]):
+        self.n = 0  # rows, stored or waiting
+        self.data = {name: np.empty(0, dtype) for name, dtype in dtypes.items()}
+        self._stored = 0
+        self._tail: list[tuple] = []
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        """The rows of a column, as a view: writes to it are stored."""
+        if self._tail:
+            self._store()
+        return self.data[name][:self.n]
+
+    def _store(self) -> None:
+        start, n = self._stored, self.n
+        for (name, col), values in zip(list(self.data.items()), zip(*self._tail)):
+            if n > len(col):
+                room = np.empty(max(n, 2 * start) - start, col.dtype)
+                col = self.data[name] = np.concatenate([col[:start], room])
+            col[start:n] = np.fromiter(values, col.dtype, n - start)
+        self._stored, self._tail = n, []
+
+    def row(self, row: int) -> Sequence:
+        """The values of one row, read without storing the waiting rows."""
+        waiting = row - self._stored
+        return self._tail[waiting] if waiting >= 0 else [col.item(row) for col in self.data.values()]
+
+    def append(self, values: tuple) -> int:
+        """Add one row of field values; returns its row number."""
+        self._tail.append(values)
+        self.n += 1
+        return self.n - 1
+
+    def extend(self, columns: Mapping[str, np.ndarray]) -> None:
+        """Store full columns, given by name, as the rows of empty columns."""
+        self.data = dict(columns)
+        self.n = self._stored = len(columns["id"])
+
+
+def _odd_rows(values: Sequence, kinds: frozenset) -> set[int]:
+    """The rows whose value's type is not one of ``kinds``."""
+    if kinds.issuperset(map(type, values)):
+        return set()
+    return {i for i, v in enumerate(values) if type(v) not in kinds}
+
+
+def _odd_members(sets: Sequence, kinds: frozenset, skip: set[int]) -> set[int]:
+    """The rows outside ``skip`` whose collection holds a value whose type is
+    not one of ``kinds``: equal values of other types, such as 0.0 or True
+    for 0 or 1, must not share a set with them."""
+    rows = [s for i, s in enumerate(sets) if i not in skip] if skip else sets
+    if kinds.issuperset(map(type, chain.from_iterable(rows))):
+        return set()
+    return {i for i, s in enumerate(sets) if i not in skip and not kinds.issuperset(map(type, s))}
+
+
+def _int64(values: Sequence[int]) -> np.ndarray:
+    """Plain ints as an int64 column; one too large for it reads as the
+    limit, which the range check then refuses."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array([v if -_LIMIT < v < _LIMIT else _LIMIT for v in values], np.int64)
+
+
+def _end_column(ends: Sequence[Optional[int]]) -> np.ndarray:
+    """Plain ints or None as a t_end column: OPEN for None.  A given end
+    equal to OPEN reads as the limit, which the range check refuses."""
+    col = _int64([OPEN if t is None else t for t in ends])
+    col[(col == OPEN) & ~np.fromiter(map(operator.is_, ends, repeat(None)), bool, len(ends))] = _LIMIT
+    return col
+
+
+def _outside(*columns: np.ndarray) -> np.ndarray:
+    """Which rows hold an id or tick outside (-2**62, 2**62) in any of these
+    columns; pass an end column with OPEN read as 0."""
+    return np.any([(c <= -_LIMIT) | (_LIMIT <= c) for c in columns], axis=0)
+
+
+def _ends(column: np.ndarray) -> list[Optional[int]]:
+    """A t_end column as plain values: None for an open end."""
+    return [None if t == OPEN else t for t in column.tolist()]
+
+
+class _RecordMap(Mapping):
+    """A read-only mapping of ids to records, each built when it is read."""
+
+    def __init__(self, index: Mapping[int, int], record: Callable[[int], tuple]):
+        self._index, self._record = index, record
+
+    def __getitem__(self, key):
+        return self._record(self._index[key])
+
+    def __contains__(self, key) -> bool:
+        return key in self._index
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 class GraphView:
     """A static single-graph slice of a snapshot: vertices plus an edge multiset.
 
     Produced by :meth:`SnapshotView.layer_subgraph` and
-    :meth:`SnapshotView.flatten`.  Immutable; its one adjacency structure is
+    :meth:`SnapshotView.flatten`, from the snapshot's columns; or built here
+    from edge records.  Immutable; its one adjacency structure is
     :meth:`csr`, built on first use per direction.
     """
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[EdgeRecord]):
+        edges = tuple(sorted(edges, key=lambda e: e.id))
         self.vertices: tuple[int, ...] = tuple(sorted(set(vertices)))
-        self.edges: tuple[EdgeRecord, ...] = tuple(sorted(edges, key=lambda e: e.id))
-        vs = set(self.vertices)
-        for e in self.edges:
-            if e.src not in vs or e.dst not in vs:
-                raise ValidationError(f"edge {e.id} references vertex outside view")
+        cols = list(zip(*((e.id, e.src, e.dst, e.directed) for e in edges))) or [()] * 4
+        self._setup(np.array(self.vertices, dtype=np.int64),
+                    *(np.array(c, dtype=t) for c, t in zip(cols, (np.int64, np.int64, np.int64, bool))))
+        self.edges = edges
+
+    @classmethod
+    def _of(cls, ids: np.ndarray, eid: np.ndarray, src: np.ndarray, dst: np.ndarray,
+            directed: np.ndarray, records: Callable[[], tuple[EdgeRecord, ...]]) -> GraphView:
+        """The view of these sorted vertex ids and of the edges with these
+        columns, sorted by id; ``records`` builds the edge records."""
+        view = cls.__new__(cls)
+        view.vertices = tuple(ids.tolist())
+        view._setup(ids, eid, src, dst, directed)
+        view._records = records
+        return view
+
+    def _setup(self, ids, eid, src, dst, directed) -> None:
+        n, m = len(ids), len(src)
+        ends = np.concatenate([src, dst])
+        at = np.searchsorted(ids, ends)
+        outside = at >= n
+        outside[~outside] = ids[at[~outside]] != ends[~outside]
+        outside = outside[:m] | outside[m:]
+        if outside.any():
+            raise ValidationError(f"edge {eid[np.flatnonzero(outside)[0]]} references vertex outside view")
+        self._pos = at[:m], at[m:]  # positional endpoints
+        self._directed = directed
         self._csr: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._rows: dict[str, dict[int, tuple[int, ...]]] = {}
+
+    @cached_property
+    def edges(self) -> tuple[EdgeRecord, ...]:
+        """The edge records, sorted by id; built on first read."""
+        return self._records()
 
     @property
     def n(self) -> int:
@@ -125,7 +303,7 @@ class GraphView:
 
     @cached_property
     def directed(self) -> bool:
-        return any(e.directed for e in self.edges)
+        return bool(self._directed.any())
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -163,16 +341,14 @@ class GraphView:
         if direction not in self._csr:
             if direction not in ("out", "in", "both"):
                 raise ValidationError(f"bad direction {direction!r}")
-            pos = self.index
-            src = np.array([pos[e.src] for e in self.edges], dtype=np.int64)
-            dst = np.array([pos[e.dst] for e in self.edges], dtype=np.int64)
+            src, dst = self._pos
             if direction == "in":
                 src, dst = dst, src
             if direction == "both":
                 src, dst = src[src != dst], dst[src != dst]
                 back = np.ones(len(src), dtype=bool)
             else:
-                back = np.array([not e.directed for e in self.edges], dtype=bool)
+                back = ~self._directed
             # sorted unique arc keys tail * n + head: rows in order, heads ascending
             # (not np.unique, whose first call imports numpy.ma: 0.7 MB resident)
             arcs = np.sort(np.concatenate([src * self.n + dst, dst[back] * self.n + src[back]]))
@@ -185,44 +361,73 @@ class GraphView:
 
 
 class SnapshotView:
-    """Immutable picture of every layer at one tick."""
+    """Immutable picture of every layer at one tick: the graph's rows active
+    at ``time``, sorted by id, with their ``t_end`` as it was then."""
 
-    def __init__(
-        self,
-        time: int,
-        layers: Mapping[int, str],
-        vertices: Iterable[VertexRecord],
-        edges: Iterable[EdgeRecord],
-    ):
-        self.time = time
-        self.layers = dict(layers)
-        self.vertices: dict[int, VertexRecord] = {v.id: v for v in sorted(vertices, key=lambda v: v.id)}
-        self.edges: tuple[EdgeRecord, ...] = tuple(sorted(edges, key=lambda e: e.id))
+    def __init__(self, graph: TemporalMultiLayerGraph, t: int):
+        self.time = int(t)
+        self.layers = dict(graph._layer_names)
+        self._graph = graph
+        self._vrows, self._vends = graph._active(graph._vertices, t)
+        self._erows, self._eends = graph._active(graph._edges, t)
+        self._vids = graph._vertices["id"][self._vrows]
         self._views: dict[Optional[int], GraphView] = {}  # layer id, None = flattened
+
+    @cached_property
+    def vertices(self) -> Mapping[int, VertexRecord]:
+        """Read-only id -> record mapping in ascending id order."""
+        rows, ends, g = self._vrows.tolist(), _ends(self._vends), self._graph
+        return _RecordMap(dict(zip(self._vids.tolist(), range(len(rows)))),
+                          lambda i: g._records_at(g._vertices, [rows[i]], [ends[i]])[0])
+
+    @cached_property
+    def edges(self) -> tuple[EdgeRecord, ...]:
+        return self._graph._records_at(self._graph._edges, self._erows.tolist(), _ends(self._eends))
+
+    def vertex_columns(self) -> list[list]:
+        """The fields of the snapshot's vertices in id order, one list per
+        field of :class:`VertexRecord`, read without building records."""
+        return self._graph._fields(self._graph._vertices, self._vrows, self._vends)
+
+    def edge_columns(self) -> list[list]:
+        """The fields of the snapshot's edges in id order, one list per field
+        of :class:`EdgeRecord`."""
+        return self._graph._fields(self._graph._edges, self._erows, self._eends)
 
     @property
     def inter_layer_edges(self) -> tuple[EdgeRecord, ...]:
         return tuple(e for e in self.edges if not e.intra_layer)
 
-    def layer_vertices(self, layer: int) -> tuple[int, ...]:
+    def _in_layer(self, layer: int) -> np.ndarray:
+        """Which of the snapshot's vertices belong to ``layer``."""
         if layer not in self.layers:
             raise ValidationError(f"unknown layer {layer}")
-        return tuple(v.id for v in self.vertices.values() if layer in v.layers)
+        return self._graph._layer_table()[self._graph._vertices["layers"][self._vrows], layer]
+
+    def layer_vertices(self, layer: int) -> tuple[int, ...]:
+        return tuple(self._vids[self._in_layer(layer)].tolist())
+
+    def _view(self, vmask, emask) -> GraphView:
+        g, rows, ends = self._graph, self._erows[emask], self._eends[emask]
+        e = g._edges
+        return GraphView._of(self._vids[vmask], e["id"][rows], e["src"][rows], e["dst"][rows],
+                             e["directed"][rows], lambda: g._records_at(e, rows.tolist(), _ends(ends)))
 
     def layer_subgraph(self, layer: int) -> GraphView:
         """Single-layer view: V_i plus only the intra-layer edges of ``layer``.
         Built on the first call per layer; later calls return the same view."""
         if layer not in self._views:
-            vs = self.layer_vertices(layer)
-            es = [e for e in self.edges if e.intra_layer and e.layer_src == layer]
-            self._views[layer] = GraphView(vs, es)
+            vmask = self._in_layer(layer)
+            e = self._graph._edges
+            emask = (e["layer_src"][self._erows] == layer) & (e["layer_dst"][self._erows] == layer)
+            self._views[layer] = self._view(vmask, emask)
         return self._views[layer]
 
     def flatten(self) -> GraphView:
         """Union of all layer vertex sets with every intra- and inter-layer edge.
         Built on the first call; later calls return the same view."""
         if None not in self._views:
-            self._views[None] = GraphView(self.vertices.keys(), self.edges)
+            self._views[None] = self._view(slice(None), slice(None))
         return self._views[None]
 
     def neighbors(
@@ -250,68 +455,70 @@ class SnapshotView:
         return (not violations), violations
 
 
-def _created(rec: VertexRecord | EdgeRecord) -> tuple:
-    """The creation event of a record: its fields up to ``t_start``."""
-    return ("vertex+" if isinstance(rec, VertexRecord) else "edge+", *rec[:-1])
-
-
-_BY_START = operator.attrgetter("t_start", "id")
-
-
 class TemporalMultiLayerGraph:
     """Append-only event log of layer/vertex/edge lifecycle, with snapshots.
 
     Events are tuples ``(kind, payload...)``; replaying the log reproduces the
-    graph exactly, which the test suite exploits as an oracle.  Every record,
-    from ``add_*`` or :meth:`from_records`, is built by ``_vertex`` or
-    ``_edge``, which check it, so no edge outlives an endpoint.
+    graph exactly, which the test suite exploits as an oracle.  Every row,
+    from ``add_*`` or :meth:`from_columns`, passes the checks of ``_vertex``
+    or ``_edge``, so no edge outlives an endpoint.
     """
 
     def __init__(self) -> None:
-        self.events: list[tuple] = []
+        self._events: Optional[list[tuple]] = []  # None: the canonical log, not derived yet
         self._layer_ids: dict[str, int] = {}
         self._layer_names: dict[int, str] = {}
-        self._vertices: dict[int, VertexRecord] = {}
-        self._edges: dict[int, EdgeRecord] = {}
+        self._vertices = _Columns(_VERTEX_COLUMNS)
+        self._edges = _Columns(_EDGE_COLUMNS)
+        self._vertex_row: dict[int, int] = {}  # id -> row
+        self._edge_row: dict[int, int] = {}
+        self._sets: list[frozenset] = []  # the distinct role and layer sets, by code
+        self._set_code: dict[frozenset, int] = {}
+        self._vertex_cache: dict[int, VertexRecord] = {}  # row -> record, built on read
+        self._edge_cache: dict[int, EdgeRecord] = {}
+        self._incident: Optional[dict[int, list[int]]] = None  # vertex row -> edge rows
         self._next_vertex = 0
         self._next_edge = 0
 
     @classmethod
     def from_records(cls, layer_names: Iterable[str], vertices: Iterable[VertexRecord],
                      edges: Iterable[EdgeRecord]) -> TemporalMultiLayerGraph:
-        """A graph of exactly these records, checked as ``add_*`` checks them, with
-        unique ids; layer ``i`` is the ``i``-th name.  A record may also be given
-        as the tuple of its fields; each is stored as built by ``add_*``, with
-        plain ints and a private copy of its attrs.  The event log is canonical:
-        layers, creations by ``(t_start, id)``, then retirements by ``(t, id)``."""
+        """A graph of exactly these records, as :meth:`from_columns` builds it.
+        A record may also be given as the tuple of its fields."""
+        return cls.from_columns(layer_names, list(zip(*vertices)) or [()] * 6,
+                                list(zip(*edges)) or [()] * 10)
+
+    @classmethod
+    def from_columns(cls, layer_names: Iterable[str], vertices: Sequence[Sequence],
+                     edges: Sequence[Sequence]) -> TemporalMultiLayerGraph:
+        """A graph of exactly these records, given field by field: six
+        sequences of vertex fields and ten of edge fields, in the order of
+        :class:`VertexRecord` and :class:`EdgeRecord`.  Layer ``i`` is the
+        ``i``-th name.  The records are checked as ``add_*`` checks them, with
+        unique ids, and stored as ``add_*`` stores them; where several fail,
+        the error is the first record's, as ``add_*`` would raise it.  The
+        event log is canonical: layers, creations by ``(t_start, id)``, then
+        retirements by ``(t, id)``, derived when it is first read."""
         g = cls()
         for name in layer_names:
-            g.create_layer(name)
-        for v in map(g._vertex, vertices):
-            if v.id in g._vertices:
-                raise ValidationError(f"duplicate vertex id {v.id}")
-            g._vertices[v.id] = v
-        for e in map(g._edge, edges):
-            if e.id in g._edges:
-                raise ValidationError(f"duplicate edge id {e.id}")
-            g._edges[e.id] = e
-        g._next_vertex = max(g._vertices, default=-1) + 1
-        g._next_edge = max(g._edges, default=-1) + 1
-        recs = {"vertex": g._vertices.values(), "edge": g._edges.values()}
-        g.events += [_created(r) for rs in recs.values() for r in sorted(rs, key=_BY_START)]
-        g.events += [(kind + "-", i, t) for kind, rs in recs.items()
-                     for t, i in sorted((r.t_end, r.id) for r in rs if r.t_end is not None)]
+            g._register(name)
+        g._events = None
+        g._vertices.extend(g._checked_vertices(*vertices))
+        g._vertex_row = dict(zip(g._vertices["id"].tolist(), range(g._vertices.n)))
+        g._edges.extend(g._checked_edges(*edges))
+        g._edge_row = dict(zip(g._edges["id"].tolist(), range(g._edges.n)))
+        g._next_vertex = int(g._vertices["id"].max()) + 1 if g._vertices.n else 0
+        g._next_edge = int(g._edges["id"].max()) + 1 if g._edges.n else 0
         return g
 
     # -- checks ------------------------------------------------------------
 
-    def _vertex(self, fields: Iterable) -> VertexRecord:
-        """The record to store for a vertex's fields, if they pass the checks.
-        It holds plain ints, frozensets and a read-only private copy of the
-        attrs: values that the interchange file holds exactly."""
+    def _vertex(self, fields: Iterable) -> tuple:
+        """The fields to store for a vertex, if they pass the checks: plain
+        ints, frozensets and a read-only private copy of the attrs, values
+        that the interchange file holds exactly."""
         vid, roles, layers, attrs, t_start, t_end = fields
-        if type(vid) is not int:
-            vid = _int(vid, "vertex id")
+        vid = _stored_int(vid, "vertex id")
         # a string is iterable, but as roles it would give one role per
         # character, as bytes give one layer id per byte
         if isinstance(roles, (str, bytes)) or isinstance(layers, (str, bytes)):
@@ -324,11 +531,10 @@ class TemporalMultiLayerGraph:
                                   f"hashable values, got {roles!r} and {layers!r}") from None
         attrs = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
         if not _INT.issuperset(map(type, layers)):
-            layers = frozenset(_int(lid, f"vertex {vid}: layer id") for lid in layers)
-        if type(t_start) is not int:
-            t_start = _int(t_start, f"vertex {vid}: t_start")
-        if t_end is not None and type(t_end) is not int:
-            t_end = _int(t_end, f"vertex {vid}: t_end")
+            layers = frozenset(_int(lid, "vertex %s: layer id", vid) for lid in layers)
+        t_start = _stored_int(t_start, "vertex %s: t_start", vid)
+        if t_end is not None:
+            t_end = _stored_int(t_end, "vertex %s: t_end", vid)
         if not layers:
             raise ValidationError(f"vertex {vid} has an empty layer set")
         if not self._layer_names.keys() >= layers:
@@ -351,16 +557,16 @@ class TemporalMultiLayerGraph:
                 _utf8(value, f"vertex {vid}: attr {key!r} value")
         if t_end is not None and t_end < t_start:
             raise ValidationError(f"vertex {vid}: t_end must not precede t_start")
-        return VertexRecord(vid, roles, layers, attrs, t_start, t_end)
+        return vid, roles, layers, attrs, t_start, t_end
 
-    def _edge(self, fields: Iterable) -> EdgeRecord:
-        """The record to store for an edge's fields, if they pass the checks:
-        plain ints, a bool and a float, as for a vertex.  A record that holds
-        them already is stored as it is."""
-        if tuple(map(type, fields)) not in _EDGE_TYPES:
+    def _edge(self, fields: Iterable) -> tuple:
+        """The fields to store for an edge, if they pass the checks: plain
+        ints, a bool and a float, as for a vertex."""
+        eid, t_start, t_end = fields[0], fields[8], fields[9]
+        if (tuple(map(type, fields)) not in _EDGE_TYPES or not -_LIMIT < eid < _LIMIT
+                or not -_LIMIT < t_start < _LIMIT or t_end is not None and not -_LIMIT < t_end < _LIMIT):
             fields = _plain_edge(*fields)
-        e = fields if type(fields) is EdgeRecord else EdgeRecord._make(fields)
-        eid, src, dst, layer_src, layer_dst, _, weight, relation, t_start, t_end = e
+        eid, src, dst, layer_src, layer_dst, _, weight, relation, t_start, t_end = fields
         if not 0.0 <= weight < math.inf:
             raise ValidationError(f"edge {eid}: non-finite weight {weight}" if not math.isfinite(weight)
                                   else f"edge {eid}: negative weight {weight}")
@@ -370,20 +576,184 @@ class TemporalMultiLayerGraph:
             _utf8(relation, f"edge {eid}: relation")
         if t_end is not None and t_end < t_start:
             raise ValidationError(f"edge {eid}: t_end must not precede t_start")
+        v = self._vertices
         for vid, layer in ((src, layer_src), (dst, layer_dst)):
-            v = self._vertices.get(vid)
-            if v is None:
+            row = self._vertex_row.get(vid)
+            if row is None:
                 raise ValidationError(f"edge {eid}: dangling endpoint {vid}")
-            if layer not in v.layers:
+            _, _, layers, _, v_start, v_end = v.row(row)
+            if layer not in self._sets[layers]:
                 raise ValidationError(f"edge {eid}: endpoint {vid} not in layer {layer}")
             # the vertex's lifetime must cover the edge's [t_start, t_end)
-            if v.t_start > t_start or v.t_end is not None and (t_end is None or t_end > v.t_end):
+            if v_start > t_start or (OPEN if t_end is None else t_end) > v_end:
                 raise ValidationError(f"edge {eid}: endpoint {vid} inactive during the edge's validity")
-        return e
+        return fields
+
+    # Column checks for from_columns.  A row whose values the columns take as
+    # they are, and which passes every array check, would pass _vertex or
+    # _edge unchanged.  Every other row goes through _vertex or _edge, in row
+    # order, so the first failing row raises the error add_* would raise.
+
+    def _checked_vertices(self, *columns: Sequence) -> dict[str, np.ndarray]:
+        ids, roles, layers, attrs, starts, ends = fields = [list(c) for c in columns]
+        n = len(ids)
+        slow = set().union(*map(_odd_rows, fields, _FAST_VERTEX))
+        slow.update(i for i, a in enumerate(attrs) if a)  # a private copy is made of each
+        slow |= _odd_members(roles, _STR, slow) | _odd_members(layers, _INT, slow)
+        stored = [_NO_ATTRS] * n
+        errors = {}
+        for i in sorted(slow):
+            try:
+                ids[i], roles[i], layers[i], stored[i], starts[i], ends[i] = self._vertex(
+                    [f[i] for f in fields])
+            except ValidationError as exc:  # raised below if no earlier row fails
+                errors[i] = exc
+                ids[i], roles[i], layers[i], starts[i], ends[i] = 0, (), (), 0, None
+        role_codes, roles_ok = self._intern(roles, lambda s: "".join(s).isascii() or _encodes(s))
+        layer_codes, layers_ok = self._intern(layers, lambda s: s and self._layer_names.keys() >= s)
+        cols = {"id": _int64(ids), "roles": role_codes, "layers": layer_codes,
+                "attrs": np.fromiter(stored, object, n), "t_start": _int64(starts),
+                "t_end": _end_column(ends)}
+        bad = ~roles_ok[role_codes] | ~layers_ok[layer_codes] | (cols["t_end"] < cols["t_start"])
+        bad |= _outside(cols["id"], cols["t_start"], np.where(cols["t_end"] == OPEN, 0, cols["t_end"]))
+        order = np.argsort(cols["id"], kind="stable")
+        repeats = set(order[1:][np.diff(cols["id"][order]) == 0].tolist())
+        for i in sorted(slow | repeats | set(np.flatnonzero(bad).tolist())):
+            if i in errors:
+                raise errors[i]
+            self._vertex((ids[i], roles[i], layers[i], stored[i], starts[i], ends[i]))
+            if i in repeats:
+                raise ValidationError(f"duplicate vertex id {ids[i]}")
+        return cols
+
+    def _checked_edges(self, *columns: Sequence) -> dict[str, np.ndarray]:
+        fields = [list(c) for c in columns]
+        n = len(fields[0])
+        slow = set().union(*map(_odd_rows, fields, _FAST_EDGE))
+        errors = {}
+        for i in sorted(slow):
+            try:
+                row = self._edge([f[i] for f in fields])
+            except ValidationError as exc:
+                errors[i] = exc
+                row = (0, 0, 0, 0, 0, False, 0.0, "", 0, None)
+            for f, value in zip(fields, row):
+                f[i] = value
+        ids, src, dst, layer_src, layer_dst, directed, weight, relation, starts, ends = fields
+        cols = {"id": _int64(ids), "src": _int64(src), "dst": _int64(dst),
+                "layer_src": _int64(layer_src), "layer_dst": _int64(layer_dst),
+                "directed": np.array(directed, bool), "weight": np.array(weight, np.float64),
+                "relation": np.fromiter(relation, object, n), "t_start": _int64(starts),
+                "t_end": _end_column(ends)}
+        w = cols["weight"]
+        bad = ~((0.0 <= w) & (w < math.inf)) | (cols["t_end"] < cols["t_start"])
+        bad |= _outside(cols["id"], cols["t_start"], np.where(cols["t_end"] == OPEN, 0, cols["t_end"]))
+        if not "".join(relation).isascii():
+            bad[[i for i, r in enumerate(relation) if not r.isascii()]] = True
+        v = self._vertices
+        if v.n == 0:
+            bad[:] = True  # every endpoint dangles
+        else:
+            order = np.argsort(v["id"], kind="stable")
+            table = self._layer_table()
+            for end, layer in (("src", "layer_src"), ("dst", "layer_dst")):
+                row = order[np.minimum(np.searchsorted(v["id"], cols[end], sorter=order), v.n - 1)]
+                lid = cols[layer]
+                inside = (0 <= lid) & (lid < table.shape[1])
+                member = inside & table[v["layers"][row], np.where(inside, lid, 0)]
+                bad |= (v["id"][row] != cols[end]) | ~member | (v["t_start"][row] > cols["t_start"])
+                bad |= cols["t_end"] > v["t_end"][row]
+        order = np.argsort(cols["id"], kind="stable")
+        repeats = set(order[1:][np.diff(cols["id"][order]) == 0].tolist())
+        for i in sorted(slow | repeats | set(np.flatnonzero(bad).tolist())):
+            if i in errors:
+                raise errors[i]
+            self._edge([f[i] for f in fields])
+            if i in repeats:
+                raise ValidationError(f"duplicate edge id {ids[i]}")
+        return cols
+
+    def _code(self, s: frozenset) -> int:
+        """The code of a role or layer set in the table of distinct sets."""
+        code = self._set_code.get(s)
+        if code is None:
+            code = self._set_code[s] = len(self._sets)
+            self._sets.append(s)
+        return code
+
+    def _intern(self, sets: Sequence, ok: Callable[[frozenset], bool]) -> tuple[np.ndarray, np.ndarray]:
+        """The code of each collection of ``sets``, and by code whether a set
+        of them passes ``ok``."""
+        memo: dict = {}
+        codes = []
+        for s in sets:
+            key = s if type(s) is frozenset else tuple(s)
+            code = memo.get(key)
+            if code is None:
+                code = memo[key] = self._code(frozenset(s))
+            codes.append(code)
+        valid = np.zeros(len(self._sets), bool)
+        for code in set(memo.values()):
+            valid[code] = ok(self._sets[code])
+        return np.array(codes, np.int64), valid
+
+    def _layer_table(self) -> np.ndarray:
+        """``table[code, layer]``: whether set ``code`` holds that layer id."""
+        table = np.zeros((len(self._sets), len(self._layer_names)), bool)
+        for code, s in enumerate(self._sets):
+            table[code, [x for x in s if type(x) is int and 0 <= x < table.shape[1]]] = True
+        return table
+
+    # -- reading rows --------------------------------------------------------
+
+    def _fields(self, cols: _Columns, rows, ends: Optional[np.ndarray] = None) -> list[list]:
+        """The fields of these rows, one list per field: role and layer sets
+        for their codes, None for an open end.  ``ends`` replaces the
+        ``t_end`` column."""
+        out = []
+        for name in cols.data:
+            values = cols[name][rows] if name != "t_end" or ends is None else ends
+            if name in ("roles", "layers"):
+                out.append(list(map(self._sets.__getitem__, values.tolist())))
+            else:
+                out.append(_ends(values) if name == "t_end" else values.tolist())
+        return out
+
+    def _records_at(self, cols: _Columns, rows: list[int], ends: list) -> tuple:
+        """The records of these rows with these ends.  Each row's record is
+        built when first read and kept until the row is retired."""
+        cache, make = ((self._vertex_cache, VertexRecord._make) if cols is self._vertices
+                       else (self._edge_cache, EdgeRecord._make))
+        missing = [r for r in rows if r not in cache]
+        if missing:
+            cache.update(zip(missing, map(make, zip(*self._fields(cols, missing)))))
+        recs = map(cache.__getitem__, rows)
+        return tuple(r if r.t_end == t else r._replace(t_end=t) for r, t in zip(recs, ends))
+
+    def _record(self, cols: _Columns, row: int) -> tuple:
+        return self._records_at(cols, [row], _ends(cols["t_end"][row:row + 1]))[0]
+
+    def _active(self, cols: _Columns, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows active at ``t`` in id order, and their ends."""
+        rows = np.flatnonzero((cols["t_start"] <= t) & (t < cols["t_end"]))
+        rows = rows[np.argsort(cols["id"][rows], kind="stable")]
+        return rows, cols["t_end"][rows]
+
+    def _canonical_log(self) -> list[tuple]:
+        log = [("layer", lid, name) for lid, name in self._layer_names.items()]
+        for kind, cols in (("vertex+", self._vertices), ("edge+", self._edges)):
+            fields = self._fields(cols, np.lexsort((cols["id"], cols["t_start"])))
+            log += [(kind, *rec) for rec in zip(*fields[:-1])]
+        for kind, cols in (("vertex-", self._vertices), ("edge-", self._edges)):
+            closed = np.flatnonzero(cols["t_end"] != OPEN)
+            closed = closed[np.lexsort((cols["id"][closed], cols["t_end"][closed]))]
+            log += [(kind, i, t) for i, t in zip(cols["id"][closed].tolist(),
+                                                 cols["t_end"][closed].tolist())]
+        return log
 
     # -- construction ------------------------------------------------------
 
-    def create_layer(self, name: str) -> int:
+    def _register(self, name: str) -> int:
         if not isinstance(name, str):
             raise ValidationError(f"layer name must be a string, got {name!r}")
         if not name.isascii():
@@ -393,7 +763,12 @@ class TemporalMultiLayerGraph:
         lid = len(self._layer_ids)
         self._layer_ids[name] = lid
         self._layer_names[lid] = name
-        self.events.append(("layer", lid, name))
+        return lid
+
+    def create_layer(self, name: str) -> int:
+        log = self.events
+        lid = self._register(name)
+        log.append(("layer", lid, name))
         return lid
 
     def layer_id(self, name: str) -> int:
@@ -408,11 +783,14 @@ class TemporalMultiLayerGraph:
         attrs: Optional[Mapping[str, Scalar]] = None,
         t_start: int = 0,
     ) -> int:
-        rec = self._vertex((self._next_vertex, roles, layers, attrs or {}, t_start, None))
+        log = self.events
+        vid, roles, layers, attrs, t_start, _ = self._vertex(
+            (self._next_vertex, roles, layers, attrs or {}, t_start, None))
+        rcode, lcode = self._code(roles), self._code(layers)
+        self._vertex_row[vid] = self._vertices.append((vid, rcode, lcode, attrs, t_start, OPEN))
         self._next_vertex += 1
-        self._vertices[rec.id] = rec
-        self.events.append(_created(rec))
-        return rec.id
+        log.append(("vertex+", vid, self._sets[rcode], self._sets[lcode], attrs, t_start))
+        return vid
 
     def add_edge(
         self,
@@ -426,67 +804,116 @@ class TemporalMultiLayerGraph:
         t_start: int = 0,
     ) -> int:
         """An open edge: both endpoints must exist from ``t_start`` on, unretired."""
-        rec = self._edge((self._next_edge, src, dst, layer_src, layer_dst, directed, weight,
-                          relation, t_start, None))
+        log = self.events
+        fields = self._edge((self._next_edge, src, dst, layer_src, layer_dst, directed, weight,
+                             relation, t_start, None))
+        eid, src, dst = fields[:3]
+        row = self._edges.append((*fields[:-1], OPEN))
+        self._edge_row[eid] = row
+        if self._incident is not None:
+            self._index_edge(row, self._vertex_row[src], self._vertex_row[dst])
         self._next_edge += 1
-        self._edges[rec.id] = rec
-        self.events.append(_created(rec))
-        return rec.id
+        log.append(("edge+", *fields[:-1]))
+        return eid
+
+    def _index_edge(self, row: int, a: int, b: int) -> None:
+        self._incident.setdefault(a, []).append(row)
+        if b != a:
+            self._incident.setdefault(b, []).append(row)
+
+    def _incident_edges(self, vrow: int) -> list[int]:
+        """The rows of the edges on the vertex at ``vrow``, in row order.  The
+        index is built on first use and kept by ``add_edge`` from then on."""
+        if self._incident is None:
+            self._incident = {}
+            vrow_of = self._vertex_row.__getitem__
+            e = self._edges
+            for row, (a, b) in enumerate(zip(map(vrow_of, e["src"].tolist()),
+                                             map(vrow_of, e["dst"].tolist()))):
+                self._index_edge(row, a, b)
+        return self._incident.get(vrow, [])
 
     def retire_vertex(self, vid: int, t: int) -> None:
-        rec = self._vertices.get(vid)
-        if rec is None:
+        log = self.events
+        row = self._vertex_row.get(vid)
+        if row is None:
             raise ValidationError(f"unknown vertex {vid}")
-        t = _int(t, "retirement tick")
-        if rec.t_end is not None:
+        t = _stored_int(t, "retirement tick")
+        v, e = self._vertices, self._edges
+        if v["t_end"][row] != OPEN:
             raise ValidationError(f"vertex {vid} already retired")
-        if not rec.active_at(t):
+        if not v["t_start"][row] <= t:
             raise ValidationError(f"vertex {vid} not active at t={t}")
         # open incident edges retire at t, so must start by then; others must end by then
-        incident = [e for e in self._edges.values() if vid in (e.src, e.dst)]
-        late = [e.id for e in incident if (e.t_start if e.t_end is None else e.t_end) > t]
-        if late:
-            raise ValidationError(
-                f"vertex {vid} cannot retire at t={t}: edges {late} start later or end later"
-            )
-        self._vertices[rec.id] = rec._replace(t_end=t)
-        self.events.append(("vertex-", rec.id, t))
-        for e in incident:
-            if e.t_end is None:
-                self._edges[e.id] = e._replace(t_end=t)
-                self.events.append(("edge-", e.id, t))
+        incident = np.array(self._incident_edges(row), dtype=np.int64)
+        ends = e["t_end"][incident]
+        still = ends == OPEN
+        late = np.where(still, e["t_start"][incident], ends) > t
+        if late.any():
+            raise ValidationError(f"vertex {vid} cannot retire at t={t}: edges "
+                                  f"{e['id'][incident[late]].tolist()} start later or end later")
+        v["t_end"][row] = t
+        self._vertex_cache.pop(row, None)
+        log.append(("vertex-", int(v["id"][row]), t))
+        retired = incident[still]
+        e["t_end"][retired] = t
+        for erow, eid in zip(retired.tolist(), e["id"][retired].tolist()):
+            self._edge_cache.pop(erow, None)
+            log.append(("edge-", eid, t))
 
     def retire_edge(self, eid: int, t: int) -> None:
-        rec = self._edges.get(eid)
-        if rec is None:
+        log = self.events
+        row = self._edge_row.get(eid)
+        if row is None:
             raise ValidationError(f"unknown edge {eid}")
-        t = _int(t, "retirement tick")
-        if rec.t_end is not None:
+        t = _stored_int(t, "retirement tick")
+        e = self._edges
+        if e["t_end"][row] != OPEN:
             raise ValidationError(f"edge {eid} already retired")
-        if not rec.active_at(t):
+        if not e["t_start"][row] <= t:
             raise ValidationError(f"edge {eid} not active at t={t}")
-        self._edges[rec.id] = rec._replace(t_end=t)
-        self.events.append(("edge-", rec.id, t))
+        e["t_end"][row] = t
+        self._edge_cache.pop(row, None)
+        log.append(("edge-", int(e["id"][row]), t))
 
     # -- queries -----------------------------------------------------------
 
     def snapshot_at(self, t: int) -> SnapshotView:
-        return SnapshotView(
-            int(t),
-            self._layer_names,
-            (v for v in self._vertices.values() if v.active_at(t)),
-            (e for e in self._edges.values() if e.active_at(t)),
-        )
+        return SnapshotView(self, t)
 
-    # read-only views that follow later changes; nothing is copied
+    @property
+    def events(self) -> list[tuple]:
+        """The event log.  A graph from :meth:`from_columns` derives its
+        canonical log on first read and appends to it from then on."""
+        if self._events is None:
+            self._events = self._canonical_log()
+        return self._events
+
+    def vertices_with_role(self, role: str) -> list[int]:
+        """The ids of the vertices whose roles include ``role``, in the order
+        they were added."""
+        has = np.array([role in s for s in self._sets], bool)
+        return self._vertices["id"][has[self._vertices["roles"]]].tolist()
+
+    def vertex_columns(self) -> list[list]:
+        """The fields of every vertex in id order, one list per field of
+        :class:`VertexRecord`, read without building records."""
+        return self._fields(self._vertices, np.argsort(self._vertices["id"], kind="stable"))
+
+    def edge_columns(self) -> list[list]:
+        """The fields of every edge in id order, one list per field of
+        :class:`EdgeRecord`."""
+        return self._fields(self._edges, np.argsort(self._edges["id"], kind="stable"))
+
+    # read-only views that follow later changes; records are built when read
     @property
     def layer_names(self) -> Mapping[int, str]:
         return MappingProxyType(self._layer_names)
 
     @property
     def vertex_records(self) -> Mapping[int, VertexRecord]:
-        return MappingProxyType(self._vertices)
+        return _RecordMap(self._vertex_row, lambda row: self._record(self._vertices, row))
 
     @property
     def edge_records(self) -> Mapping[int, EdgeRecord]:
-        return MappingProxyType(self._edges)
+        return _RecordMap(self._edge_row, lambda row: self._record(self._edges, row))

@@ -8,9 +8,13 @@ encoded by omitting ``t_end``.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import sys
-from typing import Iterable, Optional
+from itertools import chain, repeat
+from typing import Optional
+
+import numpy as np
 
 from .core import EdgeRecord, Scalar, SnapshotView, TemporalMultiLayerGraph, VertexRecord
 from .crossopt import (
@@ -78,19 +82,21 @@ def _scalar(value: Scalar) -> str:
 
 def graph_to_json(g: TemporalMultiLayerGraph) -> str:
     """``json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\\n"``, written
-    record by record from fixed templates."""
+    record by record from fixed templates over the graph's columns."""
     layers = [_LAYER % (lid, _str(name)) for lid, name in sorted(g.layer_names.items())]
+    ids, roles, layer_sets, attrs, starts, ends = g.vertex_columns()
+    # a graph keeps one object per distinct role or layer set
+    role_block = {s: _block(["        " + _str(r) for r in sorted(s)], "      ") for s in set(roles)}
+    layer_block = {s: _block(["        %d" % lid for lid in sorted(s)], "      ")
+                   for s in set(layer_sets)}
     vertices = [_VERTEX % (
-        _block(["        %s: %s" % (_str(k), _scalar(x)) for k, x in sorted(attrs.items())],
-               "      ", "{}"),
-        vid, _block(["        %d" % lid for lid in sorted(layer_ids)], "      "),
-        _block(["        " + _str(r) for r in sorted(roles)], "      "),
-        "" if t_end is None else _T_END % t_end, t_start)
-        for _, (vid, roles, layer_ids, attrs, t_start, t_end) in sorted(g.vertex_records.items())]
+        _block(["        %s: %s" % (_str(k), _scalar(x)) for k, x in sorted(a.items())], "      ", "{}")
+        if a else "{}",
+        vid, layer_block[ls], role_block[rs], "" if t_end is None else _T_END % t_end, t_start)
+        for vid, rs, ls, a, t_start, t_end in zip(ids, roles, layer_sets, attrs, starts, ends)]
     edges = [_EDGE % (_BOOL[directed], dst, eid, ld, ls, _str(rel), src,
                       "" if t_end is None else _T_END % t_end, t_start, w)
-             for _, (eid, src, dst, ls, ld, directed, w, rel, t_start, t_end)
-             in sorted(g.edge_records.items())]
+             for eid, src, dst, ls, ld, directed, w, rel, t_start, t_end in zip(*g.edge_columns())]
     return _GRAPH % (_block(edges, "  "), _block(layers, "  "), FORMAT_VERSION,
                      _block(vertices, "  "))
 
@@ -133,13 +139,14 @@ def graph_from_dict(doc: dict) -> TemporalMultiLayerGraph:
         layers, vertices, edges = _parse_graph(doc)
     except (ValidationError, AttributeError, TypeError, OverflowError) as exc:
         raise ValidationError(f"malformed graph file: {exc}") from exc
-    return TemporalMultiLayerGraph.from_records(layers, vertices, edges)
+    return TemporalMultiLayerGraph.from_columns(layers, vertices, edges)
 
 
 # the fields of each record, in the order of the record's constructor, with
-# their JSON types; an optional field may be absent or null.  The relation's
-# type is left to core, which checks it for API callers too.
-_OPTIONAL = frozenset({"roles", "attrs", "relation", "t_end"})
+# their JSON types; an optional field may be absent or null, which reads as
+# its default.  The relation's type is left to core, which checks it for API
+# callers too.
+_OPTIONAL = {"roles": (), "attrs": {}, "relation": "", "t_end": None}
 _FIELDS = {
     "layers": {"id": INT, "name": STR},
     "vertices": {"id": INT, "roles": LIST, "layers": LIST, "attrs": OBJECT, "t_start": INT,
@@ -149,49 +156,72 @@ _FIELDS = {
 }
 
 
-def _records(doc: dict, key: str, make=tuple) -> tuple[list[tuple], Iterable[tuple]]:
-    """The field values of each record under ``key``, type-checked, absent
-    read as null, each made into a tuple by ``make``; and the field types
-    that occur."""
+def _check_record(rec, kinds: dict, what: str) -> None:
+    """Raise if ``rec`` is not a JSON object of these fields with these types."""
+    values = list(map(rec.get, kinds))  # as a record is read: a list or number has no .get
+    _known(rec, kinds, what)
+    for (k, kind), value in zip(kinds.items(), values):
+        if kind and type(value) not in kind and not (value is None and k in _OPTIONAL):
+            json_value(value, kind, f"{what}.{k}")
+
+
+def _columns(doc: dict, key: str) -> list[list]:
+    """The values of each field of the records under ``key``, one list per
+    field, type-checked, absent or null read as the default.  Each check runs
+    over a whole field; a record that fails one is checked again on its own,
+    in record order, so the error is the first bad record's."""
     kinds = _FIELDS[key]
-    records = []
-    # the field types of records seen to pass, each with its count of
-    # non-null fields: a record holding only those keys has no unknown key,
-    # and with that, validity depends on nothing but the field types
-    valid: dict[tuple, int] = {}
-    for i, rec in enumerate(json_value(doc.get(key, []), LIST, key)):
-        values = make(map(rec.get, kinds))
-        types = tuple(map(type, values))
-        if valid.get(types) != len(rec):
-            _known(rec, kinds, f"{key}[{i}]")
-            for (k, kind), value in zip(kinds.items(), values):
-                if kind and type(value) not in kind and not (value is None and k in _OPTIONAL):
-                    json_value(value, kind, f"{key}[{i}].{k}")
-            valid[types] = len(kinds) - types.count(type(None))
-        records.append(values)
-    return records, valid.keys()
+    records = json_value(doc.get(key, []), LIST, key)
+    odd = {i for i, rec in enumerate(records) if type(rec) is not dict}
+    dicts = [{} if i in odd else rec for i, rec in enumerate(records)] if odd else records
+    columns = [[rec.get(k) for rec in dicts] for k in kinds]
+    # keys + nulls = len(kinds) for a record whose absent fields are the
+    # optional ones: an unknown key or an explicit null makes it more, and
+    # the record is checked on its own
+    keys = np.fromiter(map(len, dicts), np.int64, len(dicts))
+    nulls = []
+    for (k, kind), column in zip(kinds.items(), columns):
+        types = set(map(type, column))
+        if type(None) in types and k in _OPTIONAL:
+            keys += np.fromiter(map(operator.is_, column, repeat(None)), bool, len(column))
+            types.discard(type(None))
+            nulls.append((k, column))
+        if kind and not types <= set(kind):
+            odd.update(i for i, v in enumerate(column) if type(v) not in kind)
+    odd.update(np.flatnonzero(keys != len(kinds)).tolist())
+    for i in sorted(odd):
+        _check_record(records[i], kinds, f"{key}[{i}]")
+    for k, column in nulls:
+        if _OPTIONAL[k] is not None:
+            column[:] = [_OPTIONAL[k] if v is None else v for v in column]
+    return columns
 
 
-def _parse_graph(doc: dict) -> tuple[list[str], list[tuple], list[EdgeRecord]]:
-    """The layer names, the vertices' field tuples and the edge records of
-    the document, with their JSON types checked.  Whether they form a valid
-    graph is for ``TemporalMultiLayerGraph.from_records``."""
+_INT_TYPE, _STR_TYPE = frozenset({int}), frozenset({str})
+
+
+def _parse_graph(doc: dict) -> tuple[list[str], list[list], list[list]]:
+    """The layer names and the vertex and edge fields of the document, with
+    their JSON types checked.  Whether they form a valid graph is for
+    ``TemporalMultiLayerGraph.from_columns``."""
     _known(doc, ("version", *_FIELDS), "graph")
-    layers, _ = _records(doc, "layers")
-    for i, (lid, _) in enumerate(layers):
+    lids, names = _columns(doc, "layers")
+    for i, lid in enumerate(lids):
         if lid != i:
             raise ValidationError(f"layer ids must be dense and ordered; got {lid} at {i}")
-    vertices = []
-    for vid, roles, layer_ids, attrs, t_start, t_end in _records(doc, "vertices")[0]:
-        if not all(type(lid) is int for lid in layer_ids):
-            raise ValidationError(f"vertex {vid}: layer ids must be integers, got {layer_ids!r}")
-        vertices.append((vid, frozenset(roles or ()), frozenset(layer_ids), attrs or {}, t_start, t_end))
-    edges, types = _records(doc, "edges", EdgeRecord._make)
-    # an exported file holds float weights and every relation
-    if any(t[6] is int or t[7] is type(None) for t in types):
-        edges = [e._replace(weight=float(e.weight), relation="" if e.relation is None else e.relation)
-                 for e in edges]
-    return [name for _, name in layers], vertices, edges
+    vertices = _columns(doc, "vertices")
+    ids, roles, layer_ids = vertices[:3]
+    if not (_INT_TYPE.issuperset(map(type, chain.from_iterable(layer_ids)))
+            and _STR_TYPE.issuperset(map(type, chain.from_iterable(roles)))):
+        for vid, rs, ls in zip(ids, roles, layer_ids):
+            if not all(type(lid) is int for lid in ls):
+                raise ValidationError(f"vertex {vid}: layer ids must be integers, got {ls!r}")
+            frozenset(rs)  # a TypeError names an unhashable role
+    edges = _columns(doc, "edges")
+    # an exported file holds float weights
+    if int in set(map(type, edges[6])):
+        edges[6] = [float(w) for w in edges[6]]
+    return names, vertices, edges
 
 
 def write_text(path: str, text: str) -> None:
@@ -260,26 +290,29 @@ def snapshot_to_dot(
     are drawn with ``dir=none``.  ``edge_highlights`` maps edge ids to a color.
     """
     edge_highlights = edge_highlights or {}
+    ids, roles, layers = s.vertex_columns()[:3]
+    label = {r: _dot_str(",".join(sorted(r))) for r in set(roles)}
+    home = {ls: min(ls) for ls in set(layers)}
+    members: dict[int, list[str]] = {lid: [] for lid in s.layers}
+    for vid, rs, ls in zip(ids, roles, layers):
+        # \n in a DOT label is a line break
+        members[home[ls]].append(f'    v{vid} [label="{vid}\\n{label[rs]}"];')
     lines = ["digraph snapshot {"]
     for lid in sorted(s.layers):
         lines.append(f'  subgraph cluster_{lid} {{')
         lines.append(f'    label="{_dot_str(s.layers[lid])}";')
-        for vid, v in s.vertices.items():
-            if min(v.layers) == lid:
-                roles = _dot_str(",".join(sorted(v.roles)))
-                # \n in a DOT label is a line break
-                lines.append(f'    v{vid} [label="{vid}\\n{roles}"];')
+        lines += members[lid]
         lines.append("  }")
-    for e in s.edges:
-        attrs = [f'label="{_dot_str(e.relation)}"'] if e.relation else []
-        if not e.directed:
+    for eid, src, dst, ls, ld, directed, _, relation, _, _ in zip(*s.edge_columns()):
+        attrs = [f'label="{_dot_str(relation)}"'] if relation else []
+        if not directed:
             attrs.append("dir=none")
-        if not e.intra_layer:
+        if ls != ld:
             attrs.append("style=dashed")
-        if e.id in edge_highlights:
-            attrs.append(f'color="{_dot_str(edge_highlights[e.id])}"')
+        if eid in edge_highlights:
+            attrs.append(f'color="{_dot_str(edge_highlights[eid])}"')
         attr_str = f' [{", ".join(attrs)}]' if attrs else ""
-        lines.append(f"  v{e.src} -> v{e.dst}{attr_str};")
+        lines.append(f"  v{src} -> v{dst}{attr_str};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -62,7 +62,8 @@ def _arc_list(g: GraphView) -> dict[int, list[tuple[int, float, int]]]:
 
 def shortest_path(g: GraphView, s: int, t: int) -> PathResult:
     """Dijkstra over the multigraph; parallel edges resolved to the cheapest,
-    ties broken by (predecessor vertex id, edge id)."""
+    ties broken by (predecessor vertex id, edge id).  The search stops when
+    ``t`` is settled: no later update may touch a settled vertex."""
     for v in (s, t):
         if v not in g.index:
             raise ValidationError(f"unknown vertex {v}")
@@ -79,7 +80,11 @@ def shortest_path(g: GraphView, s: int, t: int) -> PathResult:
         if v in done or d > dist.get(v, float("inf")):
             continue
         done.add(v)
-        for w, wt, eid in sorted(adj[v], key=lambda a: (a[0], a[1], a[2])):
+        if v == t:
+            break
+        # a vertex is settled once, so its arcs are sorted once per call:
+        # by neighbor, then weight, then edge id
+        for w, wt, eid in sorted(adj[v]):
             nd = d + wt
             cur = dist.get(w, float("inf"))
             if nd < cur or (nd == cur and w not in done and (v, eid) < pred.get(w, (float("inf"),))):

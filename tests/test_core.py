@@ -504,8 +504,8 @@ def test_from_records_stores_plain_ints_and_private_attrs():
                                            type(None), int, int]
     assert _types(g.edge_records[6]) == [int, int, int, int, int, bool, float, str, int, int]
     assert dict(g.vertex_records[1].attrs) == {"k": 1}
-    # an edge record that needs no conversion is stored as it is given
-    assert g.edge_records[2] is es[1]
+    # records are built from the columns on first read, then kept
+    assert g.edge_records[2] == es[1] and g.edge_records[2] is g.edge_records[2]
 
 
 def test_stored_attrs_are_read_only(g):

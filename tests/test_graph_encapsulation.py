@@ -1,24 +1,27 @@
 """Only ``core`` writes graph state.  Every record reaches a graph through
-``add_*``, ``retire_*`` or ``TemporalMultiLayerGraph.from_records``, which
+``add_*``, ``retire_*`` or ``TemporalMultiLayerGraph.from_columns``, which
 check it; this test fails if another package module assigns to a graph's
-private record stores or changes its event log directly."""
+column stores, its id and set indexes, its record caches or its event log,
+or writes into any of them, also through a column or a cell."""
 
 import ast
 from pathlib import Path
 
 import versegraph
 
-PRIVATE = {"_vertices", "_edges", "_next_vertex", "_next_edge"}
+PRIVATE = {"_vertices", "_edges", "_next_vertex", "_next_edge", "_vertex_row", "_edge_row",
+           "_sets", "_set_code", "_vertex_cache", "_edge_cache", "_incident", "_events"}
 LIST_DICT_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
                       "update", "setdefault", "popitem", "__setitem__", "__delitem__"}
 
 
 def _state(node) -> str | None:
-    """The state attribute ``node`` names: ``x._vertices`` or ``x._vertices[k]``."""
-    if isinstance(node, ast.Subscript):
+    """The state attribute ``node`` names or reaches into: ``x._vertices``,
+    ``x._vertices[k]``, ``x._vertices.data[k][i]`` or ``x.events``."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE | {"events"}:
+            return node.attr
         node = node.value
-    if isinstance(node, ast.Attribute) and node.attr in PRIVATE | {"events"}:
-        return node.attr
     return None
 
 
@@ -61,9 +64,15 @@ def load(g, vrecs, erecs):
     g.events.append(("layer", 0, "x"))
     g.events.extend([])
     del g._vertices[0]
+    g._vertices["t_end"][3] = 5
+    g._edges.data["weight"][0] += 1.0
+    g._vertex_row[7] = 0
+    g._incident.setdefault(0, []).append(1)
+    g._events = None
 """
     found = _violations(bad, "io.py")
-    assert sorted(int(v.split(":")[1]) for v in found) == [3, 4, 5, 5, 6, 7, 8, 9], found
+    assert sorted(int(v.split(":")[1]) for v in found) == [3, 4, 5, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                                                           14], found
     ok = """
 def read(g):
     n = len(g.events)
@@ -71,6 +80,8 @@ def read(g):
     recs[0] = None
     events = list(g.events)
     events.append(("layer", 0, "x"))
-    return g._vertices.get(0), sorted(g.events)
+    ends = g._vertices["t_end"].copy()
+    ends[0] = 1
+    return g._vertices.get(0), sorted(g.events), g._sets[0]
 """
     assert _violations(ok, "io.py") == []

@@ -310,6 +310,27 @@ def test_cli_gen_bad_params_exit_2(tmp_path, capsys, params):
                             _write(tmp_path, "p.json", params), "--out", tmp_path / "g.json"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    # numpy refused a negative seed with a ValueError traceback
+    (["gen", "--scenario", "network", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["optimize", "--scenario", "SCENARIO", "--mode", "both", "--seed", "-3"],
+     "seed must be >= 0, got -3"),
+    # these wrote a 2-block bisection
+    (["partition", "--in", "GRAPH", "--k", "0"], "k must be >= 2, got 0"),
+    (["partition", "--in", "GRAPH", "--k", "1"], "k must be >= 2, got 1"),
+    (["partition", "--in", "GRAPH", "--k", "-4"], "k must be >= 2, got -4"),
+])
+def test_cli_bad_seed_or_k_exit_2(tmp_path, capsys, argv, message):
+    gpath = tmp_path / "g.json"
+    assert cli.run(["gen", "--scenario", "network", "--seed", "2", "--out", str(gpath)]) == 0
+    paths = {"GRAPH": gpath, "SCENARIO": _write(tmp_path, "s.json", _typed_scenario())}
+    out = tmp_path / "o.json"
+    capsys.readouterr()
+    assert cli.run([str(paths.get(a, a)) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,params", [
     ("consensus", {"values": {"0": 1.0}}),  # misses most layer vertices
     ("consensus", {"values": {str(v): "x" for v in range(40)}}),

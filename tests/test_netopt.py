@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -66,6 +67,64 @@ def test_shortest_never_beaten_by_random_walks():
             w += wt
         if v == n - 1:
             assert res.total_weight <= w + 1e-9
+
+
+def _shortest_path_reference(g, s, t):
+    """The full Dijkstra loop, which settles every reachable vertex and sorts
+    a vertex's arcs with a key: the reference for ``netopt.shortest_path``."""
+    for v in (s, t):
+        if v not in g.index:
+            raise ValidationError(f"unknown vertex {v}")
+    adj = {v: [] for v in g.vertices}
+    for e in g.edges:
+        adj[e.src].append((e.dst, e.weight, e.id))
+        if not e.directed:
+            adj[e.dst].append((e.src, e.weight, e.id))
+    dist, pred, done, heap = {s: 0.0}, {}, set(), [(0.0, s)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done or d > dist.get(v, float("inf")):
+            continue
+        done.add(v)
+        for w, wt, eid in sorted(adj[v], key=lambda a: (a[0], a[1], a[2])):
+            nd = d + wt
+            cur = dist.get(w, float("inf"))
+            if nd < cur or (nd == cur and w not in done and (v, eid) < pred.get(w, (float("inf"),))):
+                dist[w] = nd
+                pred[w] = (v, eid)
+                heapq.heappush(heap, (nd, w))
+    if t not in dist:
+        raise InfeasibleError(f"vertex {t} unreachable from {s}")
+    verts, eids = [t], []
+    while verts[-1] != s:
+        pv, eid = pred[verts[-1]]
+        eids.append(eid)
+        verts.append(pv)
+    return netopt.PathResult(dist[t], tuple(reversed(verts)), tuple(reversed(eids)))
+
+
+def test_shortest_path_matches_full_loop():
+    """Stopping at t gives the full loop's path on multigraphs with parallel
+    edges, self-loops, ties and zero weights, directed, undirected and mixed."""
+    rng = random.Random(2024)
+    for case in range(300):
+        n = rng.randint(1, 14)
+        weights = rng.choice([[0.0, 1.0], [1.0], [0.0, 0.5, 1.0, 2.0], [0.25, 0.5, 0.75]])
+        edges = []
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            for _ in range(rng.choice([1, 1, 2, 3])):  # parallel copies
+                edges.append((u, v, rng.choice(weights), rng.random() < [0, 0.5, 1][case % 3]))
+        g = make_view(n, edges)
+        for s in rng.sample(range(n), min(n, 3)):
+            for t in range(n):
+                try:
+                    want = _shortest_path_reference(g, s, t)
+                except InfeasibleError:
+                    with pytest.raises(InfeasibleError):
+                        netopt.shortest_path(g, s, t)
+                    continue
+                assert netopt.shortest_path(g, s, t) == want
 
 
 # -- max flow / min cut -----------------------------------------------------
