@@ -186,8 +186,11 @@ class _Columns:
         self.n = self._stored = len(columns["id"])
 
 
-def _odd_rows(values: Sequence, kinds: frozenset) -> set[int]:
-    """The rows whose value's type is not one of ``kinds``."""
+def _odd_rows(values: Sequence, kinds: frozenset, dtype) -> set[int]:
+    """The rows whose value's type is not one of ``kinds``.  A column given
+    as a numeric array of its own dtype holds only values of that type."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return set() if values.dtype == dtype else set(range(len(values)))
     if kinds.issuperset(map(type, values)):
         return set()
     return {i for i, v in enumerate(values) if type(v) not in kinds}
@@ -203,11 +206,16 @@ def _odd_members(sets: Sequence, kinds: frozenset, skip: set[int]) -> set[int]:
     return {i for i, s in enumerate(sets) if i not in skip and not kinds.issuperset(map(type, s))}
 
 
+def _copy(column: Sequence) -> list | np.ndarray:
+    """A column to check and fix in place: a list, or a copy of an array."""
+    return column.copy() if isinstance(column, np.ndarray) else list(column)
+
+
 def _int64(values: Sequence[int]) -> np.ndarray:
     """Plain ints as an int64 column; one too large for it reads as the
     limit, which the range check then refuses."""
     try:
-        return np.array(values, np.int64)
+        return np.asarray(values, np.int64)
     except OverflowError:
         return np.array([v if -_LIMIT < v < _LIMIT else _LIMIT for v in values], np.int64)
 
@@ -493,7 +501,8 @@ class TemporalMultiLayerGraph:
                      edges: Sequence[Sequence]) -> TemporalMultiLayerGraph:
         """A graph of exactly these records, given field by field: six
         sequences of vertex fields and ten of edge fields, in the order of
-        :class:`VertexRecord` and :class:`EdgeRecord`.  Layer ``i`` is the
+        :class:`VertexRecord` and :class:`EdgeRecord`; a numeric field may be
+        an array of its column's dtype.  Layer ``i`` is the
         ``i``-th name.  The records are checked as ``add_*`` checks them, with
         unique ids, and stored as ``add_*`` stores them; where several fail,
         the error is the first record's, as ``add_*`` would raise it.  The
@@ -595,9 +604,9 @@ class TemporalMultiLayerGraph:
     # order, so the first failing row raises the error add_* would raise.
 
     def _checked_vertices(self, *columns: Sequence) -> dict[str, np.ndarray]:
-        ids, roles, layers, attrs, starts, ends = fields = [list(c) for c in columns]
+        ids, roles, layers, attrs, starts, ends = fields = list(map(_copy, columns))
         n = len(ids)
-        slow = set().union(*map(_odd_rows, fields, _FAST_VERTEX))
+        slow = set().union(*map(_odd_rows, fields, _FAST_VERTEX, _VERTEX_COLUMNS.values()))
         slow.update(i for i, a in enumerate(attrs) if a)  # a private copy is made of each
         slow |= _odd_members(roles, _STR, slow) | _odd_members(layers, _INT, slow)
         stored = [_NO_ATTRS] * n
@@ -608,7 +617,7 @@ class TemporalMultiLayerGraph:
                     [f[i] for f in fields])
             except ValidationError as exc:  # raised below if no earlier row fails
                 errors[i] = exc
-                ids[i], roles[i], layers[i], starts[i], ends[i] = 0, (), (), 0, None
+                ids[i], roles[i], layers[i], starts[i], ends[i] = 0, (), (), 0, 0
         role_codes, roles_ok = self._intern(roles, lambda s: "".join(s).isascii() or _encodes(s))
         layer_codes, layers_ok = self._intern(layers, lambda s: s and self._layer_names.keys() >= s)
         cols = {"id": _int64(ids), "roles": role_codes, "layers": layer_codes,
@@ -627,22 +636,22 @@ class TemporalMultiLayerGraph:
         return cols
 
     def _checked_edges(self, *columns: Sequence) -> dict[str, np.ndarray]:
-        fields = [list(c) for c in columns]
+        fields = list(map(_copy, columns))
         n = len(fields[0])
-        slow = set().union(*map(_odd_rows, fields, _FAST_EDGE))
+        slow = set().union(*map(_odd_rows, fields, _FAST_EDGE, _EDGE_COLUMNS.values()))
         errors = {}
         for i in sorted(slow):
             try:
                 row = self._edge([f[i] for f in fields])
             except ValidationError as exc:
                 errors[i] = exc
-                row = (0, 0, 0, 0, 0, False, 0.0, "", 0, None)
+                row = (0, 0, 0, 0, 0, False, 0.0, "", 0, 0)
             for f, value in zip(fields, row):
                 f[i] = value
         ids, src, dst, layer_src, layer_dst, directed, weight, relation, starts, ends = fields
         cols = {"id": _int64(ids), "src": _int64(src), "dst": _int64(dst),
                 "layer_src": _int64(layer_src), "layer_dst": _int64(layer_dst),
-                "directed": np.array(directed, bool), "weight": np.array(weight, np.float64),
+                "directed": np.asarray(directed, bool), "weight": np.asarray(weight, np.float64),
                 "relation": np.fromiter(relation, object, n), "t_start": _int64(starts),
                 "t_end": _end_column(ends)}
         w = cols["weight"]
@@ -684,18 +693,12 @@ class TemporalMultiLayerGraph:
     def _intern(self, sets: Sequence, ok: Callable[[frozenset], bool]) -> tuple[np.ndarray, np.ndarray]:
         """The code of each collection of ``sets``, and by code whether a set
         of them passes ``ok``."""
-        memo: dict = {}
-        codes = []
-        for s in sets:
-            key = s if type(s) is frozenset else tuple(s)
-            code = memo.get(key)
-            if code is None:
-                code = memo[key] = self._code(frozenset(s))
-            codes.append(code)
+        keys = list(map(tuple, sets))
+        code_of = {key: self._code(frozenset(key)) for key in set(keys)}
         valid = np.zeros(len(self._sets), bool)
-        for code in set(memo.values()):
+        for code in set(code_of.values()):
             valid[code] = ok(self._sets[code])
-        return np.array(codes, np.int64), valid
+        return np.fromiter(map(code_of.__getitem__, keys), np.int64, len(keys)), valid
 
     def _layer_table(self) -> np.ndarray:
         """``table[code, layer]``: whether set ``code`` holds that layer id."""

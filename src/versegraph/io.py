@@ -147,6 +147,9 @@ def graph_from_dict(doc: dict) -> TemporalMultiLayerGraph:
 # its default.  The relation's type is left to core, which checks it for API
 # callers too.
 _OPTIONAL = {"roles": (), "attrs": {}, "relation": "", "t_end": None}
+# the array a required field of these JSON types is read into, once its
+# values pass; integers too large for int64 stay in a list, for core to refuse
+_ARRAYS = {INT: np.int64, BOOL: bool, NUMBER: np.float64}
 _FIELDS = {
     "layers": {"id": INT, "name": STR},
     "vertices": {"id": INT, "roles": LIST, "layers": LIST, "attrs": OBJECT, "t_start": INT,
@@ -194,6 +197,13 @@ def _columns(doc: dict, key: str) -> list[list]:
     for k, column in nulls:
         if _OPTIONAL[k] is not None:
             column[:] = [_OPTIONAL[k] if v is None else v for v in column]
+    for j, (k, kind) in enumerate(kinds.items()):
+        if kind in _ARRAYS and k not in _OPTIONAL:
+            try:
+                columns[j] = np.array(columns[j], _ARRAYS[kind])
+            except OverflowError:
+                if kind is NUMBER:  # as float() refuses an integer too large for a float
+                    raise
     return columns
 
 
@@ -217,11 +227,7 @@ def _parse_graph(doc: dict) -> tuple[list[str], list[list], list[list]]:
             if not all(type(lid) is int for lid in ls):
                 raise ValidationError(f"vertex {vid}: layer ids must be integers, got {ls!r}")
             frozenset(rs)  # a TypeError names an unhashable role
-    edges = _columns(doc, "edges")
-    # an exported file holds float weights
-    if int in set(map(type, edges[6])):
-        edges[6] = [float(w) for w in edges[6]]
-    return names, vertices, edges
+    return names, vertices, _columns(doc, "edges")
 
 
 def write_text(path: str, text: str) -> None:

@@ -212,7 +212,27 @@ def test_each_bad_field_matches_the_record_store(kind, field, value):
             _same_graph(got[1], want[1])
 
 
-JUNK = [None, True, 0.5, "x", [], {}, -1, 10 ** 30, 2 ** 62, [1, "a"], [[1]], {"z": 1}, "\ud800"]
+@pytest.mark.parametrize("kind, field, dtype", [
+    (None, None, None), ("vertex", 0, np.int64), ("vertex", 4, np.int64), ("vertex", 0, np.float64),
+    ("edge", 0, np.int64), ("edge", 1, np.int64), ("edge", 5, bool), ("edge", 6, np.float64),
+    ("edge", 6, np.int64), ("edge", 5, np.int64), ("edge", 8, np.uint8)])
+def test_array_columns_match_the_record_store(kind, field, dtype):
+    """A numeric field may be given as an array: one of the column's dtype is
+    taken as it is, any other is checked value by value."""
+    names, vs, es = _sample_records()
+    columns = {"vertex": [list(c) for c in zip(*vs)], "edge": [list(c) for c in zip(*es)]}
+    if kind:
+        columns[kind][field] = np.array(columns[kind][field], dtype)
+        given = columns[kind][field].copy()
+    got = _outcome(TemporalMultiLayerGraph.from_columns, names, columns["vertex"], columns["edge"])
+    want = _outcome(RecordGraph.from_records, names, zip(*columns["vertex"]), zip(*columns["edge"]))
+    assert got[0] == want[0] and (got[0] == "ok" or got == want), (got, want)
+    if got[0] == "ok":
+        _same_graph(got[1], want[1])
+    assert not kind or np.array_equal(columns[kind][field], given)  # the caller's array is kept
+
+
+JUNK = [None, True, 0.5, "x", [], {}, -1, 10 ** 30, 10 ** 400, 2 ** 62, [1, "a"], [[1]], {"z": 1}, "\ud800"]
 
 
 def _places(doc):
@@ -247,3 +267,20 @@ def test_import_matches_the_record_importer(seed):
     assert got[0] == want[0] and (got[0] == "ok" or got == want), (got, want)
     if got[0] == "ok":
         _same_graph(got[1], want[1])
+
+
+@pytest.mark.parametrize("key, field", [(key, field) for key, fields in (
+    ("vertices", ("id", "roles", "layers", "attrs", "t_start", "t_end")),
+    ("edges", ("id", "src", "dst", "layer_src", "layer_dst", "directed", "weight", "relation",
+               "t_start", "t_end"))) for field in fields])
+def test_each_bad_json_field_matches_the_record_importer(key, field):
+    names, vs, es = _sample_records()
+    doc = io.graph_to_dict(RecordGraph.from_records(names, vs, es))
+    for value in JUNK:
+        for i in (0, len(doc[key]) // 2, len(doc[key]) - 1):
+            bad = copy.deepcopy(doc)
+            bad[key][i][field] = copy.deepcopy(value)
+            got = _outcome(io.graph_from_dict, copy.deepcopy(bad))
+            want = _outcome(record_graph_from_dict, bad)
+            assert got[0] == want[0] and (got[0] == "ok" or got == want), (value, got, want)
+
