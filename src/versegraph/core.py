@@ -115,14 +115,6 @@ def _utf8(text: str, what: str) -> None:
         raise ValidationError(f"{what} {text!r} cannot be encoded as UTF-8") from None
 
 
-def _encodes(texts: Iterable[str]) -> bool:
-    try:
-        "".join(texts).encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 _INT, _STR = frozenset({int}), frozenset({str})
 # the field types of an edge that need no conversion
 _EDGE_TYPES = frozenset((int, int, int, int, int, bool, float, str, int, t_end)
@@ -137,8 +129,9 @@ _EDGE_COLUMNS = {"id": np.int64, "src": np.int64, "dst": np.int64, "layer_src": 
                  "layer_dst": np.int64, "directed": bool, "weight": np.float64, "relation": object,
                  "t_start": np.int64, "t_end": np.int64}
 # the value types a column takes without a call to _vertex or _edge
-_FAST_VERTEX = (_INT, frozenset({list, tuple, set, frozenset}), frozenset({list, tuple, set, frozenset}),
-                frozenset({dict, MappingProxyType}), _INT, frozenset({int, type(None)}))
+_SETS = frozenset({list, tuple, set, frozenset})
+_FAST_VERTEX = (_INT, _SETS, _SETS, frozenset({dict, MappingProxyType}), _INT,
+                frozenset({int, type(None)}))
 _FAST_EDGE = (_INT, _INT, _INT, _INT, _INT, frozenset({bool}), frozenset({float}), _STR, _INT,
               frozenset({int, type(None)}))
 
@@ -234,7 +227,7 @@ def _outside(*columns: np.ndarray) -> np.ndarray:
     return np.any([(c <= -_LIMIT) | (_LIMIT <= c) for c in columns], axis=0)
 
 
-def _ends(column: np.ndarray) -> list[Optional[int]]:
+def _plain_ends(column: np.ndarray) -> list[Optional[int]]:
     """A t_end column as plain values: None for an open end."""
     return [None if t == OPEN else t for t in column.tolist()]
 
@@ -294,7 +287,8 @@ class GraphView:
         outside[~outside] = ids[at[~outside]] != ends[~outside]
         outside = outside[:m] | outside[m:]
         if outside.any():
-            raise ValidationError(f"edge {eid[np.flatnonzero(outside)[0]]} references vertex outside view")
+            first = eid[np.flatnonzero(outside)[0]]
+            raise ValidationError(f"edge {first} references vertex outside view")
         self._pos = at[:m], at[m:]  # positional endpoints
         self._directed = directed
         self._csr: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -384,13 +378,14 @@ class SnapshotView:
     @cached_property
     def vertices(self) -> Mapping[int, VertexRecord]:
         """Read-only id -> record mapping in ascending id order."""
-        rows, ends, g = self._vrows.tolist(), _ends(self._vends), self._graph
+        rows, ends, g = self._vrows.tolist(), _plain_ends(self._vends), self._graph
         return _RecordMap(dict(zip(self._vids.tolist(), range(len(rows)))),
                           lambda i: g._records_at(g._vertices, [rows[i]], [ends[i]])[0])
 
     @cached_property
     def edges(self) -> tuple[EdgeRecord, ...]:
-        return self._graph._records_at(self._graph._edges, self._erows.tolist(), _ends(self._eends))
+        g = self._graph
+        return g._records_at(g._edges, self._erows.tolist(), _plain_ends(self._eends))
 
     def vertex_columns(self) -> list[list]:
         """The fields of the snapshot's vertices in id order, one list per
@@ -419,7 +414,8 @@ class SnapshotView:
         g, rows, ends = self._graph, self._erows[emask], self._eends[emask]
         e = g._edges
         return GraphView._of(self._vids[vmask], e["id"][rows], e["src"][rows], e["dst"][rows],
-                             e["directed"][rows], lambda: g._records_at(e, rows.tolist(), _ends(ends)))
+                             e["directed"][rows],
+                             lambda: g._records_at(e, rows.tolist(), _plain_ends(ends)))
 
     def layer_subgraph(self, layer: int) -> GraphView:
         """Single-layer view: V_i plus only the intra-layer edges of ``layer``.
@@ -573,7 +569,8 @@ class TemporalMultiLayerGraph:
         ints, a bool and a float, as for a vertex."""
         eid, t_start, t_end = fields[0], fields[8], fields[9]
         if (tuple(map(type, fields)) not in _EDGE_TYPES or not -_LIMIT < eid < _LIMIT
-                or not -_LIMIT < t_start < _LIMIT or t_end is not None and not -_LIMIT < t_end < _LIMIT):
+                or not -_LIMIT < t_start < _LIMIT
+                or t_end is not None and not -_LIMIT < t_end < _LIMIT):
             fields = _plain_edge(*fields)
         eid, src, dst, layer_src, layer_dst, _, weight, relation, t_start, t_end = fields
         if not 0.0 <= weight < math.inf:
@@ -618,7 +615,8 @@ class TemporalMultiLayerGraph:
             except ValidationError as exc:  # raised below if no earlier row fails
                 errors[i] = exc
                 ids[i], roles[i], layers[i], starts[i], ends[i] = 0, (), (), 0, 0
-        role_codes, roles_ok = self._intern(roles, lambda s: "".join(s).isascii() or _encodes(s))
+        # a non-ASCII role set goes to _vertex, which checks it encodes
+        role_codes, roles_ok = self._intern(roles, lambda s: "".join(s).isascii())
         layer_codes, layers_ok = self._intern(layers, lambda s: s and self._layer_names.keys() >= s)
         cols = {"id": _int64(ids), "roles": role_codes, "layers": layer_codes,
                 "attrs": np.fromiter(stored, object, n), "t_start": _int64(starts),
@@ -719,7 +717,7 @@ class TemporalMultiLayerGraph:
             if name in ("roles", "layers"):
                 out.append(list(map(self._sets.__getitem__, values.tolist())))
             else:
-                out.append(_ends(values) if name == "t_end" else values.tolist())
+                out.append(_plain_ends(values) if name == "t_end" else values.tolist())
         return out
 
     def _records_at(self, cols: _Columns, rows: list[int], ends: list) -> tuple:
@@ -734,7 +732,7 @@ class TemporalMultiLayerGraph:
         return tuple(r if r.t_end == t else r._replace(t_end=t) for r, t in zip(recs, ends))
 
     def _record(self, cols: _Columns, row: int) -> tuple:
-        return self._records_at(cols, [row], _ends(cols["t_end"][row:row + 1]))[0]
+        return self._records_at(cols, [row], _plain_ends(cols["t_end"][row:row + 1]))[0]
 
     def _active(self, cols: _Columns, t: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows active at ``t`` in id order, and their ends."""
