@@ -9,15 +9,15 @@ edges; the isolated objective ignores them (and the link constraints), which
 is exactly what makes its optimum infeasible when domains contend for a link.
 
 Flows are linear in the allocation: f_{l,k}(R_k) = a_{l,k} * R_k with
-per-link routing coefficients a.  Transmission energy scales with distance
-squared; reception energy is distance-independent.
+per-link routing coefficients a.  The energy term scales with transmission
+distance squared (eps_tx d^2); a node's reception cost eps_rx enters no term.
 
 Every interaction term is bilinear in (R_m, R_n), so :func:`compile_scenario`
 turns a scenario into arrays once: the coupled objective is exactly
 sum_k U_k(R_k) - (R^T Q R + b^T R + c) and the link constraints are A R <= C.
-The evaluation and optimization functions below all work on that compiled
-form; the ``phi_*`` functions are the scalar reference definitions of the
-terms that ``Q``, ``b`` and ``c`` collect.
+This compiled form is the model's only implementation; the scalar formulas of
+the terms that ``Q``, ``b`` and ``c`` collect are kept in the test suite
+(``tests/crossopt_reference.py``) as the oracle the arrays must match.
 """
 
 from __future__ import annotations
@@ -141,21 +141,6 @@ class Scenario:
     def domain_ids(self) -> list[str]:
         return [d.id for d in self.domains]
 
-    def domain(self, did: str) -> DomainSpec:
-        return self.domains[self.index(did)]
-
-    def index(self, did: str) -> int:
-        for i, d in enumerate(self.domains):
-            if d.id == did:
-                return i
-        raise ValidationError(f"unknown domain {did}")
-
-    def link(self, lid: str) -> SharedLink:
-        for l in self.links:
-            if l.id == lid:
-                return l
-        raise ValidationError(f"unknown link {lid}")
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.array([d.r_min for d in self.domains], dtype=float)
         hi = np.array([d.r_max for d in self.domains], dtype=float)
@@ -163,90 +148,16 @@ class Scenario:
 
 
 def auto_coupling(scenario: Scenario) -> list[CouplingEdge]:
-    """One coupling edge per domain pair that shares a link or a node."""
-
-    def shares(m: str, n: str) -> bool:
-        link = any(l.coeffs.get(m, 0.0) > 0 and l.coeffs.get(n, 0.0) > 0 for l in scenario.links)
-        return link or any(_node_serves(scenario, nd, m) and _node_serves(scenario, nd, n)
-                           for nd in scenario.nodes)
-
-    ids = scenario.domain_ids
-    return [CouplingEdge(m, n) for i, m in enumerate(ids) for n in ids[i + 1:] if shares(m, n)]
-
-
-def _node_serves(scenario: Scenario, node: SharedNode, did: str) -> bool:
-    return any(scenario.link(l).coeffs.get(did, 0.0) > 0 for l in node.incident)
-
-
-# ---------------------------------------------------------------------------
-# Scalar reference definitions of the model terms
-# ---------------------------------------------------------------------------
-
-def utility(d: DomainSpec, r: float) -> float:
-    """Sigmoid utility; 0.5 at the midpoint, saturating in floating point."""
-    z = -d.gamma * (r - d.lam)
-    if z > 700:
-        return math.exp(-z)  # underflow-safe tail
-    return 1.0 / (1.0 + math.exp(z))
-
-
-def _domain_node_coeff(scenario: Scenario, node: SharedNode, did: str) -> float:
-    """Total routing coefficient of a domain over a node's incident links."""
-    return sum(scenario.link(l).coeffs.get(did, 0.0) for l in node.incident)
-
-
-def _node_etx_const(scenario: Scenario, node: SharedNode, m: str, n: str) -> float:
-    """eps_tx * d^2 for the lowest-id incident link carrying either domain."""
-    carrying = sorted(
-        l for l in node.incident
-        if scenario.link(l).coeffs.get(m, 0.0) > 0 or scenario.link(l).coeffs.get(n, 0.0) > 0
-    )
-    if not carrying:
-        return 0.0
-    d = node.incident[carrying[0]]
-    return node.eps_tx * d * d
-
-
-def phi_link(m: str, n: str, r: np.ndarray, scenario: Scenario) -> float:
-    """Flow-product contention over links shared by both domains."""
-    if m == n:
-        raise ValidationError("phi_link needs two distinct domains")
-    im, iN = scenario.index(m), scenario.index(n)
-    total = 0.0
-    for l in scenario.links:
-        am, an = l.coeffs.get(m, 0.0), l.coeffs.get(n, 0.0)
-        if am > 0 and an > 0:
-            total += (am * r[im]) * (an * r[iN]) / l.capacity
-    return total
-
-
-def phi_energy(m: str, n: str, r: np.ndarray, scenario: Scenario) -> float:
-    """Energy cost of both domains' flows meeting at shared nodes."""
-    if m == n:
-        raise ValidationError("phi_energy needs two distinct domains")
-    im, iN = scenario.index(m), scenario.index(n)
-    total = 0.0
-    for nd in scenario.nodes:
-        am = _domain_node_coeff(scenario, nd, m)
-        an = _domain_node_coeff(scenario, nd, n)
-        if am > 0 and an > 0:
-            total += _node_etx_const(scenario, nd, m, n) * (am * r[im]) * (an * r[iN])
-    return total
-
-
-def phi_utility(dm: DomainSpec, dn: DomainSpec, rm: float, rn: float) -> float:
-    """gamma_m gamma_n (R_m - lambda_m)(R_n - lambda_n)."""
-    return dm.gamma * dn.gamma * (rm - dm.lam) * (rn - dn.lam)
-
-
-def phi_total(edge: CouplingEdge, r: np.ndarray, scenario: Scenario) -> float:
-    """Weighted sum of the three interaction components on one coupling edge."""
-    val = edge.w_link * phi_link(edge.m, edge.n, r, scenario)
-    val += edge.w_energy * phi_energy(edge.m, edge.n, r, scenario)
-    if edge.utility:
-        dm, dn = scenario.domain(edge.m), scenario.domain(edge.n)
-        val += edge.w_util * phi_utility(dm, dn, r[scenario.index(edge.m)], r[scenario.index(edge.n)])
-    return val
+    """One coupling edge per domain pair that shares a link or a node, in
+    domain order.  A link is shared by the domains it carries (coefficient
+    > 0), a node by every domain that one of its incident links carries."""
+    index = {d.id: i for i, d in enumerate(scenario.domains)}
+    carries = {l.id: {_lookup(index, k, "domain") for k, a in l.coeffs.items() if a > 0}
+               for l in scenario.links}
+    groups = [*carries.values(), *(set().union(*(_lookup(carries, l, "link") for l in nd.incident))
+                                   for nd in scenario.nodes)]
+    pairs = sorted({(m, n) for g in groups for m in g for n in g if m < n})
+    return [CouplingEdge(scenario.domains[m].id, scenario.domains[n].id) for m, n in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +189,7 @@ class CompiledScenario:
             arr.setflags(write=False)
 
     def utilities(self, R: np.ndarray) -> np.ndarray:
-        """Per-domain sigmoid utilities, with :func:`utility`'s underflow-safe tail."""
+        """Per-domain sigmoid utilities; exp(-z) where z = gamma (lambda - R) passes 700."""
         z = self.gamma * (self.lam - R)
         u = 1.0 / (1.0 + np.exp(np.minimum(z, 700.0)))
         tail = z > 700.0
@@ -324,7 +235,7 @@ class CompiledScenario:
         return g
 
 
-def _lookup(table: dict[str, int], key: str, what: str) -> int:
+def _lookup(table: dict, key: str, what: str):
     try:
         return table[key]
     except KeyError:
@@ -334,9 +245,9 @@ def _lookup(table: dict[str, int], key: str, what: str) -> int:
 def _energy_coeffs(scenario: Scenario, A: np.ndarray, link_row: dict[str, int]) -> np.ndarray:
     """(K, K) energy coefficient of every domain pair, summed over the nodes.
 
-    For a pair (m, n) and a node this is eps_tx d^2 of the lowest-id incident
-    link carrying either domain, times each domain's total routing
-    coefficient over the node's incident links (see :func:`phi_energy`).
+    For a pair (m, n) and a node this is eps_tx d^2 of the lowest-id incident link
+    carrying either domain, times each domain's total routing coefficient over
+    the node's incident links (``phi_energy`` in ``tests/crossopt_reference.py``).
     """
     K = A.shape[1]
     E = np.zeros((K, K))
@@ -412,35 +323,9 @@ def _allocation(r: np.ndarray, cs: CompiledScenario) -> np.ndarray:
     return r
 
 
-def link_flow(link: SharedLink, scenario: Scenario, r: np.ndarray) -> float:
-    """Flow over one of the scenario's links at allocation r."""
-    try:
-        row = scenario.links.index(link)
-    except ValueError:
-        raise ValidationError(f"link {link.id} is not in the scenario") from None
-    cs = compile_scenario(scenario)
-    return float(cs.flows(_allocation(r, cs))[row])
-
-
-def feasible(scenario: Scenario, r: np.ndarray) -> tuple[bool, list[tuple[str, float]]]:
-    """Check every link's capacity; returns violations as (link id, excess)."""
-    cs = compile_scenario(scenario)
-    excess = cs.excess(_allocation(r, cs))
-    violations = [(l.id, float(x)) for l, x in zip(scenario.links, excess) if x > 0]
-    return (not violations), violations
-
-
 def max_violation(scenario: Scenario, r: np.ndarray) -> float:
     cs = compile_scenario(scenario)
     return float(cs.max_violation(_allocation(r, cs)))
-
-
-def node_energy(node: SharedNode, scenario: Scenario, r: np.ndarray) -> float:
-    """E_n = sum over incident links of (eps_tx d^2 + eps_rx) * flow(l)."""
-    total = 0.0
-    for lid, d in node.incident.items():
-        total += (node.eps_tx * d * d + node.eps_rx) * link_flow(scenario.link(lid), scenario, r)
-    return total
 
 
 def objective(r: np.ndarray, scenario: Scenario, mode: str) -> float:

@@ -361,9 +361,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                    for k, a in _field(l, "coeffs", OBJECT, w, {}).items()})
                  for l, w in _objects(doc, "links", ("id", "capacity", "coeffs"), default=[])]
         nodes = [(_field(n, "id", STR, w), _field(n, "eps_tx", NUMBER, w),
-                  _field(n, "eps_rx", NUMBER, w),
-                  {_field(i, "link", STR, wi): _field(i, "distance", NUMBER, wi)
-                   for i, wi in _objects(n, "incident", ("link", "distance"), w, [])})
+                  _field(n, "eps_rx", NUMBER, w), _incident(n, w))
                  for n, w in _objects(doc, "nodes", ("id", "eps_tx", "eps_rx", "incident"), default=[])]
         coupling = doc.get("coupling", "auto")
         edges = [] if coupling == "auto" else [
@@ -377,6 +375,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if coupling == "auto":
         scenario.coupling = auto_coupling(scenario)
     return scenario
+
+
+def _incident(node: dict, what: str) -> dict[str, float]:
+    """A node's ``incident`` list as link id -> distance; a link listed twice
+    is refused, since one distance would silently replace the other."""
+    incident: dict[str, float] = {}
+    for i, wi in _objects(node, "incident", ("link", "distance"), what, []):
+        link = _field(i, "link", STR, wi)
+        if link in incident:
+            raise ValidationError(f"{wi}.link {link!r} repeats")
+        incident[link] = _field(i, "distance", NUMBER, wi)
+    return incident
 
 
 def _coupling_edge(e: dict, what: str) -> tuple:

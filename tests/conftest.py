@@ -182,6 +182,8 @@ def grid_search_two_domain(scenario, mode, res=1e-3):
 
     assert len(scenario.domains) == 2
     d1, d2 = scenario.domains
+    links = {l.id: l for l in scenario.links}
+    domains = {d.id: d for d in scenario.domains}
     xs = np.arange(d1.r_min, d1.r_max + res / 2, res)
     ys = np.arange(d2.r_min, d2.r_max + res / 2, res)
     u1 = 1.0 / (1.0 + np.exp(-d1.gamma * (xs - d1.lam)))
@@ -203,19 +205,18 @@ def grid_search_two_domain(scenario, mode, res=1e-3):
                     phi += outer(am * rm, an * rn) / l.capacity
             phi *= e.w_link
             for nd in scenario.nodes:
-                am = sum(scenario.link(l).coeffs.get(m, 0.0) for l in nd.incident)
-                an = sum(scenario.link(l).coeffs.get(n, 0.0) for l in nd.incident)
+                am = sum(links[l].coeffs.get(m, 0.0) for l in nd.incident)
+                an = sum(links[l].coeffs.get(n, 0.0) for l in nd.incident)
                 if am > 0 and an > 0:
                     carrying = sorted(
                         l for l in nd.incident
-                        if scenario.link(l).coeffs.get(m, 0.0) > 0
-                        or scenario.link(l).coeffs.get(n, 0.0) > 0
+                        if links[l].coeffs.get(m, 0.0) > 0
+                        or links[l].coeffs.get(n, 0.0) > 0
                     )
                     dist = nd.incident[carrying[0]]
                     phi += e.w_energy * nd.eps_tx * dist * dist * outer(am * rm, an * rn)
             if e.utility:
-                dm = scenario.domain(m)
-                dn = scenario.domain(n)
+                dm, dn = domains[m], domains[n]
                 phi += e.w_util * dm.gamma * dn.gamma * outer(rm - dm.lam, rn - dn.lam)
             obj = obj - e.sign * phi
         mask = np.ones_like(obj, dtype=bool)

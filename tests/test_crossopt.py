@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from versegraph.crossopt import (
 )
 from versegraph.errors import InfeasibleError, ValidationError
 
+import crossopt_reference as ref
 from conftest import grid_search_two_domain
 
 
@@ -39,100 +41,111 @@ def two_domain(gamma=(1.0, 1.0), lam=(1.0, 1.0), bounds=(0.0, 2.0), links=(), no
 
 # -- model pieces -----------------------------------------------------------
 
+def _utilities(d, xs):
+    """``d``'s compiled utilities at each of ``xs``."""
+    cs = crossopt.compile_scenario(Scenario([d]))
+    return cs.utilities(np.asarray(xs, dtype=float)[:, None])[:, 0]
+
+
+def _penalty(s, r):
+    """The coupled penalty R^T Q R + b^T R + c of the compiled scenario."""
+    cs = crossopt.compile_scenario(s)
+    return float(r @ cs.Q @ r + cs.b @ r + cs.c)
+
+
 def test_utility_midpoint_and_monotone():
     d = DomainSpec("a", 2.0, 1.0, 0.0, 5.0)
-    assert crossopt.utility(d, 1.0) == 0.5
-    assert crossopt.utility(d, 2.0) == pytest.approx(1 / (1 + math.exp(-2)))
+    assert ref.utility(d, 1.0) == 0.5
+    assert ref.utility(d, 2.0) == pytest.approx(1 / (1 + math.exp(-2)))
     grid = np.linspace(-5, 5, 50)
-    vals = [crossopt.utility(d, x) for x in grid]
+    vals = [ref.utility(d, x) for x in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert all(0.0 < v < 1.0 for v in vals)
+    assert _utilities(d, grid).tolist() == pytest.approx(vals, rel=1e-12, abs=0)
 
 
 def test_utility_saturation():
     d = DomainSpec("a", 1.0, 0.0, 0.0, 1.0)
-    assert crossopt.utility(d, -30.0) < 1e-12
-    assert crossopt.utility(d, 30.0) > 1 - 1e-12
+    assert ref.utility(d, -30.0) < 1e-12
+    assert ref.utility(d, 30.0) > 1 - 1e-12
+    # past an exponent of 700 both take exp(-z), not 1/(1 + exp(700))
+    xs = [-30.0, 30.0, -699.0, -705.0]
+    got = _utilities(d, xs)
+    assert got.tolist() == pytest.approx([ref.utility(d, x) for x in xs], rel=1e-12, abs=0)
+    assert got[3] == pytest.approx(math.exp(-705.0), rel=1e-12)
 
 
 def test_link_flow_and_feasible():
     s = two_domain(links=[SharedLink("l", 10.0, {"a": 1.0, "b": 1.0})])
+    cs = crossopt.compile_scenario(s)
     r = np.array([2.0, 3.0])
-    assert crossopt.link_flow(s.links[0], s, r) == 5.0
-    ok, violations = crossopt.feasible(s, r)
-    assert ok and violations == []
+    assert cs.flows(r).tolist() == [5.0]
+    assert cs.excess(r).tolist() == [-5.0]
+    assert cs.max_violation(r) == 0.0
 
 
 def test_link_flow_zero_coeffs():
     s = two_domain(links=[SharedLink("l", 1.0, {"a": 0.0, "b": 0.0})])
-    ok, _ = crossopt.feasible(s, np.array([9.0, 9.0]))
-    assert crossopt.link_flow(s.links[0], s, np.array([9.0, 9.0])) == 0.0
-    assert ok
+    cs = crossopt.compile_scenario(s)
+    r = np.array([9.0, 9.0])
+    assert cs.flows(r).tolist() == [0.0]
+    assert cs.max_violation(r) == 0.0
 
 
 def test_feasible_violation_excess():
     s = two_domain(links=[SharedLink("l", 10.0, {"a": 2.0, "b": 0.0})], bounds=(0.0, 9.0))
-    ok, violations = crossopt.feasible(s, np.array([6.0, 9.0]))
-    assert not ok
-    assert violations == [("l", pytest.approx(2.0))]
-
-
-def test_node_energy():
-    link = SharedLink("l", 100.0, {"a": 1.0, "b": 0.0})
-    node = SharedNode("n", 0.1, 0.05, {"l": 2.0})
-    s = two_domain(links=[link], nodes=[node], bounds=(0.0, 9.0))
-    # flow 5 over one link at distance 2
-    e = crossopt.node_energy(node, s, np.array([5.0, 0.0]))
-    assert e == pytest.approx((0.1 * 4 + 0.05) * 5.0)
-    assert crossopt.node_energy(node, s, np.array([0.0, 0.0])) == 0.0
-
-
-def test_node_energy_linear_in_flow():
-    link1 = SharedLink("l", 100.0, {"a": 1.0, "b": 2.0})
-    link2 = SharedLink("l2", 100.0, {"a": 2.0, "b": 4.0})
-    node = SharedNode("n", 0.3, 0.2, {"l": 1.5})
-    s1 = two_domain(links=[link1], nodes=[node], bounds=(0.0, 9.0))
-    s2 = two_domain(links=[link2], nodes=[SharedNode("n", 0.3, 0.2, {"l2": 1.5})], bounds=(0.0, 9.0))
-    r = np.array([1.0, 2.0])
-    assert crossopt.node_energy(s2.nodes[0], s2, r) == pytest.approx(
-        2 * crossopt.node_energy(s1.nodes[0], s1, r)
-    )
+    cs = crossopt.compile_scenario(s)
+    r = np.array([6.0, 9.0])
+    assert cs.excess(r).tolist() == [pytest.approx(2.0)]
+    assert crossopt.max_violation(s, r) == pytest.approx(2.0)
 
 
 def test_phi_link_shared():
     s = two_domain(links=[SharedLink("l", 10.0, {"a": 1.0, "b": 1.0})])
     r = np.array([2.0, 3.0])
-    assert crossopt.phi_link("a", "b", r, s) == pytest.approx(0.6)
-    assert crossopt.phi_link("b", "a", r, s) == crossopt.phi_link("a", "b", r, s)
+    assert ref.phi_link("a", "b", r, s) == pytest.approx(0.6)
+    assert ref.phi_link("b", "a", r, s) == ref.phi_link("a", "b", r, s)
+    assert _penalty(s, r) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_phi_link_no_shared_links():
-    s = two_domain(links=[SharedLink("l", 10.0, {"a": 1.0, "b": 0.0})])
-    assert crossopt.phi_link("a", "b", np.array([5.0, 5.0]), s) == 0.0
+    s = two_domain(links=[SharedLink("l", 10.0, {"a": 1.0, "b": 0.0})],
+                   coupling=[CouplingEdge("a", "b")])
+    r = np.array([5.0, 5.0])
+    assert ref.phi_link("a", "b", r, s) == 0.0
+    assert _penalty(s, r) == 0.0
 
 
 def test_phi_energy_one_shared_node():
     link = SharedLink("l", 100.0, {"a": 1.0, "b": 1.0})
     # eps_tx * d^2 = 0.4 -> d=2, eps_tx=0.1
     node = SharedNode("n", 0.1, 0.0, {"l": 2.0})
-    s = two_domain(links=[link], nodes=[node], bounds=(0.0, 9.0))
-    r = np.array([2.0, 3.0])
-    assert crossopt.phi_energy("a", "b", r, s) == pytest.approx(0.4 * 2.0 * 3.0)
-    assert crossopt.phi_energy("a", "b", np.array([0.0, 3.0]), s) == 0.0
+    s = two_domain(links=[link], nodes=[node], bounds=(0.0, 9.0),
+                   coupling=[CouplingEdge("a", "b", w_link=0.0)])
+    for r, want in (([2.0, 3.0], 0.4 * 2.0 * 3.0), ([0.0, 3.0], 0.0)):
+        r = np.array(r)
+        assert ref.phi_energy("a", "b", r, s) == pytest.approx(want)
+        assert _penalty(s, r) == pytest.approx(want, abs=1e-12)
 
 
 def test_phi_energy_no_shared_nodes():
-    s = two_domain(links=[SharedLink("l", 10.0, {"a": 1.0, "b": 1.0})])
-    assert crossopt.phi_energy("a", "b", np.array([1.0, 1.0]), s) == 0.0
+    s = two_domain(links=[SharedLink("l", 10.0, {"a": 1.0, "b": 1.0})],
+                   coupling=[CouplingEdge("a", "b", w_link=0.0)])
+    r = np.array([1.0, 1.0])
+    assert ref.phi_energy("a", "b", r, s) == 0.0
+    assert _penalty(s, r) == 0.0
 
 
 def test_phi_utility():
     dm = DomainSpec("a", 1.0, 1.0, 0.0, 5.0)
     dn = DomainSpec("b", 1.0, 2.0, 0.0, 5.0)
-    assert crossopt.phi_utility(dm, dn, 1.0, 4.0) == 0.0
-    assert crossopt.phi_utility(dm, dn, 3.0, 5.0) == pytest.approx(6.0)
+    assert ref.phi_utility(dm, dn, 1.0, 4.0) == 0.0
+    assert ref.phi_utility(dm, dn, 3.0, 5.0) == pytest.approx(6.0)
     # one factor below its midpoint flips the sign
-    assert crossopt.phi_utility(dm, dn, 0.0, 5.0) < 0
+    assert ref.phi_utility(dm, dn, 0.0, 5.0) < 0
+    s = Scenario([dm, dn], coupling=[CouplingEdge("a", "b", utility=True)])
+    for r in ([1.0, 4.0], [3.0, 5.0], [0.0, 5.0]):
+        assert _penalty(s, np.array(r)) == pytest.approx(ref.phi_utility(dm, dn, *r), abs=1e-12)
 
 
 def test_phi_total_components():
@@ -143,16 +156,16 @@ def test_phi_total_components():
     r = np.array([2.0, 3.0])
     edge = s.coupling[0]
     expect = (
-        crossopt.phi_link("a", "b", r, s)
-        + crossopt.phi_energy("a", "b", r, s)
-        + crossopt.phi_utility(s.domains[0], s.domains[1], 2.0, 3.0)
+        ref.phi_link("a", "b", r, s)
+        + ref.phi_energy("a", "b", r, s)
+        + ref.phi_utility(s.domains[0], s.domains[1], 2.0, 3.0)
     )
-    assert crossopt.phi_total(edge, r, s) == pytest.approx(expect)
+    assert ref.phi_total(edge, r, s) == pytest.approx(expect)
+    assert _penalty(s, r) == pytest.approx(expect, abs=1e-12)
     proj = CouplingEdge("a", "b", utility=True, w_energy=0.0, w_util=0.0)
     s2 = two_domain(links=[link], nodes=[node], bounds=(0.0, 9.0), coupling=[proj])
-    assert crossopt.phi_total(s2.coupling[0], r, s2) == pytest.approx(
-        crossopt.phi_link("a", "b", r, s2)
-    )
+    assert ref.phi_total(s2.coupling[0], r, s2) == pytest.approx(ref.phi_link("a", "b", r, s2))
+    assert _penalty(s2, r) == pytest.approx(ref.phi_link("a", "b", r, s2), abs=1e-12)
 
 
 def test_objective_single_domain_modes_agree():
@@ -184,7 +197,10 @@ def test_phi_total_symmetry():
     r = np.array([1.2, 2.7])
     e = s.coupling[0]
     rev = CouplingEdge("b", "a", utility=True)
-    assert crossopt.phi_total(e, r, s) == pytest.approx(crossopt.phi_total(rev, r, s))
+    assert ref.phi_total(e, r, s) == pytest.approx(ref.phi_total(rev, r, s))
+    s_rev = two_domain(links=[link], nodes=[node], bounds=(0.0, 9.0), coupling=[rev])
+    assert _penalty(s_rev, r) == pytest.approx(_penalty(s, r), abs=1e-12)
+    assert _penalty(s, r) == pytest.approx(ref.phi_total(e, r, s), abs=1e-12)
 
 
 # -- gradient ---------------------------------------------------------------
@@ -414,6 +430,35 @@ def test_scenario_rejects_duplicate_link_ids():
                  [SharedLink("l", 1.0, {"a": 1.0}), SharedLink("l", 2.0, {"a": 1.0})])
 
 
+def _random_coupling_case(rng):
+    """A scenario for the coupling scan: 1-5 domains in shuffled id order,
+    0-4 links over random members with some zero coefficients, and 0-2
+    nodes over random links, possibly none."""
+    ids = [f"d{i}" for i in range(rng.randint(1, 5))]
+    rng.shuffle(ids)
+    links = [SharedLink(f"l{li}", 1.0, {d: rng.choice([0.0, 0.5, 1.0])
+                                        for d in rng.sample(ids, rng.randint(0, len(ids)))})
+             for li in range(rng.randint(0, 4))]
+    nodes = [SharedNode(f"n{ni}", 0.1, 0.0,
+                        {l.id: 1.0 for l in rng.sample(links, rng.randint(0, len(links)))})
+             for ni in range(rng.randint(0, 2))]
+    return Scenario([DomainSpec(d, 1.0, 1.0, 0.0, 1.0) for d in ids], links, nodes)
+
+
+def test_auto_coupling_matches_pairwise_scan():
+    rng = random.Random(20260)
+    cases = [_random_coupling_case(rng) for _ in range(600)]
+    # the shapes the one-pass scan must get right
+    assert any(a == 0.0 for s in cases for l in s.links for a in l.coeffs.values())
+    assert any(not nd.incident for s in cases for nd in s.nodes)
+    assert any(len(s.domains) == 1 for s in cases)
+    assert any(not s.links for s in cases)
+    assert any(s.nodes and len(ref.auto_coupling_pairs(s)) > 1 for s in cases)
+    for s in cases:
+        want = [CouplingEdge(m, n) for m, n in ref.auto_coupling_pairs(s)]
+        assert auto_coupling(s) == want, s
+
+
 # -- compiled form ----------------------------------------------------------
 
 def test_coupling_change_is_seen_by_next_call():
@@ -458,18 +503,6 @@ def _random_scenario(rng, K, n_links, n_nodes):
     return Scenario(domains, links, nodes, coupling)
 
 
-def _reference_penalty(r, s):
-    total = 0.0
-    for e in s.coupling:
-        phi = e.w_link * crossopt.phi_link(e.m, e.n, r, s)
-        phi += e.w_energy * crossopt.phi_energy(e.m, e.n, r, s)
-        if e.utility:
-            i, j = s.index(e.m), s.index(e.n)
-            phi += e.w_util * crossopt.phi_utility(s.domains[i], s.domains[j], r[i], r[j])
-        total += e.sign * phi
-    return total
-
-
 def _differential_cases():
     rng = np.random.default_rng(20241)
     cases = [_random_scenario(rng, K, L, N) for K, L, N in ((3, 3, 1), (4, 4, 2), (5, 5, 2), (6, 6, 3))]
@@ -491,20 +524,35 @@ def test_differential_cases_cover_every_term():
 def test_compiled_form_matches_phi_reference(case):
     s = _differential_cases()[case]
     K = len(s.domains)
+    index = {d.id: i for i, d in enumerate(s.domains)}
     rng = np.random.default_rng(case)
+    # the penalty is quadratic with no square terms, so the oracle at 0, the
+    # unit vectors and their pairwise sums gives c, b and Q entry by entry
+    cs = crossopt.compile_scenario(s)
+    eye = np.eye(K)
+    c = ref.penalty(np.zeros(K), s)
+    lin = [ref.penalty(eye[k], s) - c for k in range(K)]
+    assert cs.c == pytest.approx(c, abs=1e-12)
+    assert np.allclose(cs.b, lin, rtol=0, atol=1e-12)
+    assert not np.diag(cs.Q).any()
+    for i in range(K):
+        for j in range(i + 1, K):
+            q = ref.penalty(eye[i] + eye[j], s) - lin[i] - lin[j] - c
+            assert 2 * cs.Q[i, j] == pytest.approx(q, abs=1e-12)
     for _ in range(16):
         r = rng.uniform(0.0, 4.0, size=K)
-        utils = np.array([crossopt.utility(d, r[i]) for i, d in enumerate(s.domains)])
-        pen = _reference_penalty(r, s)
+        utils = np.array([ref.utility(d, r[i]) for i, d in enumerate(s.domains)])
+        pen = ref.penalty(r, s)
         assert crossopt.objective(r, s, "isolated") == pytest.approx(utils.sum(), abs=1e-12)
         assert crossopt.objective(r, s, "coupled") == pytest.approx(utils.sum() - pen, abs=1e-12)
         # the penalty is affine in each coordinate, so a unit step is its exact partial
-        dpen = np.array([_reference_penalty(r + np.eye(K)[k], s) - pen for k in range(K)])
+        dpen = np.array([ref.penalty(r + np.eye(K)[k], s) - pen for k in range(K)])
         gamma = np.array([d.gamma for d in s.domains])
         dutil = gamma * utils * (1.0 - utils)
         assert np.allclose(crossopt.gradient(r, s, "isolated"), dutil, rtol=0, atol=1e-12)
         assert np.allclose(crossopt.gradient(r, s, "coupled"), dutil - dpen, rtol=0, atol=1e-12)
-        per_link = [crossopt.link_flow(l, s, r) - l.capacity for l in s.links]
+        per_link = [sum(a * r[index[k]] for k, a in l.coeffs.items()) - l.capacity
+                    for l in s.links]
         assert crossopt.max_violation(s, r) == pytest.approx(max([0.0] + per_link), abs=1e-12)
 
 
@@ -522,12 +570,12 @@ def test_compiled_batch_matches_single_points():
 
 
 def test_phi_energy_uses_lowest_id_carrying_link_only():
-    """Pins the current energy term on a node with two incident links.
+    """Pins the shipped energy rule on a node with two incident links.
 
-    ``_node_etx_const`` takes eps_tx d^2 of the lowest-id incident link that
-    carries either domain (here l1, d=2), while ``node_energy`` sums
-    (eps_tx d^2 + eps_rx) over every incident link.  This looks suspect, but
-    changing it changes optimizer outputs, so the value is pinned as-is.
+    Per node and domain pair the term is eps_tx d^2 of the lowest-id incident
+    link that carries either domain (here l1, d=2), times the two domains'
+    routing coefficients summed over the node's incident links; eps_rx and
+    the other links' distances do not enter it.
     """
     links = [SharedLink("l1", 100.0, {"a": 1.0, "b": 0.0}),
              SharedLink("l2", 100.0, {"a": 0.5, "b": 2.0})]
@@ -535,8 +583,10 @@ def test_phi_energy_uses_lowest_id_carrying_link_only():
     s = two_domain(links=links, nodes=[node], bounds=(0.0, 9.0),
                    coupling=[CouplingEdge("a", "b", w_link=0.0)])
     r = np.array([1.0, 2.0])
+    assert ref.node_etx_const(s, node, "a", "b") == pytest.approx(0.1 * 4.0)
     # eps_tx d(l1)^2 * (1.0 + 0.5) r_a * 2.0 r_b
-    assert crossopt.phi_energy("a", "b", r, s) == pytest.approx(0.1 * 4.0 * 1.5 * 1.0 * 2.0 * 2.0)
+    assert ref.phi_energy("a", "b", r, s) == pytest.approx(0.1 * 4.0 * 1.5 * 1.0 * 2.0 * 2.0)
+    assert _penalty(s, r) == pytest.approx(2.4, abs=1e-12)
     assert crossopt.objective(r, s, "isolated") - crossopt.objective(r, s, "coupled") == \
         pytest.approx(2.4, abs=1e-12)
 

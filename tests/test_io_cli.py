@@ -538,6 +538,19 @@ def test_cli_optimize_scenario_range_errors_keep_their_messages(tmp_path, capsys
     assert capsys.readouterr().err.strip() == message
 
 
+def test_cli_optimize_rejects_repeated_incident_link(tmp_path, capsys):
+    # read into a dict, the second distance would silently replace the first
+    doc = _typed_scenario()
+    doc["nodes"][0]["incident"].append({"link": "l", "distance": 2.0})
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(doc))
+    assert cli.run(["optimize", "--scenario", str(spath), "--mode", "both",
+                    "--out", str(tmp_path / "rep.json")]) == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: malformed scenario file: nodes[0].incident[1].link 'l' repeats"
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_typed_scenario_is_accepted(tmp_path):
     spath = tmp_path / "s.json"
     spath.write_text(json.dumps(_typed_scenario()))
