@@ -162,10 +162,15 @@ class _Columns:
             col[start:n] = np.fromiter(values, col.dtype, n - start)
         self._stored, self._tail = n, []
 
-    def row(self, row: int) -> Sequence:
-        """The values of one row, read without storing the waiting rows."""
+    def span(self, row: int) -> tuple:
+        """The ``layers``, ``t_start`` and ``t_end`` of one vertex row, read
+        without storing the waiting rows or reading any other field."""
         waiting = row - self._stored
-        return self._tail[waiting] if waiting >= 0 else [col.item(row) for col in self.data.values()]
+        if waiting >= 0:
+            _, _, layers, _, start, end = self._tail[waiting]
+            return layers, start, end
+        d = self.data
+        return d["layers"].item(row), d["t_start"].item(row), d["t_end"].item(row)
 
     def append(self, values: tuple) -> int:
         """Add one row of field values; returns its row number."""
@@ -257,29 +262,32 @@ class GraphView:
     Produced by :meth:`SnapshotView.layer_subgraph` and
     :meth:`SnapshotView.flatten`, from the snapshot's columns; or built here
     from edge records.  Immutable; its one adjacency structure is
-    :meth:`csr`, built on first use per direction.
+    :meth:`csr`, built on first use per direction.  Its edges are also held
+    as read-only columns in id order: ``edge_ids``, ``src`` and ``dst``
+    (positions in ``vertices``), ``edge_directed`` and ``weights``.
     """
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[EdgeRecord]):
         edges = tuple(sorted(edges, key=lambda e: e.id))
         self.vertices: tuple[int, ...] = tuple(sorted(set(vertices)))
-        cols = list(zip(*((e.id, e.src, e.dst, e.directed) for e in edges))) or [()] * 4
+        cols = list(zip(*((e.id, e.src, e.dst, e.directed, e.weight) for e in edges))) or [()] * 5
         self._setup(np.array(self.vertices, dtype=np.int64),
-                    *(np.array(c, dtype=t) for c, t in zip(cols, (np.int64, np.int64, np.int64, bool))))
+                    *map(np.array, cols, (np.int64, np.int64, np.int64, bool, np.float64)))
         self.edges = edges
 
     @classmethod
-    def _of(cls, ids: np.ndarray, eid: np.ndarray, src: np.ndarray, dst: np.ndarray,
-            directed: np.ndarray, records: Callable[[], tuple[EdgeRecord, ...]]) -> GraphView:
+    def _of(cls, ids: np.ndarray, edges: Sequence[np.ndarray],
+            records: Callable[[], tuple[EdgeRecord, ...]]) -> GraphView:
         """The view of these sorted vertex ids and of the edges with these
-        columns, sorted by id; ``records`` builds the edge records."""
+        id, src, dst, directed and weight columns, sorted by id; ``records``
+        builds the edge records."""
         view = cls.__new__(cls)
         view.vertices = tuple(ids.tolist())
-        view._setup(ids, eid, src, dst, directed)
+        view._setup(ids, *edges)
         view._records = records
         return view
 
-    def _setup(self, ids, eid, src, dst, directed) -> None:
+    def _setup(self, ids, eid, src, dst, directed, weight) -> None:
         n, m = len(ids), len(src)
         ends = np.concatenate([src, dst])
         at = np.searchsorted(ids, ends)
@@ -289,8 +297,10 @@ class GraphView:
         if outside.any():
             first = eid[np.flatnonzero(outside)[0]]
             raise ValidationError(f"edge {first} references vertex outside view")
-        self._pos = at[:m], at[m:]  # positional endpoints
-        self._directed = directed
+        self.edge_ids, self.src, self.dst = eid, at[:m], at[m:]
+        self.edge_directed, self.weights = directed, weight
+        for col in (eid, self.src, self.dst, directed, weight):
+            col.flags.writeable = False
         self._csr: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._rows: dict[str, dict[int, tuple[int, ...]]] = {}
 
@@ -305,7 +315,7 @@ class GraphView:
 
     @cached_property
     def directed(self) -> bool:
-        return bool(self._directed.any())
+        return bool(self.edge_directed.any())
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -343,14 +353,14 @@ class GraphView:
         if direction not in self._csr:
             if direction not in ("out", "in", "both"):
                 raise ValidationError(f"bad direction {direction!r}")
-            src, dst = self._pos
+            src, dst = self.src, self.dst
             if direction == "in":
                 src, dst = dst, src
             if direction == "both":
                 src, dst = src[src != dst], dst[src != dst]
                 back = np.ones(len(src), dtype=bool)
             else:
-                back = ~self._directed
+                back = ~self.edge_directed
             # sorted unique arc keys tail * n + head: rows in order, heads ascending
             # (not np.unique, whose first call imports numpy.ma: 0.7 MB resident)
             arcs = np.sort(np.concatenate([src * self.n + dst, dst[back] * self.n + src[back]]))
@@ -413,8 +423,8 @@ class SnapshotView:
     def _view(self, vmask, emask) -> GraphView:
         g, rows, ends = self._graph, self._erows[emask], self._eends[emask]
         e = g._edges
-        return GraphView._of(self._vids[vmask], e["id"][rows], e["src"][rows], e["dst"][rows],
-                             e["directed"][rows],
+        cols = [e[k][rows] for k in ("id", "src", "dst", "directed", "weight")]
+        return GraphView._of(self._vids[vmask], cols,
                              lambda: g._records_at(e, rows.tolist(), _plain_ends(ends)))
 
     def layer_subgraph(self, layer: int) -> GraphView:
@@ -587,7 +597,7 @@ class TemporalMultiLayerGraph:
             row = self._vertex_row.get(vid)
             if row is None:
                 raise ValidationError(f"edge {eid}: dangling endpoint {vid}")
-            _, _, layers, _, v_start, v_end = v.row(row)
+            layers, v_start, v_end = v.span(row)
             if layer not in self._sets[layers]:
                 raise ValidationError(f"edge {eid}: endpoint {vid} not in layer {layer}")
             # the vertex's lifetime must cover the edge's [t_start, t_end)

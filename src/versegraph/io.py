@@ -11,6 +11,7 @@ import json
 import operator
 import os
 import sys
+from collections import Counter
 from itertools import chain, repeat
 from typing import Optional
 
@@ -256,14 +257,22 @@ def dump_json(doc, path: str) -> None:
 
 
 def load_json(path: str):
-    """Parse a JSON file; ``NaN`` and ``Infinity`` literals are rejected."""
+    """Parse a JSON file; ``NaN`` and ``Infinity`` literals and a key that
+    repeats within one object are rejected."""
 
     def non_finite(name: str):
         raise ValidationError(f"{path}: {name} found; every number must be finite")
 
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise ValidationError(f"{path}: key {key!r} repeats within one object")
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=non_finite)
+            return json.load(fh, parse_constant=non_finite, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:

@@ -6,6 +6,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import GraphView
 from .errors import InfeasibleError, ValidationError
 
@@ -50,56 +52,66 @@ class TaskDag:
     deps: list[tuple[int, int]] = field(default_factory=list)  # (prerequisite, dependent)
 
 
-def _arc_list(g: GraphView) -> dict[int, list[tuple[int, float, int]]]:
-    """Outgoing (neighbor, weight, edge_id) lists; undirected edges give both arcs."""
-    adj: dict[int, list[tuple[int, float, int]]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj[e.src].append((e.dst, e.weight, e.id))
-        if not e.directed:
-            adj[e.dst].append((e.src, e.weight, e.id))
-    return adj
+def _residual(g: GraphView, what: str, s: int, t: int) -> tuple:
+    """The positions of vertices ``s`` and ``t``, and the residual arc list
+    of ``g``: arc ``2i`` runs along edge ``i`` of the columns and arc ``2i+1``
+    against it, each with the edge's weight as capacity, except 0 against a
+    directed edge.  The list is the head position and capacity of each arc,
+    and the arcs leaving each vertex position in arc order."""
+    for v in (s, t):
+        if v not in g.index:
+            raise ValidationError(f"unknown vertex {v}")
+    bad = np.flatnonzero(g.weights < 0)
+    if len(bad):
+        raise ValidationError(f"negative {what} on edge {g.edge_ids[bad[0]]}")
+    tail = np.column_stack([g.src, g.dst]).ravel()
+    head = np.column_stack([g.dst, g.src]).ravel()
+    cap = np.column_stack([g.weights, np.where(g.edge_directed, 0.0, g.weights)]).ravel()
+    order = np.argsort(tail, kind="stable")
+    ptr = np.searchsorted(tail[order], np.arange(g.n + 1)).tolist()
+    order = order.tolist()
+    return (g.index[s], g.index[t], head.tolist(), cap.tolist(),
+            [order[a:b] for a, b in zip(ptr, ptr[1:])])
 
 
 def shortest_path(g: GraphView, s: int, t: int) -> PathResult:
     """Dijkstra over the multigraph; parallel edges resolved to the cheapest,
     ties broken by (predecessor vertex id, edge id).  The search stops when
     ``t`` is settled: no later update may touch a settled vertex."""
-    for v in (s, t):
-        if v not in g.index:
-            raise ValidationError(f"unknown vertex {v}")
-    for e in g.edges:
-        if e.weight < 0:
-            raise ValidationError(f"negative weight on edge {e.id}")
-    adj = _arc_list(g)
-    dist: dict[int, float] = {s: 0.0}
-    pred: dict[int, tuple[int, int]] = {}  # vertex -> (pred vertex, edge id)
-    done: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, s)]
+    # vertex and edge positions follow id order, so they break ties as ids do
+    sp, tp, head, cost, out = _residual(g, "weight", s, t)
+    one_way = g.edge_directed.tolist()
+    unset = (g.n,)  # above every (vertex, edge) pair
+    dist, pred, done = [float("inf")] * g.n, [unset] * g.n, [False] * g.n
+    dist[sp] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, sp)]
     while heap:
         d, v = heapq.heappop(heap)
-        if v in done or d > dist.get(v, float("inf")):
+        if done[v] or d > dist[v]:
             continue
-        done.add(v)
-        if v == t:
+        done[v] = True
+        if v == tp:
             break
-        # a vertex is settled once, so its arcs are sorted once per call:
-        # by neighbor, then weight, then edge id
-        for w, wt, eid in sorted(adj[v]):
-            nd = d + wt
-            cur = dist.get(w, float("inf"))
-            if nd < cur or (nd == cur and w not in done and (v, eid) < pred.get(w, (float("inf"),))):
+        # the kept (distance, predecessor, edge) is the least of the offers,
+        # so the order of v's arcs does not matter
+        for ai in out[v]:
+            if ai & 1 and one_way[ai >> 1]:
+                continue
+            w, nd = head[ai], d + cost[ai]
+            cur = dist[w]
+            if nd < cur or (nd == cur and not done[w] and (v, ai >> 1) < pred[w]):
                 dist[w] = nd
-                pred[w] = (v, eid)
+                pred[w] = (v, ai >> 1)
                 heapq.heappush(heap, (nd, w))
-    if t not in dist:
+    if tp != sp and pred[tp] is unset:
         raise InfeasibleError(f"vertex {t} unreachable from {s}")
-    verts = [t]
-    eids = []
-    while verts[-1] != s:
-        pv, eid = pred[verts[-1]]
-        eids.append(eid)
+    verts, edges = [tp], []
+    while verts[-1] != sp:
+        pv, i = pred[verts[-1]]
+        edges.append(i)
         verts.append(pv)
-    return PathResult(dist[t], tuple(reversed(verts)), tuple(reversed(eids)))
+    return PathResult(dist[tp], tuple(g.vertices[v] for v in reversed(verts)),
+                      tuple(g.edge_ids[edges[::-1]].tolist()))
 
 
 def max_flow_min_cut(g: GraphView, s: int, t: int) -> FlowCutResult:
@@ -110,24 +122,9 @@ def max_flow_min_cut(g: GraphView, s: int, t: int) -> FlowCutResult:
     """
     if s == t:
         raise ValidationError("source equals sink")
-    for v in (s, t):
-        if v not in g.index:
-            raise ValidationError(f"unknown vertex {v}")
-    # residual arcs: (to, capacity, edge_id, sign); sign +1 consumes forward
-    # capacity of the stored edge, -1 pushes against it
-    arcs: list[list] = []  # entries [to, residual cap, eid, sign]
-    out: dict[int, list[int]] = {v: [] for v in g.vertices}
-
-    def add_arc(u, v, cap, eid, sign):
-        out[u].append(len(arcs))
-        arcs.append([v, cap, eid, sign])
-
-    for e in g.edges:
-        if e.weight < 0:
-            raise ValidationError(f"negative capacity on edge {e.id}")
-        add_arc(e.src, e.dst, e.weight, e.id, +1)
-        add_arc(e.dst, e.src, e.weight if not e.directed else 0.0, e.id, -1)
-    flows: dict[int, float] = {e.id: 0.0 for e in g.edges}
+    s, t, head, cap, out = _residual(g, "capacity", s, t)  # positions from here on
+    ids = g.edge_ids.tolist()
+    flows: dict[int, float] = dict.fromkeys(ids, 0.0)
     value = 0.0
     while True:
         # shortest augmenting path, deterministic neighbor order
@@ -137,8 +134,8 @@ def max_flow_min_cut(g: GraphView, s: int, t: int) -> FlowCutResult:
             nxt = []
             for u in frontier:
                 for ai in out[u]:
-                    v, cap, _, _ = arcs[ai]
-                    if cap > 1e-12 and v not in prev:
+                    v = head[ai]
+                    if cap[ai] > 1e-12 and v not in prev:
                         prev[v] = ai
                         nxt.append(v)
             frontier = sorted(nxt)
@@ -150,62 +147,46 @@ def max_flow_min_cut(g: GraphView, s: int, t: int) -> FlowCutResult:
         while v != s:
             ai = prev[v]
             path.append(ai)
-            v = arcs[ai ^ 1][0]
-        bottleneck = min(arcs[ai][1] for ai in path)
+            v = head[ai ^ 1]
+        bottleneck = min(cap[ai] for ai in path)
         for ai in path:
-            arcs[ai][1] -= bottleneck
-            arcs[ai ^ 1][1] += bottleneck
-            _, _, eid, sign = arcs[ai]
-            flows[eid] += sign * bottleneck
+            cap[ai] -= bottleneck
+            cap[ai ^ 1] += bottleneck
+            # an odd arc pushes against its edge
+            flows[ids[ai >> 1]] += -bottleneck if ai & 1 else bottleneck
         value += bottleneck
-    # S-side = residual-reachable from s; cut = stored edges crossing S->T
-    reach = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for ai in out[u]:
-            v, cap, _, _ = arcs[ai]
-            if cap > 1e-12 and v not in reach:
-                reach.add(v)
-                stack.append(v)
-    cut = set()
-    for e in g.edges:
-        if (e.src in reach) != (e.dst in reach):
-            if e.src in reach or not e.directed:
-                cut.add(e.id)
+    # S-side = residual-reachable from s: what the last search reached
+    reach = np.zeros(g.n, dtype=bool)
+    reach[list(prev)] = True
+    # cut = stored edges crossing S->T
+    a, b = reach[g.src], reach[g.dst]
+    cut = g.edge_ids[(a != b) & (a | ~g.edge_directed)].tolist()
     flows = {eid: abs(f) for eid, f in flows.items()}
     return FlowCutResult(value, flows, frozenset(cut))
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
 
 
 def minimum_spanning_tree(g: GraphView) -> TreeResult:
     """Kruskal with (weight, edge id) ordering; input treated as undirected."""
     if g.n == 0:
         raise ValidationError("empty graph")
-    uf = _UnionFind(g.vertices)
+    ids, src, dst, weight = (c.tolist() for c in (g.edge_ids, g.src, g.dst, g.weights))
+    parent = list(range(g.n))  # union-find over vertex positions
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     chosen = []
     total = 0.0
-    for e in sorted(g.edges, key=lambda e: (e.weight, e.id)):
-        if e.src != e.dst and uf.union(e.src, e.dst):
-            chosen.append(e.id)
-            total += e.weight
+    # the columns are in id order, so a stable sort gives (weight, id) order
+    for i in np.argsort(g.weights, kind="stable").tolist():
+        a, b = find(src[i]), find(dst[i])
+        if a != b:
+            parent[b] = a
+            chosen.append(ids[i])
+            total += weight[i]
     if len(chosen) != g.n - 1:
         raise ValidationError("graph is disconnected; no spanning tree exists")
     return TreeResult(tuple(sorted(chosen)), total)
@@ -216,14 +197,14 @@ def augment_redundancy(g: GraphView, tree: TreeResult, k: int) -> TreeResult:
     cycle covers a still-uncovered tree edge, at most ``k`` of them."""
     if k < 0:
         raise ValidationError("k must be >= 0")
+    ids, src, dst = (c.tolist() for c in (g.edge_ids, g.src, g.dst))
     tree_set = set(tree.edge_ids)
-    by_id = {e.id: e for e in g.edges}
-    # tree adjacency for fundamental-cycle paths
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
-    for eid in tree.edge_ids:
-        e = by_id[eid]
-        adj[e.src].append((e.dst, eid))
-        adj[e.dst].append((e.src, eid))
+    # tree adjacency over vertex positions, for fundamental-cycle paths
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid, a, b in zip(ids, src, dst):
+        if eid in tree_set:
+            adj[a].append((b, eid))
+            adj[b].append((a, eid))
 
     def tree_path_edges(a: int, b: int) -> list[int]:
         prev: dict[int, tuple[int, int]] = {a: (-1, -1)}
@@ -246,16 +227,15 @@ def augment_redundancy(g: GraphView, tree: TreeResult, k: int) -> TreeResult:
 
     uncovered = set(tree.edge_ids)
     backup = []
-    chords = sorted(
-        (e for e in g.edges if e.id not in tree_set and e.src != e.dst),
-        key=lambda e: (e.weight, e.id),
-    )
-    for e in chords:
+    # chords in (weight, id) order, as in minimum_spanning_tree
+    for i in np.argsort(g.weights, kind="stable").tolist():
         if len(backup) >= k or not uncovered:
             break
-        cycle = tree_path_edges(e.src, e.dst)
+        if ids[i] in tree_set or src[i] == dst[i]:
+            continue
+        cycle = tree_path_edges(src[i], dst[i])
         if any(eid in uncovered for eid in cycle):
-            backup.append(e.id)
+            backup.append(ids[i])
             uncovered.difference_update(cycle)
     return TreeResult(tree.edge_ids, tree.total_weight, tuple(sorted(backup)))
 

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from versegraph.core import EdgeRecord, GraphView
+from versegraph.core import EdgeRecord, GraphView, TemporalMultiLayerGraph
 from versegraph.errors import ValidationError
 
 DIRECTIONS = ("out", "in", "both")
@@ -105,3 +105,56 @@ def test_bad_direction_and_unknown_vertex():
         view.neighbors(5)
     with pytest.raises(ValidationError, match="unknown vertex"):
         view.degree(5)
+
+
+def _check_columns(view, records):
+    """The view's public edge columns hold the records' fields in id order,
+    with positions for endpoints, and refuse writes."""
+    recs = sorted(records, key=lambda e: e.id)
+    want = {"edge_ids": (np.int64, [e.id for e in recs]),
+            "src": (np.int64, [view.index[e.src] for e in recs]),
+            "dst": (np.int64, [view.index[e.dst] for e in recs]),
+            "edge_directed": (np.bool_, [e.directed for e in recs]),
+            "weights": (np.float64, [e.weight for e in recs])}
+    for name, (dtype, values) in want.items():
+        col = getattr(view, name)
+        assert col.dtype == dtype and col.tolist() == values
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[:1] = 0
+        assert getattr(view, name) is col
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_edge_columns_match_records(seed):
+    rng = random.Random(seed)
+    vertices = rng.sample(range(40), rng.randint(1, 15))
+    ids = rng.sample(range(100), rng.randint(0, 40))
+    records = [EdgeRecord(i, rng.choice(vertices), rng.choice(vertices), 0, 0, rng.random() < 0.5,
+                          rng.choice([0.0, 0.1, 2.5]), "", 0, None) for i in ids]
+    _check_columns(GraphView(vertices, records), records)
+    # a snapshot's views, read from the graph's columns
+    g = TemporalMultiLayerGraph()
+    layers = [g.create_layer("a"), g.create_layer("b")]
+    vs = [g.add_vertex(set(), rng.sample(layers, rng.randint(1, 2))) for _ in range(10)]
+    for _ in range(25):
+        u, v = rng.choice(vs), rng.choice(vs)
+        lu, lv = (rng.choice(sorted(g.vertex_records[x].layers)) for x in (u, v))
+        eid = g.add_edge(u, v, lu, lv, rng.random() < 0.5, rng.choice([0.0, 0.3, 4.0]),
+                         t_start=rng.randint(0, 2))
+        if rng.random() < 0.3:
+            g.retire_edge(eid, 2)
+    snap = g.snapshot_at(rng.randint(0, 3))
+    for view in (snap.layer_subgraph(layers[0]), snap.layer_subgraph(layers[1]), snap.flatten()):
+        _check_columns(view, view.edges)
+
+
+def test_edge_columns_of_empty_views():
+    _check_columns(GraphView([], []), [])
+    _check_columns(GraphView([3, 1], []), [])
+    g = TemporalMultiLayerGraph()
+    layer = g.create_layer("a")
+    snap = g.snapshot_at(0)
+    for view in (snap.layer_subgraph(layer), snap.flatten()):
+        assert view.n == 0
+        _check_columns(view, [])

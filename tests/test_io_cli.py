@@ -551,6 +551,35 @@ def test_cli_optimize_rejects_repeated_incident_link(tmp_path, capsys):
     assert not (tmp_path / "rep.json").exists()
 
 
+@pytest.mark.parametrize("case", ["graph record", "scenario coeffs", "gen params", "simulate params"])
+def test_cli_rejects_repeated_json_key(tmp_path, capsys, case):
+    # read into a dict, the last value of a repeated key silently won
+    gpath = tmp_path / "g.json"
+    assert cli.run(["gen", "--scenario", "network", "--seed", "2", "--out", str(gpath)]) == 0
+    out = tmp_path / "out.json"
+    if case == "graph record":
+        doc, key, before, after = json.loads(gpath.read_text()), "weight", '"weight": 0.125', '"weight": 9.0'
+        doc["edges"][0]["weight"] = 0.125
+        argv = ["export", "--in", "FILE", "--format", "json"]
+    elif case == "scenario coeffs":
+        doc, key, before, after = _typed_scenario(), "a", '"b": 1.0', '"a": 5.0'
+        argv = ["optimize", "--scenario", "FILE", "--mode", "coupled"]
+    elif case == "gen params":
+        doc, key, before, after = {"routers": 5}, "routers", '"routers": 5', '"routers": 6'
+        argv = ["gen", "--scenario", "network", "--seed", "0", "--params", "FILE"]
+    else:
+        doc, key, before, after = {"tol": 0.1}, "tol", '"tol": 0.1', '"tol": 0.2'
+        argv = ["simulate", "--kind", "consensus", "--in", str(gpath), "--params", "FILE"]
+    path = tmp_path / "in.json"
+    text = json.dumps(doc)
+    assert text.count(before) == 1
+    path.write_text(text.replace(before, f"{before}, {after}"))
+    capsys.readouterr()
+    assert cli.run([str(path) if a == "FILE" else a for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: key {key!r} repeats within one object\n"
+    assert not out.exists()
+
+
 def test_typed_scenario_is_accepted(tmp_path):
     spath = tmp_path / "s.json"
     spath.write_text(json.dumps(_typed_scenario()))

@@ -1,12 +1,13 @@
-import heapq
 import random
 
 import pytest
 
 from versegraph import netopt
+from versegraph.core import EdgeRecord, GraphView, TemporalMultiLayerGraph
 from versegraph.errors import InfeasibleError, ValidationError
 from versegraph.netopt import ServerSpec, TaskDag
 
+import netopt_reference as ref
 from conftest import make_view, oracle_min_cut, oracle_mst_weight, oracle_shortest_weight, random_simple_edges
 
 
@@ -69,40 +70,6 @@ def test_shortest_never_beaten_by_random_walks():
             assert res.total_weight <= w + 1e-9
 
 
-def _shortest_path_reference(g, s, t):
-    """The full Dijkstra loop, which settles every reachable vertex and sorts
-    a vertex's arcs with a key: the reference for ``netopt.shortest_path``."""
-    for v in (s, t):
-        if v not in g.index:
-            raise ValidationError(f"unknown vertex {v}")
-    adj = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj[e.src].append((e.dst, e.weight, e.id))
-        if not e.directed:
-            adj[e.dst].append((e.src, e.weight, e.id))
-    dist, pred, done, heap = {s: 0.0}, {}, set(), [(0.0, s)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in done or d > dist.get(v, float("inf")):
-            continue
-        done.add(v)
-        for w, wt, eid in sorted(adj[v], key=lambda a: (a[0], a[1], a[2])):
-            nd = d + wt
-            cur = dist.get(w, float("inf"))
-            if nd < cur or (nd == cur and w not in done and (v, eid) < pred.get(w, (float("inf"),))):
-                dist[w] = nd
-                pred[w] = (v, eid)
-                heapq.heappush(heap, (nd, w))
-    if t not in dist:
-        raise InfeasibleError(f"vertex {t} unreachable from {s}")
-    verts, eids = [t], []
-    while verts[-1] != s:
-        pv, eid = pred[verts[-1]]
-        eids.append(eid)
-        verts.append(pv)
-    return netopt.PathResult(dist[t], tuple(reversed(verts)), tuple(reversed(eids)))
-
-
 def test_shortest_path_matches_full_loop():
     """Stopping at t gives the full loop's path on multigraphs with parallel
     edges, self-loops, ties and zero weights, directed, undirected and mixed."""
@@ -119,7 +86,7 @@ def test_shortest_path_matches_full_loop():
         for s in rng.sample(range(n), min(n, 3)):
             for t in range(n):
                 try:
-                    want = _shortest_path_reference(g, s, t)
+                    want = ref.shortest_path(g, s, t)
                 except InfeasibleError:
                     with pytest.raises(InfeasibleError):
                         netopt.shortest_path(g, s, t)
@@ -301,6 +268,127 @@ def test_augment_single_failure_resilience():
             )
             if on_cycle:
                 assert connected_without(eid)
+
+
+# -- against the record-based oracle ----------------------------------------
+
+def _canon(res):
+    """A result with every float as its exact bits, and the flows in order."""
+    if isinstance(res, netopt.PathResult):
+        return res.total_weight.hex(), res.vertices, res.edge_ids
+    if isinstance(res, netopt.FlowCutResult):
+        return res.value.hex(), [(i, f.hex()) for i, f in res.flows.items()], sorted(res.cut_edges)
+    return res.edge_ids, res.total_weight.hex(), res.backup_edge_ids
+
+
+def _outcome(fn, *args):
+    try:
+        return _canon(fn(*args))
+    except (ValidationError, InfeasibleError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _tree(g):
+    try:
+        return ref.minimum_spanning_tree(g)
+    except ValidationError:
+        return None
+
+
+def _random_view(rng, case):
+    """A multigraph on up to 14 vertices whose ids are not their positions,
+    with shuffled edge ids: parallel edges, self-loops, zero and tied
+    weights; all edges undirected, all directed, or mixed."""
+    n = rng.randint(0, 14)
+    vids = rng.sample(range(40), n)
+    weights = rng.choice([[0.0, 1.0], [1.0], [0.0, 0.5, 1.0, 2.0], [0.1, 0.2, 0.3, 0.7],
+                          [round(rng.uniform(0, 5), 2) for _ in range(6)]])
+    p_directed = [0, 0.5, 1][case % 3]
+    edges = []
+    for _ in range(rng.randint(0, 3 * n) if n else 0):
+        u, v = rng.choice(vids), rng.choice(vids)
+        if rng.random() < 0.1:
+            v = u
+        for _ in range(rng.choice([1, 1, 2, 3])):  # parallel copies
+            edges.append((u, v, rng.choice(weights), rng.random() < p_directed))
+    if edges and rng.random() < 0.03:
+        u, v, _, d = edges[rng.randrange(len(edges))]
+        edges.append((u, v, -1.0, d))
+    ids = rng.sample(range(10 * len(edges) + 1), len(edges))
+    records = [EdgeRecord(i, u, v, 0, 0, d, w, "", 0, None) for i, (u, v, w, d) in zip(ids, edges)]
+    rng.shuffle(records)
+    return GraphView(vids, records)
+
+
+def _check_against_reference(g, rng, pairs=3):
+    for _ in range(pairs):
+        # -1 is in no view
+        s, t = (rng.choice(g.vertices) if g.n and rng.random() > 0.05 else -1 for _ in "st")
+        for fn, want in ((netopt.shortest_path, ref.shortest_path),
+                         (netopt.max_flow_min_cut, ref.max_flow_min_cut)):
+            assert _outcome(fn, g, s, t) == _outcome(want, g, s, t)
+    assert _outcome(netopt.minimum_spanning_tree, g) == _outcome(ref.minimum_spanning_tree, g)
+    if tree := _tree(g):
+        for k in (0, 1, 2, 5, 50):
+            assert (_outcome(netopt.augment_redundancy, g, tree, k)
+                    == _outcome(ref.augment_redundancy, g, tree, k))
+
+
+def test_netopt_matches_record_reference():
+    """Exactly the oracle's results, float bits and flow order included, and
+    its error messages, on 2,000 seeded random multigraphs."""
+    rng = random.Random(1406)
+    for case in range(2000):
+        _check_against_reference(_random_view(rng, case), rng)
+
+
+def _churned_graph(rng):
+    """Two layers, with retired and inter-layer edges and a connected layer 0."""
+    g = TemporalMultiLayerGraph()
+    la, lb = g.create_layer("a"), g.create_layer("b")
+    vs = [g.add_vertex({"r"}, rng.choice([{la}, {lb}, {la, lb}])) for _ in range(12)]
+    in_a = [v for v in vs if la in g.vertex_records[v].layers]
+    for u, v in zip(in_a, in_a[1:]):
+        g.add_edge(u, v, la, la, directed=False, weight=float(rng.choice([1, 2])))
+    for _ in range(30):
+        u, v = rng.choice(vs), rng.choice(vs)
+        lu, lv = (rng.choice(sorted(g.vertex_records[x].layers)) for x in (u, v))
+        eid = g.add_edge(u, v, lu, lv, directed=rng.random() < 0.5,
+                         weight=rng.choice([0.0, 0.5, 1.5, 3.0]), t_start=rng.randint(0, 2))
+        if rng.random() < 0.2:
+            g.retire_edge(eid, 3)
+    return g, la, lb
+
+
+def test_netopt_reads_no_records(monkeypatch):
+    """On snapshot views, netopt reads only the edge columns: with record
+    building patched to raise, it still gives the oracle's results."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        g, la, lb = _churned_graph(rng)
+        t = rng.randint(0, 4)
+        views = [g.snapshot_at(t).layer_subgraph(la), g.snapshot_at(t).layer_subgraph(lb),
+                 g.snapshot_at(t).flatten()]
+        records = [GraphView(v.vertices, v.edges) for v in views]
+        queries = [(rng.choice(v.vertices), rng.choice(v.vertices)) for v in views]
+        trees = list(map(_tree, views))
+
+        def no_records(*args):
+            raise AssertionError("netopt read edge records")
+
+        with monkeypatch.context() as m:
+            m.setattr(TemporalMultiLayerGraph, "_records_at", no_records)
+            snap = g.snapshot_at(t)
+            fresh = [snap.layer_subgraph(la), snap.layer_subgraph(lb), snap.flatten()]
+            got = [[_outcome(netopt.shortest_path, v, s, u), _outcome(netopt.max_flow_min_cut, v, s, u),
+                    _outcome(netopt.minimum_spanning_tree, v)]
+                   + ([_outcome(netopt.augment_redundancy, v, tree, 3)] if tree else [])
+                   for v, (s, u), tree in zip(fresh, queries, trees)]
+        want = [[_outcome(ref.shortest_path, v, s, u), _outcome(ref.max_flow_min_cut, v, s, u),
+                 _outcome(ref.minimum_spanning_tree, v)]
+                + ([_outcome(ref.augment_redundancy, v, tree, 3)] if tree else [])
+                for v, (s, u), tree in zip(records, queries, trees)]
+        assert got == want
 
 
 # -- load balancing ---------------------------------------------------------
