@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -105,14 +105,21 @@ def _plain_edge(eid, src, dst, layer_src, layer_dst, directed, weight, relation,
     return eid, src, dst, layer_src, layer_dst, bool(directed), weight, relation, t_start, t_end
 
 
-def _utf8(text: str, what: str) -> None:
-    """Refuse a string that UTF-8 cannot encode: one holding a surrogate code
-    point, which a JSON ``\\ud800`` escape can carry but no output file can.
-    Callers skip ASCII strings, which always encode."""
+def _encodes(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: not if it holds a surrogate code
+    point, which a JSON ``\\ud800`` escape can carry but no output file can."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
-        raise ValidationError(f"{what} {text!r} cannot be encoded as UTF-8") from None
+        return False
+    return True
+
+
+def _utf8(text: str, what: str) -> None:
+    """Refuse a string that UTF-8 cannot encode.  Callers skip ASCII
+    strings, which always encode."""
+    if not _encodes(text):
+        raise ValidationError(f"{what} {text!r} cannot be encoded as UTF-8")
 
 
 _INT, _STR = frozenset({int}), frozenset({str})
@@ -128,12 +135,8 @@ _VERTEX_COLUMNS = {"id": np.int64, "roles": np.int64, "layers": np.int64, "attrs
 _EDGE_COLUMNS = {"id": np.int64, "src": np.int64, "dst": np.int64, "layer_src": np.int64,
                  "layer_dst": np.int64, "directed": bool, "weight": np.float64, "relation": object,
                  "t_start": np.int64, "t_end": np.int64}
-# the value types a column takes without a call to _vertex or _edge
+# the role and layer collections that from_columns stores whole
 _SETS = frozenset({list, tuple, set, frozenset})
-_FAST_VERTEX = (_INT, _SETS, _SETS, frozenset({dict, MappingProxyType}), _INT,
-                frozenset({int, type(None)}))
-_FAST_EDGE = (_INT, _INT, _INT, _INT, _INT, frozenset({bool}), frozenset({float}), _STR, _INT,
-              frozenset({int, type(None)}))
 
 
 class _Columns:
@@ -178,58 +181,60 @@ class _Columns:
         self.n += 1
         return self.n - 1
 
-    def extend(self, columns: Mapping[str, np.ndarray]) -> None:
-        """Store full columns, given by name, as the rows of empty columns."""
+    def extend(self, columns: Mapping[str, np.ndarray], rows: dict[int, int]) -> None:
+        """Store full columns, given by name, as the rows of empty columns,
+        and the row of each id in ``rows``."""
         self.data = dict(columns)
         self.n = self._stored = len(columns["id"])
+        rows.update(zip(columns["id"].tolist(), range(self.n)))
 
 
-def _odd_rows(values: Sequence, kinds: frozenset, dtype) -> set[int]:
-    """The rows whose value's type is not one of ``kinds``.  A column given
-    as a numeric array of its own dtype holds only values of that type."""
+def _attrs(attrs: Mapping, vid: int) -> Mapping[str, Scalar]:
+    """A read-only private copy of a vertex's attrs, if they map strings to
+    JSON scalars that the interchange file holds exactly."""
+    if not attrs:
+        return _NO_ATTRS
+    attrs = MappingProxyType(dict(attrs))
+    for key, value in attrs.items():
+        finite = not isinstance(value, float) or math.isfinite(value)
+        if not (isinstance(key, str) and isinstance(value, (str, int, float)) and finite):
+            raise ValidationError(f"vertex {vid}: attrs must map strings to strings, "
+                                  f"booleans, integers or finite numbers; got {key!r}: {value!r}")
+        if not key.isascii():
+            _utf8(key, f"vertex {vid}: attr key")
+        if isinstance(value, str) and not value.isascii():
+            _utf8(value, f"vertex {vid}: attr {key!r} value")
+    return attrs
+
+
+def _column(values: Sequence, dtype, kinds: set = _INT) -> Optional[np.ndarray]:
+    """A new array of ``values`` if each has one of the types ``kinds`` and
+    ``dtype`` holds it, or if they are an array of ``dtype``; else None."""
     if isinstance(values, np.ndarray) and values.dtype != object:
-        return set() if values.dtype == dtype else set(range(len(values)))
+        return values.copy() if values.dtype == dtype else None
     if kinds.issuperset(map(type, values)):
-        return set()
-    return {i for i, v in enumerate(values) if type(v) not in kinds}
+        try:
+            return np.fromiter(values, dtype, len(values))
+        except OverflowError:  # an int outside int64
+            pass
+    return None
 
 
-def _odd_members(sets: Sequence, kinds: frozenset, skip: set[int]) -> set[int]:
-    """The rows outside ``skip`` whose collection holds a value whose type is
-    not one of ``kinds``: equal values of other types, such as 0.0 or True
-    for 0 or 1, must not share a set with them."""
-    rows = [s for i, s in enumerate(sets) if i not in skip] if skip else sets
-    if kinds.issuperset(map(type, chain.from_iterable(rows))):
-        return set()
-    return {i for i, s in enumerate(sets) if i not in skip and not kinds.issuperset(map(type, s))}
-
-
-def _copy(column: Sequence) -> list | np.ndarray:
-    """A column to check and fix in place: a list, or a copy of an array."""
-    return column.copy() if isinstance(column, np.ndarray) else list(column)
-
-
-def _int64(values: Sequence[int]) -> np.ndarray:
-    """Plain ints as an int64 column; one too large for it reads as the
-    limit, which the range check then refuses."""
-    try:
-        return np.asarray(values, np.int64)
-    except OverflowError:
-        return np.array([v if -_LIMIT < v < _LIMIT else _LIMIT for v in values], np.int64)
-
-
-def _end_column(ends: Sequence[Optional[int]]) -> np.ndarray:
-    """Plain ints or None as a t_end column: OPEN for None.  A given end
-    equal to OPEN reads as the limit, which the range check refuses."""
-    col = _int64([OPEN if t is None else t for t in ends])
-    col[(col == OPEN) & ~np.fromiter(map(operator.is_, ends, repeat(None)), bool, len(ends))] = _LIMIT
-    return col
-
-
-def _outside(*columns: np.ndarray) -> np.ndarray:
-    """Which rows hold an id or tick outside (-2**62, 2**62) in any of these
-    columns; pass an end column with OPEN read as 0."""
-    return np.any([(c <= -_LIMIT) | (_LIMIT <= c) for c in columns], axis=0)
+def _lifetimes(ids: Sequence, starts: Sequence, ends: Sequence) -> Optional[tuple]:
+    """New int64 columns of these ids, starts and ends, OPEN for an end of
+    None, if each id and tick is an int within (-2**62, 2**62), no id
+    repeats and no end precedes its start; else None."""
+    given = np.fromiter(map(operator.is_not, ends, repeat(None)), bool, len(ends))
+    cols = [_column(ids, np.int64), _column(starts, np.int64),
+            _column(ends if given.all() else list(compress(ends, given)), np.int64)]
+    if any(c is None for c in cols):
+        return None
+    stamps, (ids, starts, end) = np.concatenate(cols), cols
+    ends = np.full(len(given), OPEN, np.int64)
+    ends[given] = end
+    ordered = np.sort(ids)
+    fits = ((-_LIMIT < stamps) & (stamps < _LIMIT)).all() and (starts <= ends).all()
+    return (ids, starts, ends) if fits and (ordered[1:] != ordered[:-1]).all() else None
 
 
 def _plain_ends(column: np.ndarray) -> list[Optional[int]]:
@@ -508,20 +513,22 @@ class TemporalMultiLayerGraph:
         """A graph of exactly these records, given field by field: six
         sequences of vertex fields and ten of edge fields, in the order of
         :class:`VertexRecord` and :class:`EdgeRecord`; a numeric field may be
-        an array of its column's dtype.  Layer ``i`` is the
-        ``i``-th name.  The records are checked as ``add_*`` checks them, with
-        unique ids, and stored as ``add_*`` stores them; where several fail,
-        the error is the first record's, as ``add_*`` would raise it.  The
+        an array of its column's dtype.  Layer ``i`` is the ``i``-th name.
+        Each kind's columns are stored whole if array checks show that every
+        record would pass the checks of ``add_*`` unchanged, with unique ids;
+        if not, every record is checked and stored as ``add_*`` does it, in
+        order, so the first bad record raises what ``add_*`` would.  The
         event log is canonical: layers, creations by ``(t_start, id)``, then
         retirements by ``(t, id)``, derived when it is first read."""
         g = cls()
         for name in layer_names:
             g._register(name)
         g._events = None
-        g._vertices.extend(g._checked_vertices(*vertices))
-        g._vertex_row = dict(zip(g._vertices["id"].tolist(), range(g._vertices.n)))
-        g._edges.extend(g._checked_edges(*edges))
-        g._edge_row = dict(zip(g._edges["id"].tolist(), range(g._edges.n)))
+        for take, put, fields in ((g._take_vertices, g._put_vertex, vertices),
+                                  (g._take_edges, g._put_edge, edges)):
+            if len(set(map(len, fields))) != 1 or not take(*fields):
+                for record in zip(*fields, strict=True):
+                    put(record)
         g._next_vertex = int(g._vertices["id"].max()) + 1 if g._vertices.n else 0
         g._next_edge = int(g._edges["id"].max()) + 1 if g._edges.n else 0
         return g
@@ -544,7 +551,6 @@ class TemporalMultiLayerGraph:
         except TypeError:
             raise ValidationError(f"vertex {vid}: roles and layers must be collections of "
                                   f"hashable values, got {roles!r} and {layers!r}") from None
-        attrs = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
         if not _INT.issuperset(map(type, layers)):
             layers = frozenset(_int(lid, "vertex %s: layer id", vid) for lid in layers)
         t_start = _stored_int(t_start, "vertex %s: t_start", vid)
@@ -560,16 +566,7 @@ class TemporalMultiLayerGraph:
         if not "".join(roles).isascii():
             for role in roles:
                 _utf8(role, f"vertex {vid}: role")
-        for key, value in attrs.items():
-            # JSON scalars that the interchange file can hold
-            finite = not isinstance(value, float) or math.isfinite(value)
-            if not (isinstance(key, str) and isinstance(value, (str, int, float)) and finite):
-                raise ValidationError(f"vertex {vid}: attrs must map strings to strings, "
-                                      f"booleans, integers or finite numbers; got {key!r}: {value!r}")
-            if not key.isascii():
-                _utf8(key, f"vertex {vid}: attr key")
-            if isinstance(value, str) and not value.isascii():
-                _utf8(value, f"vertex {vid}: attr {key!r} value")
+        attrs = _attrs(attrs, vid)
         if t_end is not None and t_end < t_start:
             raise ValidationError(f"vertex {vid}: t_end must not precede t_start")
         return vid, roles, layers, attrs, t_start, t_end
@@ -605,90 +602,58 @@ class TemporalMultiLayerGraph:
                 raise ValidationError(f"edge {eid}: endpoint {vid} inactive during the edge's validity")
         return fields
 
-    # Column checks for from_columns.  A row whose values the columns take as
-    # they are, and which passes every array check, would pass _vertex or
-    # _edge unchanged.  Every other row goes through _vertex or _edge, in row
-    # order, so the first failing row raises the error add_* would raise.
+    # The array checks of from_columns.  Each accepts only values that
+    # _vertex or _edge would store unchanged, and stores no row if it refuses.
 
-    def _checked_vertices(self, *columns: Sequence) -> dict[str, np.ndarray]:
-        ids, roles, layers, attrs, starts, ends = fields = list(map(_copy, columns))
-        n = len(ids)
-        slow = set().union(*map(_odd_rows, fields, _FAST_VERTEX, _VERTEX_COLUMNS.values()))
-        slow.update(i for i, a in enumerate(attrs) if a)  # a private copy is made of each
-        slow |= _odd_members(roles, _STR, slow) | _odd_members(layers, _INT, slow)
-        stored = [_NO_ATTRS] * n
-        errors = {}
-        for i in sorted(slow):
-            try:
-                ids[i], roles[i], layers[i], stored[i], starts[i], ends[i] = self._vertex(
-                    [f[i] for f in fields])
-            except ValidationError as exc:  # raised below if no earlier row fails
-                errors[i] = exc
-                ids[i], roles[i], layers[i], starts[i], ends[i] = 0, (), (), 0, 0
-        # a non-ASCII role set goes to _vertex, which checks it encodes
-        role_codes, roles_ok = self._intern(roles, lambda s: "".join(s).isascii())
-        layer_codes, layers_ok = self._intern(layers, lambda s: s and self._layer_names.keys() >= s)
-        cols = {"id": _int64(ids), "roles": role_codes, "layers": layer_codes,
-                "attrs": np.fromiter(stored, object, n), "t_start": _int64(starts),
-                "t_end": _end_column(ends)}
-        bad = ~roles_ok[role_codes] | ~layers_ok[layer_codes] | (cols["t_end"] < cols["t_start"])
-        bad |= _outside(cols["id"], cols["t_start"], np.where(cols["t_end"] == OPEN, 0, cols["t_end"]))
-        order = np.argsort(cols["id"], kind="stable")
-        repeats = set(order[1:][np.diff(cols["id"][order]) == 0].tolist())
-        for i in sorted(slow | repeats | set(np.flatnonzero(bad).tolist())):
-            if i in errors:
-                raise errors[i]
-            self._vertex((ids[i], roles[i], layers[i], stored[i], starts[i], ends[i]))
-            if i in repeats:
-                raise ValidationError(f"duplicate vertex id {ids[i]}")
-        return cols
+    def _take_vertices(self, ids, roles, layers, attrs, starts, ends) -> bool:
+        """Store the vertex columns whole if every value has its column's
+        type and every row passes the checks of ``_vertex``."""
+        spans = _lifetimes(ids, starts, ends)
+        if (spans is None or not _SETS.issuperset(map(type, chain(roles, layers)))
+                or not _STR.issuperset(map(type, chain.from_iterable(roles)))
+                or not _INT.issuperset(map(type, chain.from_iterable(layers)))):
+            return False
+        try:
+            attrs = [_attrs(a, ids[i]) if a else _NO_ATTRS for i, a in enumerate(attrs)]
+        except (ValidationError, TypeError, ValueError):  # not a mapping, or refused
+            return False
+        role_codes = self._intern(roles, lambda s: _encodes("".join(s)))
+        layer_codes = self._intern(layers, lambda s: s and self._layer_names.keys() >= s)
+        if role_codes is None or layer_codes is None:
+            return False
+        self._vertices.extend(dict(zip(_VERTEX_COLUMNS, (
+            spans[0], role_codes, layer_codes, np.fromiter(attrs, object, len(ids)), *spans[1:]))),
+            self._vertex_row)
+        return True
 
-    def _checked_edges(self, *columns: Sequence) -> dict[str, np.ndarray]:
-        fields = list(map(_copy, columns))
-        n = len(fields[0])
-        slow = set().union(*map(_odd_rows, fields, _FAST_EDGE, _EDGE_COLUMNS.values()))
-        errors = {}
-        for i in sorted(slow):
-            try:
-                row = self._edge([f[i] for f in fields])
-            except ValidationError as exc:
-                errors[i] = exc
-                row = (0, 0, 0, 0, 0, False, 0.0, "", 0, 0)
-            for f, value in zip(fields, row):
-                f[i] = value
-        ids, src, dst, layer_src, layer_dst, directed, weight, relation, starts, ends = fields
-        cols = {"id": _int64(ids), "src": _int64(src), "dst": _int64(dst),
-                "layer_src": _int64(layer_src), "layer_dst": _int64(layer_dst),
-                "directed": np.asarray(directed, bool), "weight": np.asarray(weight, np.float64),
-                "relation": np.fromiter(relation, object, n), "t_start": _int64(starts),
-                "t_end": _end_column(ends)}
+    def _take_edges(self, *columns: Sequence) -> bool:
+        """Store the edge columns whole if every value has its column's type
+        and every row passes the checks of ``_edge``."""
+        ids, src, dst, layer_src, layer_dst, directed, weight, relation, starts, ends = columns
+        spans = _lifetimes(ids, starts, ends)
+        cols = [*(_column(c, np.int64) for c in (src, dst, layer_src, layer_dst)),
+                _column(directed, bool, {bool}), _column(weight, np.float64, {float}),
+                _column(relation, object, _STR)]
+        v = self._vertices  # with none, every edge dangles
+        if spans is None or any(c is None for c in cols) or not v.n:
+            return False
+        cols = dict(zip(_EDGE_COLUMNS, (spans[0], *cols, *spans[1:])))
         w = cols["weight"]
-        bad = ~((0.0 <= w) & (w < math.inf)) | (cols["t_end"] < cols["t_start"])
-        bad |= _outside(cols["id"], cols["t_start"], np.where(cols["t_end"] == OPEN, 0, cols["t_end"]))
-        if not "".join(relation).isascii():
-            bad[[i for i, r in enumerate(relation) if not r.isascii()]] = True
-        v = self._vertices
-        if v.n == 0:
-            bad[:] = True  # every endpoint dangles
-        else:
-            order = np.argsort(v["id"], kind="stable")
-            table = self._layer_table()
-            for end, layer in (("src", "layer_src"), ("dst", "layer_dst")):
-                row = order[np.minimum(np.searchsorted(v["id"], cols[end], sorter=order), v.n - 1)]
-                lid = cols[layer]
-                inside = (0 <= lid) & (lid < table.shape[1])
-                member = inside & table[v["layers"][row], np.where(inside, lid, 0)]
-                bad |= (v["id"][row] != cols[end]) | ~member | (v["t_start"][row] > cols["t_start"])
-                bad |= cols["t_end"] > v["t_end"][row]
-        order = np.argsort(cols["id"], kind="stable")
-        repeats = set(order[1:][np.diff(cols["id"][order]) == 0].tolist())
-        for i in sorted(slow | repeats | set(np.flatnonzero(bad).tolist())):
-            if i in errors:
-                raise errors[i]
-            self._edge([f[i] for f in fields])
-            if i in repeats:
-                raise ValidationError(f"duplicate edge id {ids[i]}")
-        return cols
+        if not (((0.0 <= w) & (w < math.inf)).all() and _encodes("".join(set(relation)))):
+            return False
+        order = np.argsort(v["id"], kind="stable")
+        table = self._layer_table()
+        for end, layer in (("src", "layer_src"), ("dst", "layer_dst")):
+            row = order[np.minimum(np.searchsorted(v["id"], cols[end], sorter=order), v.n - 1)]
+            lid = cols[layer]
+            inside = (0 <= lid) & (lid < table.shape[1])
+            # the endpoint exists in the layer and its lifetime covers the edge's
+            if not (inside & table[v["layers"][row], np.where(inside, lid, 0)]
+                    & (v["id"][row] == cols[end]) & (v["t_start"][row] <= cols["t_start"])
+                    & (cols["t_end"] <= v["t_end"][row])).all():
+                return False
+        self._edges.extend(cols, self._edge_row)
+        return True
 
     def _code(self, s: frozenset) -> int:
         """The code of a role or layer set in the table of distinct sets."""
@@ -698,15 +663,14 @@ class TemporalMultiLayerGraph:
             self._sets.append(s)
         return code
 
-    def _intern(self, sets: Sequence, ok: Callable[[frozenset], bool]) -> tuple[np.ndarray, np.ndarray]:
-        """The code of each collection of ``sets``, and by code whether a set
-        of them passes ``ok``."""
+    def _intern(self, sets: Sequence, ok: Callable[[frozenset], bool]) -> Optional[np.ndarray]:
+        """The code of each collection of ``sets``, if each distinct set of
+        them passes ``ok``; else None."""
         keys = list(map(tuple, sets))
         code_of = {key: self._code(frozenset(key)) for key in set(keys)}
-        valid = np.zeros(len(self._sets), bool)
-        for code in set(code_of.values()):
-            valid[code] = ok(self._sets[code])
-        return np.fromiter(map(code_of.__getitem__, keys), np.int64, len(keys)), valid
+        if not all(ok(self._sets[code]) for code in set(code_of.values())):
+            return None
+        return np.fromiter(map(code_of.__getitem__, keys), np.int64, len(keys))
 
     def _layer_table(self) -> np.ndarray:
         """``table[code, layer]``: whether set ``code`` holds that layer id."""
@@ -795,13 +759,10 @@ class TemporalMultiLayerGraph:
         t_start: int = 0,
     ) -> int:
         log = self.events
-        vid, roles, layers, attrs, t_start, _ = self._vertex(
-            (self._next_vertex, roles, layers, attrs or {}, t_start, None))
-        rcode, lcode = self._code(roles), self._code(layers)
-        self._vertex_row[vid] = self._vertices.append((vid, rcode, lcode, attrs, t_start, OPEN))
+        created = self._put_vertex((self._next_vertex, roles, layers, attrs or {}, t_start, None))
         self._next_vertex += 1
-        log.append(("vertex+", vid, self._sets[rcode], self._sets[lcode], attrs, t_start))
-        return vid
+        log.append(("vertex+", *created))
+        return created[0]
 
     def add_edge(
         self,
@@ -816,16 +777,35 @@ class TemporalMultiLayerGraph:
     ) -> int:
         """An open edge: both endpoints must exist from ``t_start`` on, unretired."""
         log = self.events
-        fields = self._edge((self._next_edge, src, dst, layer_src, layer_dst, directed, weight,
-                             relation, t_start, None))
-        eid, src, dst = fields[:3]
-        row = self._edges.append((*fields[:-1], OPEN))
+        created = self._put_edge((self._next_edge, src, dst, layer_src, layer_dst, directed,
+                                  weight, relation, t_start, None))
+        self._next_edge += 1
+        log.append(("edge+", *created))
+        return created[0]
+
+    def _put_vertex(self, fields: Sequence) -> tuple:
+        """Check a vertex as ``_vertex`` does, refuse an id already stored, and
+        store its row; returns its fields up to ``t_start``."""
+        vid, roles, layers, attrs, t_start, t_end = self._vertex(fields)
+        if vid in self._vertex_row:
+            raise ValidationError(f"duplicate vertex id {vid}")
+        rcode, lcode = self._code(roles), self._code(layers)
+        self._vertex_row[vid] = self._vertices.append(
+            (vid, rcode, lcode, attrs, t_start, OPEN if t_end is None else t_end))
+        return vid, self._sets[rcode], self._sets[lcode], attrs, t_start
+
+    def _put_edge(self, fields: Sequence) -> tuple:
+        """Check an edge as ``_edge`` does, refuse an id already stored, and
+        store its row; returns its fields up to ``t_start``."""
+        *created, t_end = self._edge(fields)
+        eid, src, dst = created[:3]
+        if eid in self._edge_row:
+            raise ValidationError(f"duplicate edge id {eid}")
+        row = self._edges.append((*created, OPEN if t_end is None else t_end))
         self._edge_row[eid] = row
         if self._incident is not None:
             self._index_edge(row, self._vertex_row[src], self._vertex_row[dst])
-        self._next_edge += 1
-        log.append(("edge+", *fields[:-1]))
-        return eid
+        return tuple(created)
 
     def _index_edge(self, row: int, a: int, b: int) -> None:
         self._incident.setdefault(a, []).append(row)

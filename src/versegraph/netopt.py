@@ -4,12 +4,22 @@ load balancing, task scheduling, and the M/M/1 latency model."""
 from __future__ import annotations
 
 import heapq
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import GraphView
 from .errors import InfeasibleError, ValidationError
+
+
+def _finite(value, what: str) -> None:
+    """Refuse a value that is not a real number that a float holds finitely."""
+    # abs() compares exactly, so NaN, the infinities and too large ints fail
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +50,8 @@ class ServerSpec:
     response_time: float
 
     def __post_init__(self):
+        _finite(self.capacity, f"server {self.id}: capacity")
+        _finite(self.response_time, f"server {self.id}: response_time")
         if self.capacity < 0:
             raise ValidationError(f"server {self.id}: capacity must be >= 0")
         if self.response_time <= 0:
@@ -199,30 +211,32 @@ def augment_redundancy(g: GraphView, tree: TreeResult, k: int) -> TreeResult:
         raise ValidationError("k must be >= 0")
     ids, src, dst = (c.tolist() for c in (g.edge_ids, g.src, g.dst))
     tree_set = set(tree.edge_ids)
-    # tree adjacency over vertex positions, for fundamental-cycle paths
+    # tree adjacency over vertex positions
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for eid, a, b in zip(ids, src, dst):
         if eid in tree_set:
             adj[a].append((b, eid))
             adj[b].append((a, eid))
+    # the tree rooted at position 0: each reached position's parent, the edge
+    # to it and its depth
+    up = {0: (0, -1, 0)}
+    reached = [0] if g.n else []
+    for u in reached:
+        for v, eid in adj[u]:
+            if v not in up:
+                up[v] = (u, eid, up[u][2] + 1)
+                reached.append(v)
+    found = sum(map(len, adj)) // 2  # the tree's edges in the view
+    if not len(tree.edge_ids) == len(tree_set) == found == len(up) - 1 == g.n - 1:
+        raise ValidationError("tree must be n - 1 distinct edges of the view that join every vertex")
 
     def tree_path_edges(a: int, b: int) -> list[int]:
-        prev: dict[int, tuple[int, int]] = {a: (-1, -1)}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            if u == b:
-                break
-            for v, eid in adj[u]:
-                if v not in prev:
-                    prev[v] = (u, eid)
-                    stack.append(v)
         path = []
-        v = b
-        while v != a:
-            u, eid = prev[v]
+        while a != b:  # climb from the deeper end until the two meet
+            if up[a][2] < up[b][2]:
+                a, b = b, a
+            a, eid, _ = up[a]
             path.append(eid)
-            v = u
         return path
 
     uncovered = set(tree.edge_ids)
@@ -243,13 +257,16 @@ def augment_redundancy(g: GraphView, tree: TreeResult, k: int) -> TreeResult:
 def balance_weighted_response(request_count: int, servers: list[ServerSpec]) -> dict[int, int]:
     """Split requests proportionally to 1/response_time with largest-remainder
     rounding; counts sum exactly to ``request_count``."""
-    if request_count < 0:
-        raise ValidationError("request_count must be >= 0")
+    # counts up to 2**53 are exact as floats, so the shares round as they should
+    if type(request_count) is not int or not 0 <= request_count <= 2 ** 53:
+        raise ValidationError(f"request_count must be an int in [0, 2**53], got {request_count!r}")
     if not servers:
         raise ValidationError("at least one server required")
     weights = [1.0 / s.response_time for s in servers]
     wsum = sum(weights)
     shares = [request_count * w / wsum for w in weights]
+    if not np.isfinite(shares).all():
+        raise ValidationError("response times too small: the request shares overflow")
     counts = [int(x) for x in shares]
     remainder = request_count - sum(counts)
     order = sorted(range(len(servers)), key=lambda i: (-(shares[i] - counts[i]), i))
@@ -292,14 +309,17 @@ def topo_schedule(d: TaskDag) -> tuple[list[int], float, list[int]]:
     path is the dependency chain maximizing total task duration.
     """
     tasks = sorted(d.durations)
+    for t in tasks:
+        _finite(d.durations[t], f"task {t}: duration")
     tset = set(tasks)
     succ: dict[int, list[int]] = {t: [] for t in tasks}
-    indeg: dict[int, int] = {t: 0 for t in tasks}
+    pred: dict[int, list[int]] = {t: [] for t in tasks}
     for a, b in d.deps:
         if a not in tset or b not in tset:
             raise ValidationError(f"dependency ({a}, {b}) names an unknown task")
         succ[a].append(b)
-        indeg[b] += 1
+        pred[b].append(a)
+    indeg = {t: len(pred[t]) for t in tasks}
     heap = [t for t in tasks if indeg[t] == 0]
     heapq.heapify(heap)
     order = []
@@ -315,9 +335,6 @@ def topo_schedule(d: TaskDag) -> tuple[list[int], float, list[int]]:
         raise ValidationError(f"dependency cycle detected: {cycle}")
     best: dict[int, float] = {}
     best_pred: dict[int, int | None] = {}
-    pred: dict[int, list[int]] = {t: [] for t in tasks}
-    for a, b in d.deps:
-        pred[b].append(a)
     for t in order:
         cands = sorted(pred[t])
         if cands:
@@ -349,6 +366,8 @@ def _find_cycle(tasks, succ, acyclic_part):
 
 def mm1_latency(arrival_rate: float, service_rate: float) -> float:
     """Expected sojourn time 1/(mu - lambda) of a stable M/M/1 queue."""
+    _finite(arrival_rate, "arrival rate")
+    _finite(service_rate, "service rate")
     if arrival_rate < 0:
         raise ValidationError("arrival rate must be >= 0")
     if arrival_rate >= service_rate:

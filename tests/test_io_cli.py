@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 from versegraph import cli, io
 from versegraph.core import TemporalMultiLayerGraph
 from versegraph.errors import ValidationError
-from versegraph.scenario import GeneratorConfig, gen_network_layer
+from versegraph.scenario import GeneratorConfig, gen_network_layer, gen_social_layer
 
 
 def _small_graph():
@@ -53,6 +54,60 @@ def test_round_trip_generated(tmp_path):
     io.export_graph(io.import_graph(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
+
+
+def _churned_graph():
+    """Devices added, attached and retired over four ticks, as in the
+    temporal-churn benchmark: a graph with retired vertices and edges."""
+    g = TemporalMultiLayerGraph()
+    cfg = GeneratorConfig(seed=3, routers=6, servers=2, devices=20, users=20)
+    net, soc = gen_network_layer(g, cfg), gen_social_layer(g, cfg)
+    rng = random.Random(3)
+    routers, devices, users = (g.vertices_with_role(r) for r in ("router", "device", "user"))
+    for t in range(1, 5):
+        for _ in range(3):
+            devices.append(g.add_vertex({"device"}, {net}, {}, t))
+            g.add_edge(devices[-1], rng.choice(routers), net, net, directed=False,
+                       weight=rng.uniform(1.0, 10.0), relation="access", t_start=t)
+        for _ in range(3):
+            g.retire_vertex(devices.pop(rng.randrange(len(devices))), t)
+        g.add_edge(*rng.sample(users, 2), soc, soc, directed=False, relation="social", t_start=t)
+    assert any(v.t_end is not None for v in g.vertex_records.values())
+    return g
+
+
+def _text_graph():
+    """Attrs, and roles and relations that are not ASCII but encode."""
+    g = TemporalMultiLayerGraph()
+    net, soc = g.create_layer("r\u00e9seau"), g.create_layer("social")
+    a = g.add_vertex({"routeur", "caf\u00e9"}, {net}, {"r\u00e9gion": "\u00e9t\u00e9", "n": 2, "b": True})
+    b = g.add_vertex({"\U0001f600"}, {net, soc}, {"f": 1.5}, 1)
+    g.add_edge(a, b, net, net, relation="\u00fcber", t_start=1)
+    g.add_edge(b, b, soc, soc, directed=False, weight=0.0, relation="\u2028", t_start=2)
+    g.retire_edge(0, 3)
+    return g
+
+
+@pytest.mark.parametrize("make", [None, _churned_graph, _text_graph])
+def test_exported_files_are_stored_whole(tmp_path, monkeypatch, make):
+    """An exported file is stored column by column: no record of it goes
+    through the per-record checks."""
+    path, again = str(tmp_path / "g.json"), str(tmp_path / "again.json")
+    if make is None:
+        assert cli.run(["gen", "--scenario", "multilayer", "--seed", "7", "--out", path]) == 0
+    else:
+        io.export_graph(make(), path)
+
+    def refuse(self, fields):
+        raise AssertionError(f"a record was checked on its own: {fields!r}")
+
+    with monkeypatch.context() as m:
+        m.setattr(TemporalMultiLayerGraph, "_vertex", refuse)
+        m.setattr(TemporalMultiLayerGraph, "_edge", refuse)
+        g = io.import_graph(path)
+    io.export_graph(g, again)
+    with open(path, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
 
 def test_import_rejects_bad_version():
     with pytest.raises(ValidationError):

@@ -203,6 +203,21 @@ def test_augment_k_zero():
     assert aug.edge_ids == tree.edge_ids
 
 
+@pytest.mark.parametrize("edges, tree", [
+    # C4: too few edges, an id that is no edge of the view, a repeated id
+    ([(0, 1), (1, 2), (2, 3), (3, 0)], (0,)),
+    ([(0, 1), (1, 2), (2, 3), (3, 0)], (0, 1, 2, 99)),
+    ([(0, 1), (1, 2), (2, 3), (3, 0)], (0, 0, 1)),
+    # a triangle with a pendant: three edges, but a cycle that misses vertex 3
+    ([(0, 1), (1, 2), (2, 0), (2, 3)], (0, 1, 2)),
+    ([], ()),
+])
+def test_augment_refuses_a_tree_that_does_not_span_the_view(edges, tree):
+    g = make_view(4, edges)
+    with pytest.raises(ValidationError, match="tree must be n - 1 distinct edges"):
+        netopt.augment_redundancy(g, netopt.TreeResult(tree, 1.0), 2)
+
+
 def _tree_path(g, tree_edge_ids, a, b):
     """Edge ids along the unique tree path between a and b."""
     by_id = {e.id: e for e in g.edges}
@@ -426,6 +441,27 @@ def test_weighted_response_empty_servers():
         netopt.balance_weighted_response(5, [])
 
 
+@pytest.mark.parametrize("count", [5.5, True, -1, 2 ** 53 + 1, "3", None])
+def test_weighted_response_count_is_a_plain_int(count):
+    with pytest.raises(ValidationError, match="request_count must be an int"):
+        netopt.balance_weighted_response(count, [ServerSpec(0, 1.0, 1.0)])
+
+
+@pytest.mark.parametrize("times", [[1e-320], [1e-308, 1e-308], [1.0, 1e-320]])
+def test_weighted_response_refuses_shares_that_overflow(times):
+    servers = [ServerSpec(i, 1.0, t) for i, t in enumerate(times)]
+    with pytest.raises(ValidationError, match="response times too small"):
+        netopt.balance_weighted_response(5, servers)
+
+
+@pytest.mark.parametrize("capacity, response_time", [
+    (float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("inf")), (1.0, float("nan")),
+    pytest.param(10 ** 400, 1.0, id="int-beyond-float"), (True, 1.0), ("1", 1.0), (1.0, None)])
+def test_server_spec_numbers_are_finite(capacity, response_time):
+    with pytest.raises(ValidationError, match="server 0: .* must be a finite number"):
+        ServerSpec(0, capacity, response_time)
+
+
 def test_resource_based_symmetric():
     servers = [ServerSpec(0, 5.0, 1.0), ServerSpec(1, 5.0, 1.0)]
     out = netopt.balance_resource_based([4.0, 4.0], servers)
@@ -513,6 +549,12 @@ def test_topo_critical_matches_enumeration():
         assert sum(durations[t] for t in chain) == pytest.approx(length)
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), None, "1"])
+def test_topo_durations_are_finite(duration):
+    with pytest.raises(ValidationError, match="task 1: duration must be a finite number"):
+        netopt.topo_schedule(TaskDag({0: 1.0, 1: duration}, [(0, 1)]))
+
+
 # -- queuing ----------------------------------------------------------------
 
 def test_mm1_closed_form():
@@ -525,3 +567,10 @@ def test_mm1_unstable():
         netopt.mm1_latency(1.0, 1.0)
     with pytest.raises(ValidationError):
         netopt.mm1_latency(2.0, 1.0)
+
+
+@pytest.mark.parametrize("rates", [(float("nan"), 1.0), (0.5, float("inf")), (0.0, float("nan")),
+                                   (float("inf"), float("inf")), ("1", 2.0)])
+def test_mm1_rates_are_finite(rates):
+    with pytest.raises(ValidationError, match="rate must be a finite number"):
+        netopt.mm1_latency(*rates)
