@@ -194,6 +194,8 @@ def _attrs(attrs: Mapping, vid: int) -> Mapping[str, Scalar]:
     JSON scalars that the interchange file holds exactly."""
     if not attrs:
         return _NO_ATTRS
+    if not isinstance(attrs, Mapping):
+        raise ValidationError(f"vertex {vid}: attrs must be a mapping, got {attrs!r}")
     attrs = MappingProxyType(dict(attrs))
     for key, value in attrs.items():
         finite = not isinstance(value, float) or math.isfinite(value)
@@ -615,7 +617,7 @@ class TemporalMultiLayerGraph:
             return False
         try:
             attrs = [_attrs(a, ids[i]) if a else _NO_ATTRS for i, a in enumerate(attrs)]
-        except (ValidationError, TypeError, ValueError):  # not a mapping, or refused
+        except (ValidationError, TypeError, ValueError):  # refused, or no truth value
             return False
         role_codes = self._intern(roles, lambda s: _encodes("".join(s)))
         layer_codes = self._intern(layers, lambda s: s and self._layer_names.keys() >= s)

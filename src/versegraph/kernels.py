@@ -2,17 +2,21 @@
 
 All kernels operate on CSR adjacency (``indptr``, ``indices``) over positional
 vertex indices ``0..n-1``.  Betweenness and hop distances share one
-level-synchronous BFS that advances a block of up to 64 sources at once.  Per
-level it pulls only the rows that can change: vertices with an arc from the
-frontier in a column where they are still unreached.  One uint64 of column
-bits per vertex finds them with a ``np.bitwise_or.reduceat`` over the arcs.
-Each such row sums all of its arcs, in CSR order, with ``np.add.reduceat``;
-the backward dependency pass likewise pulls only the vertices at level
-d - 1 in some column that have an arc to a vertex at level d in that
-column.  Rows are restricted, never arcs: ``reduceat`` sums each slice
-pairwise, so leaving out even zero terms would regroup the sum and move its
-last bits.  Consensus runs one round as two ``np.bincount`` scatters over
-the edge list.
+level-synchronous BFS that advances a block of up to 64 sources at once.  A
+vertex's columns are one uint64 of bits, and each level lists the vertices it
+reached with the bits of the columns where it did; these level bits, not a
+distance matrix, say where a vertex sits.  Per level the BFS pulls only the
+rows that can change: vertices with an arc from the frontier in a column where
+they are still unreached, found with a ``np.bitwise_or.reduceat`` over the
+arcs.  The backward dependency pass likewise pulls only the vertices at level
+d - 1 in some column that have an arc to a vertex at level d in that column.
+Rows are restricted, never arcs: a pulled row sums all of its arcs, in CSR
+order, bit for bit as ``np.add.reduceat`` does.  For a row of at most 8 arcs
+that is ``a0 + (((a1 + a2) + a3) ...)``, added one arc position at a time over
+the rows long enough to have it; numpy sums longer rows pairwise, so they go
+through ``np.add.reduceat`` itself.  Leaving out even zero terms would regroup
+a sum and move its last bits.  Consensus runs one round as two
+``np.bincount`` scatters over the edge list.
 """
 
 from __future__ import annotations
@@ -29,43 +33,59 @@ USING_NUMBA = False
 # one delta.sum(axis=1) per block)
 _BLOCK = 64
 _GATHER_CELLS = 1 << 21
+# np.add.reduceat adds the terms after a row's first one in a plain loop while
+# there are fewer than 8 of them, and pairwise with 8 accumulators from 8 up
+_PLAIN = 8
 
 
-def _column_bits(mask: np.ndarray) -> np.ndarray:
-    """Row ``i`` of a (k, b <= 64) boolean mask as one uint64, bit j for
-    column j."""
-    packed = np.zeros((len(mask), 8), dtype=np.uint8)
-    packed[:, :(mask.shape[1] + 7) // 8] = np.packbits(mask, axis=1, bitorder="little")
-    return packed.view("<u8")[:, 0]
+def _unpack(bits: np.ndarray, b: int) -> np.ndarray:
+    """(k, b) boolean mask: column j of row i is bit j of ``bits[i]``."""
+    octets = bits.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=b, bitorder="little").view(bool)
 
 
 def _puller(indptr: np.ndarray, indices: np.ndarray):
     """Row-restricted pull over a CSR.
 
     ``hot`` and ``keep`` hold one uint64 of column bits per vertex.
-    ``pull(x, hot, keep)`` returns ``(rows, sums)``: ``rows`` are, ascending,
-    the vertices v with an arc to some u where ``hot[u] & keep[v]`` is not
-    0, and ``sums[i]`` is ``x[indices[indptr[v]:indptr[v + 1]]].sum(axis=0)``
-    for ``v = rows[i]``, bit for bit what a pull over every row gives.  When
-    ``x[u, j]`` is 0 unless bit j of ``hot[u]`` is set, the rows left out
-    would sum only zeros in every column that ``keep`` selects.
+    ``pull(x, hot, keep)`` returns ``(rows, hit, sums)``, row i for vertex
+    ``v = rows[i]``: the vertices with an arc to some u where ``hot[u] &
+    keep[v]`` is not 0, in no set order; the OR of those bits; and
+    ``x[indices[indptr[v]:indptr[v + 1]]]`` summed as ``np.add.reduceat``
+    sums it.  When ``x[u, j]`` is 0 unless bit j of ``hot[u]`` is set, the
+    rows left out would sum only zeros in every column that ``keep`` selects.
     """
     n = len(indptr) - 1
-    owner = np.repeat(np.arange(n), np.diff(indptr))
-    rows_with_arcs = np.flatnonzero(indptr[:-1] < indptr[1:])
+    deg = np.diff(indptr)
+    rows_with_arcs = np.flatnonzero(deg)
     row_starts = indptr[rows_with_arcs]
+    # rows with arcs, most arcs first: the picked rows that have an arc at
+    # position p are then a prefix
+    by_deg = rows_with_arcs[np.argsort(-deg[rows_with_arcs], kind="stable")]
 
     def pull(x: np.ndarray, hot: np.ndarray, keep: np.ndarray):
         reach = np.zeros(n, dtype=np.uint64)
         reach[rows_with_arcs] = np.bitwise_or.reduceat(hot[indices], row_starts)
-        picked = (reach & keep) != 0
-        rows = np.flatnonzero(picked)
-        # each picked row keeps all its arcs in CSR order: reduceat sums
-        # pairwise, so dropping even zero terms would move the last bits
-        counts = indptr[rows + 1] - indptr[rows]
-        starts = np.cumsum(counts) - counts
-        arcs = np.flatnonzero(picked[owner])
-        return rows, np.add.reduceat(x[indices[arcs]], starts, axis=0)
+        reach &= keep
+        rows = by_deg[reach[by_deg] != 0]
+        starts, counts = indptr[rows], deg[rows]
+        # longer[p]: how many picked rows have more than p arcs, a prefix
+        longer = np.searchsorted(-counts, -np.arange(_PLAIN + 1))
+        sums = np.empty((len(rows), x.shape[1]))
+        big = longer[_PLAIN]
+        if big:
+            ends = np.cumsum(counts[:big])
+            firsts = ends - counts[:big]
+            arcs = np.arange(ends[-1]) + np.repeat(starts[:big] - firsts, counts[:big])
+            np.add.reduceat(x[indices[arcs]], firsts, axis=0, out=sums[:big])
+        # the other rows, as a0 + (((a1 + a2) + a3) ...)
+        tail = sums[big:longer[1]]
+        tail[:] = x[indices[starts[big:longer[1]] + 1]]
+        for p in range(2, _PLAIN):
+            tail[:longer[p] - big] += x[indices[starts[big:longer[p]] + p]]
+        tail += x[indices[starts[big:longer[1]]]]
+        sums[longer[1]:] = x[indices[starts[longer[1]:]]]
+        return rows, reach[rows], sums
 
     return pull
 
@@ -76,50 +96,77 @@ def _blocks(n: int, arcs: int):
         yield np.arange(lo, min(lo + size, n))
 
 
-def _bfs(pull, sources: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
+def _bfs(pull, sources: np.ndarray, n: int) -> tuple[np.ndarray, list, np.ndarray]:
     """BFS from every source in ``sources`` at once.
 
-    Column j of the two (n, len(sources)) results belongs to ``sources[j]``:
-    ``dist`` is the level at which ``pull`` first reaches a vertex (-1 if
-    never) and ``sigma`` the number of shortest paths that reach it.
-    ``levels[d]`` is ``(rows, bits)``: the vertices at level d in some
-    column, ascending, and for each the column bits where it is.  A level
-    pulls only the rows with an arc from the previous level in a column
-    where they are still unreached; no other cell can change.
+    Column j of the (n, len(sources)) ``sigma`` counts the shortest paths
+    from ``sources[j]``.  ``levels[d]`` is ``(rows, bits)``: the vertices at
+    level d in some column and for each the column bits where it is.  A
+    level pulls only the rows with an arc from the previous level in a
+    column where they are still unreached; no other cell can change.  The
+    frontier buffer comes back all zeros, for the caller to reuse.
     """
     b = len(sources)
-    cols = np.arange(b)
-    dist = np.full((n, b), -1, dtype=np.int64)
+    bits = np.uint64(1) << np.arange(b, dtype=np.uint64)
     sigma = np.zeros((n, b))
-    dist[sources, cols] = 0
-    sigma[sources, cols] = 1.0
+    sigma[sources, np.arange(b)] = 1.0
     frontier = sigma.copy()
-    unreached = _column_bits(dist < 0)
+    unreached = np.full(n, (1 << b) - 1, dtype=np.uint64)
+    unreached[sources] &= ~bits
     hot = np.zeros(n, dtype=np.uint64)
-    hot[sources] = _column_bits(frontier[sources] > 0)
-    levels = [(sources, hot[sources])]
+    hot[sources] = bits
+    levels = [(sources, bits)]
     while True:
-        rows, reach = pull(frontier, hot, unreached)
-        if len(rows) == 0:
-            return dist, sigma, levels
+        rows, new, reach = pull(frontier, hot, unreached)
         frontier[levels[-1][0]] = 0.0
+        if len(rows) == 0:
+            return sigma, levels, frontier
         hot[levels[-1][0]] = 0
-        seen = dist[rows]
-        new = (reach > 0) & (seen < 0)
-        bits = _column_bits(new)
-        dist[rows] = np.where(new, len(levels), seen)
-        reach = np.where(new, reach, 0.0)
+        # a sum of non-negative terms is > 0 iff a hot column fed it, so the
+        # new columns are where reach > 0 and the vertex was unreached
+        np.copyto(reach, 0.0, where=~_unpack(new, b))
         frontier[rows] = reach
         # sigma is 0 where a vertex is new and gains 0 elsewhere
         sigma[rows] += reach
-        unreached[rows] &= ~bits
-        hot[rows] = bits
-        levels.append((rows, bits))
+        unreached[rows] &= ~new
+        hot[rows] = new
+        levels.append((rows, new))
 
 
 def _as_csr(indptr, indices):
     return (np.ascontiguousarray(indptr, dtype=np.int64),
             np.ascontiguousarray(indices, dtype=np.int64))
+
+
+def _dependencies(fwd, back, sources: np.ndarray, n: int) -> np.ndarray:
+    """Brandes dependencies (n, len(sources)) of one block of sources.
+
+    Level d passes its dependencies to level d - 1; the sources (level 0)
+    collect none.  ``z`` reuses the forward pass's frontier buffer, and the
+    block's arrays are freed on return, before the next block allocates.
+    """
+    b = len(sources)
+    sigma, levels, z = _bfs(fwd, sources, n)
+    delta = np.zeros_like(sigma)
+    hot = np.zeros(n, dtype=np.uint64)
+    below = np.zeros(n, dtype=np.uint64)
+    for d in range(len(levels) - 1, 1, -1):
+        (top, top_bits), (low, low_bits) = levels[d], levels[d - 1]
+        # 0 off level d, so z is 0 there as in a full (n x b) expression
+        zt = np.divide(1.0, sigma[top], out=np.zeros((len(top), b)), where=_unpack(top_bits, b))
+        zt *= 1.0 + delta[top]
+        z[top] = zt
+        hot[top] = top_bits
+        below[low] = low_bits
+        rows, _, pulled = back(z, hot, below)
+        pulled *= sigma[rows]
+        np.copyto(pulled, 0.0, where=~_unpack(below[rows], b))
+        delta[rows] += pulled
+        del pulled  # freed before the next level's pull
+        hot[top] = 0
+        below[low] = 0
+        z[top] = 0.0
+    return delta
 
 
 def betweenness_raw(
@@ -143,28 +190,8 @@ def betweenness_raw(
         return bc
     fwd = _puller(*_as_csr(rindptr, rindices))
     back = _puller(*_as_csr(indptr, indices))
-    hot = np.zeros(n, dtype=np.uint64)
-    below = np.zeros(n, dtype=np.uint64)
     for sources in _blocks(n, len(indices)):
-        dist, sigma, levels = _bfs(fwd, sources, n)
-        delta = np.zeros_like(sigma)
-        z = np.zeros_like(sigma)
-        # level d passes its dependencies to level d - 1; sources (level 0)
-        # collect none
-        for d in range(len(levels) - 1, 1, -1):
-            (top, top_bits), (low, low_bits) = levels[d], levels[d - 1]
-            at = dist[top] == d
-            # 0 off level d, so z is 0 there as in a full (n x b) expression
-            inv_sigma = np.divide(1.0, sigma[top], out=np.zeros(at.shape), where=at)
-            z[top] = (1.0 + delta[top]) * inv_sigma
-            hot[top] = top_bits
-            below[low] = low_bits
-            rows, pulled = back(z, hot, below)
-            hot[top] = 0
-            below[low] = 0
-            delta[rows] += np.where(dist[rows] == d - 1, sigma[rows] * pulled, 0.0)
-            z[top] = 0.0
-        bc += delta.sum(axis=1)
+        bc += _dependencies(fwd, back, sources, n).sum(axis=1)
     return bc
 
 
@@ -173,7 +200,7 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray
 
     ``out[s, t]`` is the hop count of the shortest path s -> t along the CSR
     arcs.  Pulling over out-neighbors measures distances *to* the block's
-    sources, which fills the block's columns.
+    sources, which fills the block's columns level by level.
     """
     out = np.empty((n, n), dtype=np.int32)
     if n == 0:
@@ -181,7 +208,10 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray
     indptr, indices = _as_csr(indptr, indices)
     pull = _puller(indptr, indices)
     for targets in _blocks(n, len(indices)):
-        out[:, targets] = _bfs(pull, targets, n)[0]
+        out[:, targets] = -1
+        for d, (rows, bits) in enumerate(_bfs(pull, targets, n)[1]):
+            at, cols = np.nonzero(_unpack(bits, len(targets)))
+            out[rows[at], targets[cols]] = d
     return out
 
 

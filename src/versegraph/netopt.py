@@ -4,6 +4,7 @@ load balancing, task scheduling, and the M/M/1 latency model."""
 from __future__ import annotations
 
 import heapq
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -284,6 +285,8 @@ def balance_resource_based(demands: list[float], servers: list[ServerSpec]) -> d
     """
     if not servers:
         raise ValidationError("at least one server required")
+    for i, d in enumerate(demands):
+        _finite(d, f"demand {i}")
     total = sum(demands)
     cap = sum(s.capacity for s in servers)
     if total > cap:
@@ -345,6 +348,8 @@ def topo_schedule(d: TaskDag) -> tuple[list[int], float, list[int]]:
             best[t] = d.durations[t]
             best_pred[t] = None
     end = max(tasks, key=lambda t: (best[t], -t))
+    if best[end] == math.inf:
+        raise ValidationError("critical path length overflows a float")
     chain = [end]
     while best_pred[chain[-1]] is not None:
         chain.append(best_pred[chain[-1]])
@@ -372,4 +377,8 @@ def mm1_latency(arrival_rate: float, service_rate: float) -> float:
         raise ValidationError("arrival rate must be >= 0")
     if arrival_rate >= service_rate:
         raise ValidationError("unstable queue: arrival rate >= service rate")
-    return 1.0 / (service_rate - arrival_rate)
+    latency = 1.0 / (service_rate - arrival_rate)
+    if latency == math.inf:
+        raise ValidationError(f"latency 1/(service rate - arrival rate) overflows: "
+                              f"{service_rate!r} - {arrival_rate!r} is too small")
+    return latency

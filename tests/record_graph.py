@@ -244,6 +244,8 @@ class RecordGraph:
         except TypeError:
             raise ValidationError(f"vertex {vid}: roles and layers must be collections of "
                                   f"hashable values, got {roles!r} and {layers!r}") from None
+        if attrs and not isinstance(attrs, Mapping):
+            raise ValidationError(f"vertex {vid}: attrs must be a mapping, got {attrs!r}")
         attrs = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
         if not _INT.issuperset(map(type, layers)):
             layers = frozenset(_index(lid, f"vertex {vid}: layer id") for lid in layers)

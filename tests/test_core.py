@@ -373,7 +373,7 @@ def test_strings_must_encode_as_utf8(g):
 
 @pytest.mark.parametrize("attrs", [
     {"x": float("nan")}, {"x": float("inf")}, {1: 2, "a": 3}, {"x": [1]}, {"x": None},
-    {"x": {"y": 1}},
+    {"x": {"y": 1}}, 5, [1, 2],  # not a mapping: dict() raised TypeError
 ])
 def test_attrs_must_be_json_scalars(g, attrs):
     net = g.create_layer("network")

@@ -4,12 +4,15 @@ vertices, so every BFS runs over several source blocks, and trailing
 isolated vertices give CSR rows without arcs.  The BFS kernels are also held
 bit for bit to a full pull over every row, kept here as the reference."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from versegraph import kernels
 
-from conftest import make_view, random_simple_edges
+from conftest import make_view, pipeline_params, random_simple_edges
 
 
 @pytest.fixture
@@ -200,6 +203,98 @@ def test_bfs_kernels_equal_full_pull_bitwise(n, directed):
         hops = kernels.hop_distances(indptr, indices, n)
         assert (hops == -1).any()
         assert np.array_equal(hops, _ref_hop_distances(indptr, indices, n))
+
+
+_HUB_ARCS = (8, 9, 16, 17, 128, 129, 230)
+
+
+def _degree_view(directed):
+    """A sparse random graph on 0..299 plus hubs 300..306 whose rows hold
+    exactly 8, 9, 16, 17, 128, 129 and 230 arcs: directed out- and in-arcs
+    from and to distinct random vertices, or undirected edges.  numpy's sum
+    order changes at 8 and 9 terms and its pairwise blocks at 128 and 129."""
+    rng = np.random.default_rng(11)
+    edges = [(a, b, 1.0, directed) for a, b in random_simple_edges(300, 3.0 / 299, rng)]
+    for h, k in enumerate(_HUB_ARCS, start=300):
+        edges += [(h, int(v), 1.0, directed) for v in rng.choice(300, k, replace=False)]
+        if directed:
+            edges += [(int(v), h, 1.0, True) for v in rng.choice(300, k, replace=False)]
+    return make_view(300 + len(_HUB_ARCS), edges)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_bfs_kernels_exact_where_numpy_sum_order_changes(directed):
+    view = _degree_view(directed)
+    n = view.n
+    pairs = (("out", "in"),) if directed else (("both", "both"),)
+    for fwd, back in pairs:
+        indptr, indices = view.csr(fwd)
+        rindptr, rindices = view.csr(back)
+        for ptr in (indptr, rindptr):
+            assert set(_HUB_ARCS) <= set(np.diff(ptr)[300:].tolist())
+        got = kernels.betweenness_raw(indptr, indices, rindptr, rindices, n)
+        assert np.array_equal(got, _ref_betweenness_raw(indptr, indices, rindptr, rindices, n))
+        for direction in {fwd, back}:
+            ip, ix = view.csr(direction)
+            assert np.array_equal(kernels.hop_distances(ip, ix, n), _ref_hop_distances(ip, ix, n))
+
+
+def _layered_dag():
+    """Source 0 feeds layer 0; 40 layers of 6 vertices, each taking 2-5 arcs
+    from distinct vertices of the layer before.  Path counts exceed 2**53,
+    so the order of their sums shows in the bits."""
+    rng = np.random.default_rng(5)
+    edges = [(0, 1 + j, 1.0, True) for j in range(6)]
+    for layer in range(1, 40):
+        for j in range(6):
+            for u in rng.choice(6, int(rng.integers(2, 6)), replace=False):
+                edges.append((1 + 6 * (layer - 1) + int(u), 1 + 6 * layer + j, 1.0, True))
+    return make_view(1 + 6 * 40, edges)
+
+
+def test_bfs_kernels_exact_on_huge_path_counts():
+    """Any forward pass that adds path counts in another order than
+    ``np.add.reduceat`` (a push BFS, say) gives other bits here."""
+    view = _layered_dag()
+    n = view.n
+    indptr, indices = view.csr("out")
+    rindptr, rindices = view.csr("in")
+    sigma = _ref_bfs(_ref_puller(rindptr, rindices), np.array([0]), n)[1][:, 0]
+    assert sigma.max() > 2.0 ** 53
+    # the same counts added left to right
+    left = np.zeros(n)
+    left[0] = 1.0
+    for v in range(1, n):
+        for u in rindices[rindptr[v]:rindptr[v + 1]]:
+            left[v] += left[u]
+    assert (left != sigma).sum() >= 10
+    got = kernels.betweenness_raw(indptr, indices, rindptr, rindices, n)
+    assert np.array_equal(got, _ref_betweenness_raw(indptr, indices, rindptr, rindices, n))
+    assert np.array_equal(kernels.hop_distances(indptr, indices, n),
+                          _ref_hop_distances(indptr, indices, n))
+
+
+def test_betweenness_working_set_on_the_pipeline_graph(tmp_path):
+    """The tracemalloc peak of one betweenness call on the seed-7919 1x
+    ``cli-pipeline`` graph, which sets the pipeline's peak memory: about
+    3.6 MB, against 8.4 MB with a distance matrix and an (arcs x 64) gather
+    per level."""
+    from versegraph import cli, io
+
+    (tmp_path / "p.json").write_text(json.dumps(pipeline_params(1)))
+    path = str(tmp_path / "g.json")
+    assert cli.run(["gen", "--scenario", "multilayer", "--seed", "7919",
+                    "--params", str(tmp_path / "p.json"), "--out", path]) == 0
+    view = io.import_graph(path).snapshot_at(0).flatten()
+    args = (*view.csr("out"), *view.csr("in"), view.n)
+    tracemalloc.start()
+    try:
+        kernels.betweenness_raw(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert view.n == 1160
+    assert peak <= 6_000_000
 
 
 def _consensus_inputs(n, seed):

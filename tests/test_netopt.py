@@ -487,6 +487,13 @@ def test_resource_based_total_exceeds():
         netopt.balance_resource_based([1.5, 1.5], servers)
 
 
+@pytest.mark.parametrize("demand", [float("nan"), float("inf"), None, "1"])
+def test_resource_based_demands_are_finite(demand):
+    servers = [ServerSpec(0, 5.0, 1.0)]
+    with pytest.raises(ValidationError, match="demand 1 must be a finite number"):
+        netopt.balance_resource_based([1.0, demand], servers)
+
+
 def test_resource_based_respects_capacity():
     rng = random.Random(66)
     for _ in range(20):
@@ -555,6 +562,12 @@ def test_topo_durations_are_finite(duration):
         netopt.topo_schedule(TaskDag({0: 1.0, 1: duration}, [(0, 1)]))
 
 
+def test_topo_critical_length_that_overflows_is_refused():
+    with pytest.raises(ValidationError, match="critical path length overflows"):
+        netopt.topo_schedule(TaskDag({0: 1e308, 1: 1e308}, [(0, 1)]))
+    assert netopt.topo_schedule(TaskDag({0: 1e308, 1: 1e308}, []))[1] == 1e308
+
+
 # -- queuing ----------------------------------------------------------------
 
 def test_mm1_closed_form():
@@ -574,3 +587,9 @@ def test_mm1_unstable():
 def test_mm1_rates_are_finite(rates):
     with pytest.raises(ValidationError, match="rate must be a finite number"):
         netopt.mm1_latency(*rates)
+
+
+def test_mm1_latency_that_overflows_is_refused():
+    with pytest.raises(ValidationError, match="overflows"):
+        netopt.mm1_latency(0.0, 1e-320)
+    assert netopt.mm1_latency(0.0, 2.0 ** -1000) == 2.0 ** 1000
