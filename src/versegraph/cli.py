@@ -201,12 +201,13 @@ def _cmd_optimize(args) -> list[str]:
     else:
         trace: list = []
         r = crossopt.optimize(s, args.mode, args.seed, trace)
+        # the trace ends with the returned point's objective and max violation
         doc = {
             "mode": args.mode,
             "seed": args.seed,
             "allocation": [float(x) for x in r],
-            "objective": crossopt.objective(r, s, args.mode),
-            "max_violation": crossopt.max_violation(s, r),
+            "objective": trace[-1][1],
+            "max_violation": trace[-1][2],
         }
         io.dump_json(doc, args.out)
         tpath = args.out + ".trace.csv"

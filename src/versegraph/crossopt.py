@@ -188,17 +188,17 @@ class CompiledScenario:
         for arr in (self.gamma, self.lam, self.lo, self.hi, self.Q, self.b, self.A, self.C):
             arr.setflags(write=False)
 
-    def utilities(self, R: np.ndarray) -> np.ndarray:
-        """Per-domain sigmoid utilities; exp(-z) where z = gamma (lambda - R) passes 700."""
-        z = self.gamma * (self.lam - R)
+    def utilities(self, R: np.ndarray, k: int | slice = slice(None)) -> np.ndarray:
+        """Sigmoid utilities of domains ``k``; exp(-z) where z = gamma (lambda - R) passes 700."""
+        z = self.gamma[k] * (self.lam[k] - R)
         u = 1.0 / (1.0 + np.exp(np.minimum(z, 700.0)))
         tail = z > 700.0
         if tail.any():
             u[tail] = np.exp(-z[tail])
         return u
 
-    def value(self, R: np.ndarray, coupled: bool) -> np.ndarray:
-        v = self.utilities(R).sum(-1)
+    def value(self, R: np.ndarray, coupled: bool, u: Optional[np.ndarray] = None) -> np.ndarray:
+        v = (self.utilities(R) if u is None else u).sum(-1)
         if coupled:
             v = v - (((R @ self.Q) * R).sum(-1) + R @ self.b + self.c)
         return v
@@ -220,13 +220,18 @@ class CompiledScenario:
     def max_violation(self, R: np.ndarray) -> np.ndarray:
         return self.excess(R).max(-1, initial=0.0)
 
-    def penalized(self, R: np.ndarray, coupled: bool, mu: float) -> np.ndarray:
-        """The objective minus mu times the squared link excess (coupled mode only)."""
+    def scores(self, R: np.ndarray, coupled: bool, mu: float) -> np.ndarray:
+        """Objective, max violation and penalized objective of each allocation,
+        stacked on a new last axis.  The penalty, mu times the squared link
+        excess, applies in coupled mode only."""
         v = self.value(R, coupled)
-        if coupled:
-            over = np.maximum(self.excess(R), 0.0)
-            v = v - mu * (over * over).sum(-1)
-        return v
+        excess = self.excess(R)
+        over = np.maximum(excess, 0.0)
+        pen = v - mu * (over * over).sum(-1) if coupled else v
+        return np.stack([v, excess.max(-1, initial=0.0), pen], axis=-1)
+
+    def penalized(self, R: np.ndarray, coupled: bool, mu: float) -> np.ndarray:
+        return self.scores(R, coupled, mu)[..., 2]
 
     def penalized_grad(self, R: np.ndarray, coupled: bool, mu: float) -> np.ndarray:
         g = self.grad(R, coupled)
@@ -397,6 +402,32 @@ def _restore_feasible(cs: CompiledScenario, R: np.ndarray) -> np.ndarray:
     return np.where(need[:, None, None], lo + t_lo[:, None, None] * (R - lo), R)
 
 
+def _last_winner(vals: np.ndarray, best_v: float) -> int:
+    """Index of the last value of ``vals`` to beat the running best, which
+    starts at ``best_v``, by more than 1e-15 in a scan in order; -1 if none.
+
+    A winner exceeds every value before it, so the winners are among the
+    strict prefix maxima ``c`` (NaN and -inf never win).  After candidate i
+    the next winner is the first candidate above ``c[i] + 1e-15``: i + 1
+    except at near-ties, which alone are walked one by one."""
+    prior = np.fmax.accumulate(np.concatenate(([-np.inf], vals)))[:-1]
+    idx = np.flatnonzero(vals > prior)
+    c = vals[idx]
+    n = len(c)
+    i = int(np.searchsorted(c, best_v + 1e-15, side="right"))
+    nxt = np.searchsorted(c, c + 1e-15, side="right")
+    jumps = np.flatnonzero(nxt != np.arange(1, n + 1))
+    while i < n:
+        # candidates i, i + 1, ... win in turn up to the first jump from i on
+        p = np.searchsorted(jumps, i)
+        if p == len(jumps):
+            return int(idx[-1])
+        if nxt[jumps[p]] == n:
+            return int(idx[jumps[p]])
+        i = int(nxt[jumps[p]])
+    return -1
+
+
 def _grid_best(cs: CompiledScenario, coupled: bool, r: np.ndarray, k: int,
                grid: np.ndarray, best_v: float) -> tuple[float, float]:
     """Line search of coordinate k over a grid, evaluated as one batch.
@@ -407,11 +438,12 @@ def _grid_best(cs: CompiledScenario, coupled: bool, r: np.ndarray, k: int,
     """
     batch = np.repeat(r[None, :], len(grid), axis=0)
     batch[:, k] = grid
-    best_x = r[k]
-    for x, v in zip(grid.tolist(), cs.value(batch, coupled).tolist()):
-        if v > best_v + 1e-15:
-            best_v, best_x = v, x
-    return best_x, best_v
+    # only coordinate k's utility changes along the grid
+    u = np.repeat(cs.utilities(r)[None, :], len(grid), axis=0)
+    u[:, k] = cs.utilities(grid, k)
+    vals = cs.value(batch, coupled, u)
+    i = _last_winner(vals, best_v)
+    return (r[k], best_v) if i < 0 else (grid[i], vals[i])
 
 
 def _coordinate_polish(cs: CompiledScenario, coupled: bool, r: np.ndarray) -> np.ndarray:
@@ -453,7 +485,10 @@ def optimize(
 
     All starts move together as one array, round by round; a start that has
     stopped in a round is held fixed until the next round begins, so each
-    one follows the path it would follow on its own.
+    one follows the path it would follow on its own.  An iteration scores
+    each moving start's full step, and its 39 halvings only if that fails;
+    the scores of the step taken are kept.  Raises ValidationError when the
+    returned point's objective or a trace number is not finite.
     """
     coupled = _coupled(mode)
     cs = compile_scenario(scenario)
@@ -466,28 +501,37 @@ def optimize(
     # what it is on its own; a (S, K) matrix product rounds differently.
     R = _start_points(cs, seed)[:, None, :]
     S = len(R)
-    steps = np.ldexp(1.0, -np.arange(BACKTRACK_HALVINGS))  # 1, 1/2, 1/4, ...
+    halvings = np.ldexp(1.0, -np.arange(1, BACKTRACK_HALVINGS))[:, None, None]  # 1/2, 1/4, ...
     it = np.zeros(S, dtype=int)
-    log = []  # per lockstep iteration: (rows that ran it, it, value, max violation)
+    log = []  # per lockstep iteration: (starts that ran it, it, value and max violation)
     for rnd in range(PENALTY_ROUNDS):
         mu = PENALTY_MU0 * PENALTY_GROWTH ** rnd
-        active = np.ones(S, dtype=bool)
+        at = cs.scores(R, coupled, mu)  # (S, 1, 3), kept up to date as R moves
+        run = np.arange(S)  # the starts still moving in this round
         for _ in range(INNER_ITERS):
-            g = cs.penalized_grad(R, coupled, mu)
-            base = cs.penalized(R, coupled, mu)
-            # every halving at once; a start takes the first that improves
-            cand = np.minimum(np.maximum(R[:, None] + steps[:, None, None] * g[:, None], lo), hi)
-            better = cs.penalized(cand, coupled, mu)[..., 0] > base + 1e-15
-            moved = better.any(axis=1)
-            j = better.argmax(axis=1)
-            step = np.where(moved, steps[j], 0.5 ** BACKTRACK_HALVINGS)
-            R = np.where((active & moved)[:, None, None], cand[np.arange(S), j], R)
-            it += active
-            log.append((active, it.copy(), cs.value(R, coupled)[:, 0], cs.max_violation(R)[:, 0]))
+            g = cs.penalized_grad(R[run], coupled, mu)
+            bar = at[run, :, 2] + 1e-15
+            cand = np.minimum(np.maximum(R[run] + g, lo), hi)
+            score = cs.scores(cand, coupled, mu)
+            moved = score[:, 0, 2] > bar[:, 0]
+            step = np.ones(len(run))
+            if not moved.all():
+                # a failed full step scores all its halvings at once and
+                # takes the first that improves
+                f = np.flatnonzero(~moved)
+                hc = np.minimum(np.maximum(R[run[f], None] + halvings * g[f, None], lo), hi)
+                hs = cs.scores(hc, coupled, mu)
+                better = hs[..., 0, 2] > bar[f]
+                h = np.flatnonzero(better.any(axis=1))
+                f, j = f[h], better[h].argmax(axis=1)
+                cand[f], score[f], step[f], moved[f] = hc[h, j], hs[h, j], halvings[j, 0, 0], True
+            R[run[moved]], at[run[moved]] = cand[moved], score[moved]
+            it[run] += 1
+            log.append((run, it.copy(), at[:, 0, :2].copy()))
             sg = step[:, None, None] * g
             norm = np.sqrt((sg @ sg.swapaxes(1, 2))[:, 0, 0])  # per-row dot, as np.linalg.norm
-            active = active & moved & ~(norm < 1e-12)
-            if not active.any():
+            run = run[moved & ~(norm < 1e-12)]
+            if not len(run):
                 break
     if coupled:
         R = _restore_feasible(cs, R)
@@ -498,14 +542,13 @@ def optimize(
     if best is None:
         raise ValidationError("no start reaches a finite objective value; "
                               "the scenario's numbers overflow")
-    best_trace = [(int(n[best]), float(v[best]), float(m[best]))
-                  for ran, n, v, m in log if ran[best]]
+    best_trace = [(int(n[best]), *vm[best].tolist()) for ran, n, vm in log if best in ran]
     best_r = _coordinate_polish(cs, coupled, R[best, 0])
-    best_trace.append(
-        (best_trace[-1][0] + 1 if best_trace else 1,
-         float(cs.value(best_r, coupled)),
-         float(cs.max_violation(best_r)))
-    )
+    best_trace.append((best_trace[-1][0] + 1 if best_trace else 1,
+                       *cs.scores(best_r, coupled, 0.0)[:2].tolist()))
+    if not np.isfinite(best_trace).all():
+        raise ValidationError("the optimum's objective or trace is not finite; "
+                              "the scenario's numbers overflow")
     if trace is not None:
         trace.extend(best_trace)
     return best_r
@@ -545,10 +588,13 @@ class OptimizationReport:
     trace_coupled: list[tuple[int, float, float]]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in one ValidationError
 def compare(scenario: Scenario, seed: int = 0) -> OptimizationReport:
-    """Optimize both modes and report the coupling gap (Fig. 3-style)."""
-    tr_iso: list = []
-    tr_cpl: list = []
+    """Optimize both modes and report the coupling gap (Fig. 3-style).
+
+    Raises ValidationError when a number of the report is not finite.
+    """
+    tr_iso, tr_cpl = [], []
     r_iso = optimize(scenario, "isolated", seed, tr_iso)
     r_cpl = optimize(scenario, "coupled", seed, tr_cpl)
     cs = compile_scenario(scenario)
@@ -557,22 +603,15 @@ def compare(scenario: Scenario, seed: int = 0) -> OptimizationReport:
                            for mode in ("isolated", "coupled")}
         for tag, r in (("isolated", r_iso), ("coupled", r_cpl))
     }
-
-    def slack(r):
-        return {l.id: float(x) for l, x in zip(scenario.links, -cs.excess(r))}
-
+    slacks = [{l.id: float(x) for l, x in zip(scenario.links, -cs.excess(r))}
+              for r in (r_iso, r_cpl)]
     gap = objectives["coupled_optimum"]["coupled"] - objectives["isolated_optimum"]["coupled"]
-    return OptimizationReport(
-        seed,
-        tuple(float(x) for x in r_iso),
-        tuple(float(x) for x in r_cpl),
-        objectives,
-        slack(r_iso),
-        slack(r_cpl),
-        float(gap),
-        tr_iso,
-        tr_cpl,
-    )
+    if not np.isfinite([gap, *(v for o in objectives.values() for v in o.values()),
+                        *(x for sl in slacks for x in sl.values())]).all():
+        raise ValidationError("a number of the comparison report is not finite; "
+                              "the scenario's numbers overflow")
+    return OptimizationReport(seed, tuple(map(float, r_iso)), tuple(map(float, r_cpl)),
+                              objectives, *slacks, float(gap), tr_iso, tr_cpl)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
 """Hot numeric kernels as numpy array code.
 
 All kernels operate on CSR adjacency (``indptr``, ``indices``) over positional
-vertex indices ``0..n-1``.  Betweenness and hop distances share one
-level-synchronous BFS that advances a block of up to 64 sources at once.  A
-vertex's columns are one uint64 of bits, and each level lists the vertices it
-reached with the bits of the columns where it did; these level bits, not a
-distance matrix, say where a vertex sits.  Per level the BFS pulls only the
-rows that can change: vertices with an arc from the frontier in a column where
-they are still unreached, found with a ``np.bitwise_or.reduceat`` over the
-arcs.  The backward dependency pass likewise pulls only the vertices at level
-d - 1 in some column that have an arc to a vertex at level d in that column.
-Rows are restricted, never arcs: a pulled row sums all of its arcs, in CSR
-order, bit for bit as ``np.add.reduceat`` does.  For a row of at most 8 arcs
-that is ``a0 + (((a1 + a2) + a3) ...)``, added one arc position at a time over
-the rows long enough to have it; numpy sums longer rows pairwise, so they go
+vertex indices ``0..n-1``.  Betweenness and hop distances run
+level-synchronous BFSs that advance a block of up to 64 sources at once.  A
+vertex's columns are one uint64 of bits, and a level's bits come from one
+``np.bitwise_or.reduceat`` of the last level's bits over the arcs; hop
+distances read nothing else.  Betweenness also counts paths: each level lists
+the vertices it reached with the bits of the columns where it did; these
+level bits, not a distance matrix, say where a vertex sits.  Per level the
+path-count BFS pulls only the rows that can change: vertices with an arc from
+the frontier in a column where they are still unreached.  The backward
+dependency pass likewise pulls only the vertices at level d - 1 in some
+column that have an arc to a vertex at level d in that column.  Rows are
+restricted, never arcs: a pulled row sums all of its arcs, in CSR order, bit
+for bit as ``np.add.reduceat`` does.  For a row of at most 8 arcs that is
+``a0 + (((a1 + a2) + a3) ...)``, added one arc position at a time over the
+rows long enough to have it; numpy sums longer rows pairwise, so they go
 through ``np.add.reduceat`` itself.  Leaving out even zero terms would regroup
 a sum and move its last bits.  Consensus runs one round as two
 ``np.bincount`` scatters over the edge list.
@@ -44,6 +46,21 @@ def _unpack(bits: np.ndarray, b: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=b, bitorder="little").view(bool)
 
 
+def _bits_puller(indptr: np.ndarray, indices: np.ndarray):
+    """``pull(hot)``: for each vertex, the OR of ``hot`` over its arcs' heads,
+    one ``np.bitwise_or.reduceat`` over the arcs."""
+    n = len(indptr) - 1
+    rows_with_arcs = np.flatnonzero(np.diff(indptr))
+    row_starts = indptr[rows_with_arcs]
+
+    def pull(hot: np.ndarray) -> np.ndarray:
+        reach = np.zeros(n, dtype=np.uint64)
+        reach[rows_with_arcs] = np.bitwise_or.reduceat(hot[indices], row_starts)
+        return reach
+
+    return pull
+
+
 def _puller(indptr: np.ndarray, indices: np.ndarray):
     """Row-restricted pull over a CSR.
 
@@ -55,18 +72,15 @@ def _puller(indptr: np.ndarray, indices: np.ndarray):
     sums it.  When ``x[u, j]`` is 0 unless bit j of ``hot[u]`` is set, the
     rows left out would sum only zeros in every column that ``keep`` selects.
     """
-    n = len(indptr) - 1
     deg = np.diff(indptr)
     rows_with_arcs = np.flatnonzero(deg)
-    row_starts = indptr[rows_with_arcs]
+    pull_bits = _bits_puller(indptr, indices)
     # rows with arcs, most arcs first: the picked rows that have an arc at
     # position p are then a prefix
     by_deg = rows_with_arcs[np.argsort(-deg[rows_with_arcs], kind="stable")]
 
     def pull(x: np.ndarray, hot: np.ndarray, keep: np.ndarray):
-        reach = np.zeros(n, dtype=np.uint64)
-        reach[rows_with_arcs] = np.bitwise_or.reduceat(hot[indices], row_starts)
-        reach &= keep
+        reach = pull_bits(hot) & keep
         rows = by_deg[reach[by_deg] != 0]
         starts, counts = indptr[rows], deg[rows]
         # longer[p]: how many picked rows have more than p arcs, a prefix
@@ -199,19 +213,33 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray
     """All-pairs unweighted hop distances as int32; -1 where unreachable.
 
     ``out[s, t]`` is the hop count of the shortest path s -> t along the CSR
-    arcs.  Pulling over out-neighbors measures distances *to* the block's
-    sources, which fills the block's columns level by level.
+    arcs.  A BFS over out-neighbors measures distances *to* the block's
+    sources, one column bit each: a level is one ``np.bitwise_or.reduceat``
+    of the last level's bits over the arcs, kept where still unreached.  No
+    path counts are summed.
     """
     out = np.empty((n, n), dtype=np.int32)
     if n == 0:
         return out
-    indptr, indices = _as_csr(indptr, indices)
-    pull = _puller(indptr, indices)
+    pull = _bits_puller(*_as_csr(indptr, indices))
     for targets in _blocks(n, len(indices)):
+        b = len(targets)
         out[:, targets] = -1
-        for d, (rows, bits) in enumerate(_bfs(pull, targets, n)[1]):
-            at, cols = np.nonzero(_unpack(bits, len(targets)))
+        out[targets, targets] = 0
+        hot = np.zeros(n, dtype=np.uint64)
+        hot[targets] = np.uint64(1) << np.arange(b, dtype=np.uint64)
+        unreached = np.full(n, (1 << b) - 1, dtype=np.uint64)
+        unreached[targets] &= ~hot[targets]
+        d = 0
+        while True:
+            hot = pull(hot) & unreached
+            rows = np.flatnonzero(hot)
+            if len(rows) == 0:
+                break
+            d += 1
+            at, cols = np.nonzero(_unpack(hot[rows], b))
             out[rows[at], targets[cols]] = d
+            unreached &= ~hot
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -5,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from versegraph import crossopt, io
+from versegraph import cli, crossopt, io
 from versegraph.core import TemporalMultiLayerGraph
 from versegraph.crossopt import (
     CouplingEdge,
@@ -569,6 +570,23 @@ def test_compiled_batch_matches_single_points():
     assert np.allclose(cs.max_violation(R), [cs.max_violation(r) for r in R], rtol=0, atol=1e-12)
 
 
+def test_one_domain_utilities_match_the_batch_bitwise():
+    """The polish evaluates only the moving coordinate's utility along a grid;
+    it must hold the bits that column of a whole-batch evaluation holds,
+    through the exp(-z) tail past z = 700 as well."""
+    rng = np.random.default_rng(8)
+    K = 9
+    s = Scenario([DomainSpec(f"d{k}", float(g), float(l), -400.0, 400.0) for k, (g, l) in
+                  enumerate(zip(rng.uniform(0.1, 3.0, K), rng.uniform(-2.0, 2.0, K)))])
+    cs = crossopt.compile_scenario(s)
+    for n in (1, 7, 201, 2001):
+        R = rng.uniform(-400.0, 400.0, size=(n, K)) * rng.choice([1e-3, 1.0, 1.0], size=(n, 1))
+        u = cs.utilities(R)
+        assert (u == 0.0).any() or n < 201
+        for k in range(K):
+            assert cs.utilities(R[:, k].copy(), k).tobytes() == u[:, k].tobytes()
+
+
 def test_phi_energy_uses_lowest_id_carrying_link_only():
     """Pins the shipped energy rule on a node with two incident links.
 
@@ -686,6 +704,78 @@ def _k8_scenario(seed):
     return s
 
 
+
+def _scenario_doc(s):
+    """``s`` as a scenario file with ``"coupling": "auto"``."""
+    return {
+        "domains": [{"id": d.id, "gamma": d.gamma, "lambda": d.lam, "r_min": d.r_min,
+                     "r_max": d.r_max} for d in s.domains],
+        "links": [{"id": l.id, "capacity": l.capacity, "coeffs": dict(l.coeffs)} for l in s.links],
+        "nodes": [{"id": n.id, "eps_tx": n.eps_tx, "eps_rx": n.eps_rx,
+                   "incident": [{"link": l, "distance": d} for l, d in n.incident.items()]}
+                  for n in s.nodes],
+        "coupling": "auto",
+    }
+
+
+# sha256 of the report and the isolated and coupled trace CSVs that
+# `versegraph optimize --mode both --seed <seed>` writes for `_k8_scenario(seed)`
+# and for the demo scenario, written when every start scored all 40 halvings
+# in every iteration of the ascent
+OPTIMIZE_SHA256 = {
+    ("k8", 1): ("e3e9e884230daa75aecb5f66d432ab0b6394e6cafba38a31f42a649183d258e1",
+               "2e2832b5cf0c7ae0dae75d28f17160b3da61b14f708328bd607d90bf206e0656",
+               "a9d2a34c45f2b70f426643fc71a9fea8fe9aad19a7b1b49a3de9e00ae3b50a79"),
+    ("k8", 2): ("e6e51dfe91bedcd3608c9b34b605e2ab30c92affc43abd9f540cf9a4e7c6ee94",
+               "fd5beddc8949e05946c860d49fa5ecb23af3e7884d721ecd6ab3ca549e133227",
+               "da435e0a36f640ee1cf2a46411120596b8d7b00e149bd3e3e09e453564ccb9e0"),
+    ("k8", 3): ("9bf8c5739f8fc0fc086efbfabcbf1ca4b80ccbabd4dc088161a7dea55a19d984",
+               "897d419e6d90c9487e93989ae2a1e63adac3c1d68aacbc4169b32cb1019573c4",
+               "fc57deee75db7cb2ecf38b77b354638cfaa62c20db90fdfc92f618ba2c3e8a06"),
+    ("k8", 4): ("42bff93dfe0a5d47a0250a109c4f7333b073f02e25e012abd16891fcd42988aa",
+               "ed59bed5d879ccf5dfe93b234ea7a7856df56465df2a2eeb5af07e5d737423cc",
+               "3ce4a4161c04a44d9c606eacf85c57b21fbd5d6da10202f3970b08d19cc6efff"),
+    ("k8", 5): ("2beb8f5a02b1a6fb658b654be9c987244699625e6a1b27af22df3fe0c8b2436c",
+               "f58ef4043a00d2921795a827da2680d2dd4ef7e89aba73b4040db456b32bf8a7",
+               "dc1a1a4012970474713ce8676f8e02629fe12b6654579a929d19d2ea0b93962a"),
+    ("k8", 6): ("32667551f5beaf49340a768dc2809d048daa8cb72d05bf9b78e3c2a55fb5af06",
+               "ca123db7ce4ed3e2bf4a9a6e3810aa8172e6a0763bc873c4d999b5939bee3da9",
+               "ad15e222aa24cca0accaf8bc9c18d965e86ddc81577a876d0d9ec244a953368b"),
+    ("k8", 7): ("a7a2b2596c3e6347cc1a5cbfcca252efc17336948a7bfdda4ab18e8b5afea245",
+               "66046b980e1df74da4cfa4b66d1c827ffc010006a6997406ff8b98b8ae5ae7eb",
+               "8dac682efab2560c55578c7fd5cac5c94a652540f53ff06d64661ddb4ab52ce3"),
+    ("k8", 8): ("1d8e797c7f9fff8ac85b2da2e8df98438b10fed9bdeea48809fecea137fb7995",
+               "dd175865b29ea941ba355739d23c6e72a000d1bf49af5ee90ced97c9f5c00258",
+               "a0200ea7b31da7f1e5663dc1c6f228bf7d1df88773e9c4f61b0073ab5a02253c"),
+    ("k8", 9): ("99249c3a4e198c6a1ffe02c8a28c60912e2a0cb32599f2d86a5b33297d92997c",
+               "50ea6cdbafda86db8dc82db91254afbf0e3f5e52c07143166834be84c737fdbf",
+               "f5b700d23a1f613f3bd188a5c5911039cd93ae5ac38f7a2ca1cc3cddbd0c45e8"),
+    ("k8", 10): ("b43f2c2b2ba92944451ad628287469341ff075541054af51226c26c1ab811e63",
+                "8b0c6b5bd332c6c0767d19da60b45426e3f97680ac5efe402466a65a357e9cfd",
+                "fe53eac627da871452348eaece2f1ca708bbc0c55481a2137fe1ecd3a801016e"),
+    ("k8", 7919): ("7d75e191615b2bdaa717574fa09cb041c9ddc1243513900ff3be08914e5e5ae6",
+                  "ec2bd698f566ab52c56db8eaeaf41860ea64dcff48628f87e36fefad158050b8",
+                  "76ffa6065f0af4e0a0a4d72d9203e554d496dfaed8cc5d3e8d589940bf382544"),
+    ("demo", 1): ("fd6522428fdb251af0af945c881cc7c9408dcae28e43bbf88b89b106f20b9d7d",
+                 "b00017bd1dcd3f11913b978cacc6d317a13dd0428d2244b144f7be313251fb68",
+                 "e02d68d5194ba2a6c533adb1c63e6326f6d35b3a4485b35bb39ecbeb50dfcf15"),
+    ("demo", 7919): ("486850e1c2c4f6e62d803479751a00a02e21aa0cce28764c9b7c361975783350",
+                    "fb6a598039fb2c5d97d892d675bf16e385c34ce027a46e5e0f3b307ed60861ab",
+                    "a778b9f506511ebec23f482d15923e0e2c4e9cba1cd820a280275f76375c9a4a"),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(OPTIMIZE_SHA256))
+def test_optimize_bytes_pinned(tmp_path, name, seed):
+    s = _k8_scenario(seed) if name == "k8" else crossopt.demo_scenario()
+    path, out = tmp_path / "s.json", tmp_path / "o.json"
+    path.write_text(json.dumps(_scenario_doc(s)))
+    assert cli.run(["optimize", "--scenario", str(path), "--mode", "both",
+                    "--seed", str(seed), "--out", str(out)]) == 0
+    got = tuple(hashlib.sha256((tmp_path / f"o.json{suffix}").read_bytes()).hexdigest()
+                for suffix in ("", ".trace_isolated.csv", ".trace_coupled.csv"))
+    assert got == OPTIMIZE_SHA256[name, seed]
+
 _BATCH_CASES = [*(f"differential-{i}" for i in range(5)), "demo", "k8", "norm-stop"]
 
 
@@ -747,3 +837,99 @@ def test_optimize_rejects_scenario_with_no_finite_start():
     assert np.isfinite(crossopt.optimize(s, "isolated", seed=0)).all()
     with pytest.raises(ValidationError, match="finite"):
         crossopt.optimize(s, "coupled", seed=0)
+
+
+# -- the polish scan and the ascent's work -----------------------------------
+
+def _sequential_last_winner(vals, best_v):
+    """The polish rule as a scan: a value wins when it beats the running best
+    by more than 1e-15."""
+    winner = -1
+    for i, v in enumerate(vals.tolist()):
+        if v > best_v + 1e-15:
+            best_v, winner = v, i
+    return winner
+
+
+def _scan_cases(rng):
+    """Walks of 1-3 x 1e-16 steps around 0.5, 1 and 7.9, plateaus, values
+    a few ulps around 16, 32 and 48 (where + 1e-15 rounds away from 16 up),
+    +-inf and NaN entries, each with a best_v of -inf, NaN, +inf or a value
+    near the sequence."""
+    for _ in range(400):
+        n = int(rng.integers(1, 200))
+        kind = rng.integers(4)
+        if kind == 0:  # near-ties
+            steps = rng.integers(-3, 4, n) * 1e-16
+            vals = rng.choice([0.5, 1.0, 7.9]) + np.cumsum(steps)
+        elif kind == 1:  # plateaus
+            vals = np.repeat(rng.normal(size=n // 4 + 1), 4)[:n]
+            vals += rng.integers(0, 3, n) * 1e-15 * rng.random()
+        elif kind == 2:  # where adding 1e-15 rounds to nothing
+            ulps = rng.integers(-2, 5, n) * 2.0 ** -52
+            vals = np.nextafter(16.0 * rng.integers(1, 4), np.inf) * (1 + ulps)
+        else:
+            vals = np.cumsum(rng.normal(size=n)) * 10.0 ** rng.integers(-16, 3)
+        vals = np.asarray(vals, dtype=float)
+        special = rng.random(n) < rng.choice([0.0, 0.05, 0.3])
+        vals[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
+        finite = vals[np.isfinite(vals)]
+        near = float(rng.choice(finite)) if len(finite) else 0.0
+        for best_v in (-np.inf, np.nan, np.inf, near, near - 1e-15, near + 5e-16):
+            yield vals, best_v
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_last_winner_matches_sequential_scan(seed):
+    cases = 0
+    for vals, best_v in _scan_cases(np.random.default_rng(seed)):
+        assert crossopt._last_winner(vals, best_v) == _sequential_last_winner(vals, best_v), \
+            (vals.tolist(), best_v)
+        cases += 1
+    assert cases == 2400
+
+
+@pytest.mark.parametrize("start, step", [(0.5, 0.6e-15), (0.5, 1e-15), (1.0, 1.1e-15),
+                                         (7.9, 8.881784197001252e-16), (16.0, 3.552713678800501e-15),
+                                         (-3.0, 4.440892098500626e-16)])
+def test_last_winner_on_chains_of_near_ties(start, step):
+    """Evenly spaced values a near-tie apart: every other value, or every
+    one, or none after the first, wins."""
+    vals = start + np.arange(500) * step
+    for best_v in (-np.inf, start, start + 1e-15, vals[-1]):
+        assert crossopt._last_winner(vals, best_v) == _sequential_last_winner(vals, best_v)
+    assert crossopt._last_winner(vals[::-1].copy(), -np.inf) == 0
+
+
+@pytest.mark.parametrize("mode", ["isolated", "coupled"])
+def test_ascent_scores_only_the_steps_it_takes(monkeypatch, mode):
+    """The ascent scores the full step of each moving start, and halvings
+    only after a failed full step, not all 40 step sizes of every start.
+
+    On this case every step taken is a full step, and each start ends each
+    round with a failed full step, whose 39 halvings must all be scored to
+    show that the start stops there.
+    """
+    s = _k8_scenario(1)
+    monkeypatch.setattr(crossopt, "_coordinate_polish", lambda cs, coupled, r: r)
+    rows = {"value": 0, "grad": 0}
+
+    def counting(name, method):
+        def wrapped(self, R, *args):
+            rows[name] += int(np.prod(np.shape(R)[:-1]))
+            return method(self, R, *args)
+        return wrapped
+
+    cls = crossopt.CompiledScenario
+    monkeypatch.setattr(cls, "value", counting("value", cls.value))
+    monkeypatch.setattr(cls, "penalized_grad", counting("grad", cls.penalized_grad))
+    _reference_optimize(s, mode, 1)
+    steps = rows["grad"]  # the reference takes one (K,) gradient per start per iteration
+    rows["value"] = 0
+    crossopt.optimize(s, mode, 1)
+    S, rounds = crossopt.MULTI_STARTS, crossopt.PENALTY_ROUNDS
+    assert steps > 40 * S
+    # a row per iteration of each start, 39 more where a round ends, S rows
+    # where a round starts and for the final pick, and the returned point
+    assert rows["value"] <= (steps + S * rounds * (crossopt.BACKTRACK_HALVINGS - 1)
+                             + S * (rounds + 1) + 1)

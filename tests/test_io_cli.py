@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 import sys
@@ -693,6 +694,32 @@ def test_cli_optimize_overflowing_scenario_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "overflow" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the case
+@pytest.mark.parametrize("sign, mode, code", [
+    # R^T Q R and b^T R overflow at most points of the box
+    (1e308, "isolated", 0), (1e308, "coupled", 2), (1e308, "both", 2),
+    # the coupled optimum (0, 0) is finite; the isolated one's coupled objective is not
+    (-1e308, "isolated", 0), (-1e308, "coupled", 0), (-1e308, "both", 2),
+])
+def test_cli_optimize_non_finite_result_exit_2(tmp_path, capsys, sign, mode, code):
+    doc = {
+        "domains": [{"id": i, "gamma": 1, "lambda": 1, "r_min": 0, "r_max": 4} for i in "ab"],
+        "coupling": {"edges": [{"m": "a", "n": "b", "sign": sign, "utility": True}]},
+    }
+    spath, out = tmp_path / "s.json", tmp_path / "rep.json"
+    spath.write_text(json.dumps(doc))
+    assert cli.run(["optimize", "--scenario", str(spath), "--mode", mode, "--seed", "1",
+                    "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not finite" in err, err
+        return
+    assert err == ""
+    io.load_json(str(out))  # refuses NaN and Infinity
+    trace = (tmp_path / "rep.json.trace.csv").read_text().splitlines()[1:]
+    assert all(math.isfinite(float(x)) for row in trace for x in row.split(","))
 
 
 def test_round_trip_retire_in_birth_tick(tmp_path):

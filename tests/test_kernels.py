@@ -297,6 +297,46 @@ def test_betweenness_working_set_on_the_pipeline_graph(tmp_path):
     assert peak <= 6_000_000
 
 
+def _pulled_hop_distances(indptr, indices, n):
+    """Hop distances read off the levels of the path-counting BFS that
+    betweenness runs: the reference for the bits-only BFS."""
+    out = np.empty((n, n), dtype=np.int32)
+    indptr, indices = kernels._as_csr(indptr, indices)
+    pull = kernels._puller(indptr, indices)
+    for targets in kernels._blocks(n, len(indices)):
+        out[:, targets] = -1
+        for d, (rows, bits) in enumerate(kernels._bfs(pull, targets, n)[1]):
+            at, cols = np.nonzero(kernels._unpack(bits, len(targets)))
+            out[rows[at], targets[cols]] = d
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_hop_distances_equal_the_path_counting_bfs(tmp_path, monkeypatch, seed):
+    """On the ``cli-pipeline`` graph's network layer (the view `simulate
+    --kind cdn` reads) and its flattened view, on small graphs with hubs,
+    self-loops, isolated vertices or no arcs, and with blocks of 7 sources."""
+    from versegraph import cli, io
+
+    (tmp_path / "p.json").write_text(json.dumps(pipeline_params(1)))
+    path = str(tmp_path / "g.json")
+    assert cli.run(["gen", "--scenario", "multilayer", "--seed", str(seed),
+                    "--params", str(tmp_path / "p.json"), "--out", path]) == 0
+    g = io.import_graph(path)
+    snap = g.snapshot_at(0)
+    views = [snap.layer_subgraph(g.layer_id("network")), snap.flatten(),
+             _hub_view(70, seed, True), _degree_view(False), make_view(5, [])]
+    for cells in (None, 7):
+        for view in views:
+            for direction in ("out", "in", "both"):
+                indptr, indices = view.csr(direction)
+                if cells:
+                    monkeypatch.setattr(kernels, "_GATHER_CELLS", cells * max(len(indices), 1))
+                got = kernels.hop_distances(indptr, indices, view.n)
+                assert got.dtype == np.int32
+                assert np.array_equal(got, _pulled_hop_distances(indptr, indices, view.n))
+
+
 def _consensus_inputs(n, seed):
     """A random tree plus extra edges (connected), Metropolis weights."""
     rng = np.random.default_rng(seed)
