@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -308,7 +309,9 @@ def _cmd_export(args) -> list[str]:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     p = argparse.ArgumentParser(prog="versegraph")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -363,8 +366,7 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handler, input_attrs = _COMMANDS[args.command]
     try:
         # numpy seeds its generators from non-negative integers only

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -197,18 +199,25 @@ class CompiledScenario:
             u[tail] = np.exp(-z[tail])
         return u
 
-    def value(self, R: np.ndarray, coupled: bool, u: Optional[np.ndarray] = None) -> np.ndarray:
-        v = (self.utilities(R) if u is None else u).sum(-1)
+    def _terms(self, R: np.ndarray, coupled: bool):
+        """Utilities, R Q (coupled mode, else None) and objective of each allocation."""
+        u = self.utilities(R)
+        v = u.sum(-1)
+        RQ = None
         if coupled:
-            v = v - (((R @ self.Q) * R).sum(-1) + R @ self.b + self.c)
-        return v
+            RQ = R @ self.Q
+            v = v - ((RQ * R).sum(-1) + R @ self.b + self.c)
+        return u, RQ, v
+
+    def value(self, R: np.ndarray, coupled: bool) -> np.ndarray:
+        return self._terms(R, coupled)[2]
+
+    def _grad(self, u: np.ndarray, RQ: Optional[np.ndarray]) -> np.ndarray:
+        g = self.gamma * u * (1.0 - u)
+        return g if RQ is None else g - (2.0 * RQ + self.b)
 
     def grad(self, R: np.ndarray, coupled: bool) -> np.ndarray:
-        u = self.utilities(R)
-        g = self.gamma * u * (1.0 - u)
-        if coupled:
-            g = g - (2.0 * (R @ self.Q) + self.b)
-        return g
+        return self._grad(self.utilities(R), R @ self.Q if coupled else None)
 
     def flows(self, R: np.ndarray) -> np.ndarray:
         return R @ self.A.T
@@ -220,24 +229,28 @@ class CompiledScenario:
     def max_violation(self, R: np.ndarray) -> np.ndarray:
         return self.excess(R).max(-1, initial=0.0)
 
-    def scores(self, R: np.ndarray, coupled: bool, mu: float) -> np.ndarray:
-        """Objective, max violation and penalized objective of each allocation,
-        stacked on a new last axis.  The penalty, mu times the squared link
-        excess, applies in coupled mode only."""
-        v = self.value(R, coupled)
+    def scores(self, R: np.ndarray, coupled: bool, mu: float) -> tuple[np.ndarray, np.ndarray]:
+        """Objective, max violation and penalized objective of each allocation
+        on a new last axis, and its penalized gradient, all from one
+        evaluation of the utilities, R Q and link excess.  The penalty, mu
+        times the squared link excess, applies in coupled mode only."""
+        u, RQ, v = self._terms(R, coupled)
         excess = self.excess(R)
         over = np.maximum(excess, 0.0)
-        pen = v - mu * (over * over).sum(-1) if coupled else v
-        return np.stack([v, excess.max(-1, initial=0.0), pen], axis=-1)
+        out = np.empty(v.shape + (3,))
+        out[..., 0] = v
+        out[..., 1] = excess.max(-1, initial=0.0)
+        out[..., 2] = v - mu * (over * over).sum(-1) if coupled else v
+        g = self._grad(u, RQ)
+        if coupled:
+            g = g - 2.0 * mu * (over @ self.A)
+        return out, g
 
     def penalized(self, R: np.ndarray, coupled: bool, mu: float) -> np.ndarray:
-        return self.scores(R, coupled, mu)[..., 2]
+        return self.scores(R, coupled, mu)[0][..., 2]
 
     def penalized_grad(self, R: np.ndarray, coupled: bool, mu: float) -> np.ndarray:
-        g = self.grad(R, coupled)
-        if coupled:
-            g = g - 2.0 * mu * (np.maximum(self.excess(R), 0.0) @ self.A)
-        return g
+        return self.scores(R, coupled, mu)[1]
 
 
 def _lookup(table: dict, key: str, what: str):
@@ -428,20 +441,46 @@ def _last_winner(vals: np.ndarray, best_v: float) -> int:
     return -1
 
 
+def _row_sums(cols: list) -> np.ndarray:
+    """``np.stack(cols, -1).sum(-1)`` with the same bits, summed column by
+    column; a column may be a scalar, which costs no pass over the rows.
+
+    numpy adds each row's pairwise sum to 0.0: under 8 terms a plain loop,
+    up to 128 terms 8 interleaved accumulators, beyond that two halves split
+    at a multiple of 8 (Higham, SIAM J. Sci. Comput. 1993).  Adding 0.0 only
+    turns a -0.0 sum into 0.0.  Every bit is kept but a NaN's sign and
+    payload: where two NaNs meet, numpy keeps either one."""
+    def pairwise(c):
+        n = len(c)
+        if n < 8:
+            return reduce(add, c)
+        if n <= 128:
+            m = n - n % 8
+            r = [reduce(add, c[j:m:8]) for j in range(8)]
+            tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            return reduce(add, c[m:], tree)  # the terms after the last multiple of 8
+        half = n // 2 - n // 2 % 8
+        return pairwise(c[:half]) + pairwise(c[half:])
+    return 0.0 + pairwise(cols)
+
+
 def _grid_best(cs: CompiledScenario, coupled: bool, r: np.ndarray, k: int,
                grid: np.ndarray, best_v: float) -> tuple[float, float]:
     """Line search of coordinate k over a grid, evaluated as one batch.
 
     Scanning in grid order, a point becomes the winner when its value beats
     the running best by more than 1e-15.  Returns (winner, best value); the
-    winner is r[k] when no point beats ``best_v``.
+    winner is r[k] when no point beats ``best_v``.  The values hold the bits
+    of ``cs.value`` on the grid's batch of allocations.
     """
-    batch = np.repeat(r[None, :], len(grid), axis=0)
-    batch[:, k] = grid
-    # only coordinate k's utility changes along the grid
-    u = np.repeat(cs.utilities(r)[None, :], len(grid), axis=0)
-    u[:, k] = cs.utilities(grid, k)
-    vals = cs.value(batch, coupled, u)
+    # only coordinate k's utility changes along the grid; the rest are scalars
+    u = cs.utilities(r).tolist()
+    u[k] = cs.utilities(grid, k)
+    vals = _row_sums(u)
+    if coupled:
+        batch = np.repeat(r[None, :], len(grid), axis=0)
+        batch[:, k] = grid
+        vals = vals - (_row_sums(list(((batch @ cs.Q) * batch).T)) + batch @ cs.b + cs.c)
     i = _last_winner(vals, best_v)
     return (r[k], best_v) if i < 0 else (grid[i], vals[i])
 
@@ -450,11 +489,13 @@ def _coordinate_polish(cs: CompiledScenario, coupled: bool, r: np.ndarray) -> np
     """Per-coordinate line search on the exact feasible interval.
 
     Penalty methods land slightly off the active constraint; this nails the
-    optimum onto the boundary to grid-oracle accuracy.
+    optimum onto the boundary to grid-oracle accuracy.  A sweep depends on
+    ``r`` alone, so one that leaves its bytes unchanged ends the polish.
     """
     lo, hi = cs.lo, cs.hi
     r = r.copy()
     for _ in range(POLISH_SWEEPS):
+        before = r.tobytes()
         for k in range(len(r)):
             upper = hi[k]
             if coupled:
@@ -470,6 +511,8 @@ def _coordinate_polish(cs: CompiledScenario, coupled: bool, r: np.ndarray) -> np
             if span > 0:
                 fine = np.linspace(max(lo[k], r[k] - span), min(upper, r[k] + span), 201)
                 r[k], _ = _grid_best(cs, coupled, r, k, fine, best_v)
+        if r.tobytes() == before:
+            break
     return r
 
 
@@ -487,8 +530,9 @@ def optimize(
     stopped in a round is held fixed until the next round begins, so each
     one follows the path it would follow on its own.  An iteration scores
     each moving start's full step, and its 39 halvings only if that fails;
-    the scores of the step taken are kept.  Raises ValidationError when the
-    returned point's objective or a trace number is not finite.
+    scoring a step also yields its penalized gradient, and both are kept for
+    the step taken, so no point is evaluated twice.  Raises ValidationError
+    when the returned point's objective or a trace number is not finite.
     """
     coupled = _coupled(mode)
     cs = compile_scenario(scenario)
@@ -502,34 +546,34 @@ def optimize(
     R = _start_points(cs, seed)[:, None, :]
     S = len(R)
     halvings = np.ldexp(1.0, -np.arange(1, BACKTRACK_HALVINGS))[:, None, None]  # 1/2, 1/4, ...
-    it = np.zeros(S, dtype=int)
-    log = []  # per lockstep iteration: (starts that ran it, it, value and max violation)
+    log = []  # per lockstep iteration: (starts that ran it, every start's value and max violation)
     for rnd in range(PENALTY_ROUNDS):
         mu = PENALTY_MU0 * PENALTY_GROWTH ** rnd
-        at = cs.scores(R, coupled, mu)  # (S, 1, 3), kept up to date as R moves
+        # scores (S, 1, 3) and penalized gradients (S, 1, K), kept up to date as R moves
+        at, grads = cs.scores(R, coupled, mu)
         run = np.arange(S)  # the starts still moving in this round
         for _ in range(INNER_ITERS):
-            g = cs.penalized_grad(R[run], coupled, mu)
+            step = grads[run]  # the full step, replaced by the halving taken
             bar = at[run, :, 2] + 1e-15
-            cand = np.minimum(np.maximum(R[run] + g, lo), hi)
-            score = cs.scores(cand, coupled, mu)
+            cand = np.minimum(np.maximum(R[run] + step, lo), hi)
+            score, cand_g = cs.scores(cand, coupled, mu)
             moved = score[:, 0, 2] > bar[:, 0]
-            step = np.ones(len(run))
             if not moved.all():
                 # a failed full step scores all its halvings at once and
                 # takes the first that improves
                 f = np.flatnonzero(~moved)
-                hc = np.minimum(np.maximum(R[run[f], None] + halvings * g[f, None], lo), hi)
-                hs = cs.scores(hc, coupled, mu)
+                hsteps = halvings * step[f, None]
+                hc = np.minimum(np.maximum(R[run[f], None] + hsteps, lo), hi)
+                hs, hg = cs.scores(hc, coupled, mu)
                 better = hs[..., 0, 2] > bar[f]
                 h = np.flatnonzero(better.any(axis=1))
                 f, j = f[h], better[h].argmax(axis=1)
-                cand[f], score[f], step[f], moved[f] = hc[h, j], hs[h, j], halvings[j, 0, 0], True
-            R[run[moved]], at[run[moved]] = cand[moved], score[moved]
-            it[run] += 1
-            log.append((run, it.copy(), at[:, 0, :2].copy()))
-            sg = step[:, None, None] * g
-            norm = np.sqrt((sg @ sg.swapaxes(1, 2))[:, 0, 0])  # per-row dot, as np.linalg.norm
+                cand[f], score[f], cand_g[f], step[f] = hc[h, j], hs[h, j], hg[h, j], hsteps[h, j]
+                moved[f] = True
+            took = run[moved]
+            R[took], at[took], grads[took] = cand[moved], score[moved], cand_g[moved]
+            log.append((run, at[:, 0, :2].copy()))
+            norm = np.sqrt((step @ step.swapaxes(1, 2))[:, 0, 0])  # per-row dot, as np.linalg.norm
             run = run[moved & ~(norm < 1e-12)]
             if not len(run):
                 break
@@ -542,10 +586,10 @@ def optimize(
     if best is None:
         raise ValidationError("no start reaches a finite objective value; "
                               "the scenario's numbers overflow")
-    best_trace = [(int(n[best]), *vm[best].tolist()) for ran, n, vm in log if best in ran]
+    rows = [vm[best].tolist() for ran, vm in log if best in ran]  # one per iteration it ran
     best_r = _coordinate_polish(cs, coupled, R[best, 0])
-    best_trace.append((best_trace[-1][0] + 1 if best_trace else 1,
-                       *cs.scores(best_r, coupled, 0.0)[:2].tolist()))
+    rows.append(cs.scores(best_r, coupled, 0.0)[0][:2].tolist())
+    best_trace = [(i, *row) for i, row in enumerate(rows, 1)]
     if not np.isfinite(best_trace).all():
         raise ValidationError("the optimum's objective or trace is not finite; "
                               "the scenario's numbers overflow")

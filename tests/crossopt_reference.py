@@ -6,12 +6,15 @@ model states it, and reads a scenario only through its public fields, with
 local id lookups.  ``tests/test_crossopt.py`` checks that the arrays of
 ``compile_scenario`` (``Q``, ``b``, ``c``) give the same penalty, and that
 ``auto_coupling`` gives the same edges as :func:`auto_coupling_pairs`, the
-pairwise scan it replaced.
+pairwise scan it replaced.  :func:`coordinate_polish` is the polish step as
+first written, the reference for ``crossopt._coordinate_polish``.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def utility(d, r: float) -> float:
@@ -113,3 +116,40 @@ def auto_coupling_pairs(scenario) -> list[tuple[str, str]]:
 
     ids = [d.id for d in scenario.domains]
     return [(m, n) for i, m in enumerate(ids) for n in ids[i + 1:] if shares(m, n)]
+
+
+def _scan_grid(cs, coupled, r, k, grid, best_v):
+    """Coordinate k over ``grid``: every allocation of the batch evaluated by
+    ``cs.value``, then scanned in order for the last value to beat the
+    running best by more than 1e-15."""
+    batch = np.repeat(r[None, :], len(grid), axis=0)
+    batch[:, k] = grid
+    winner = r[k]
+    for x, v in zip(grid.tolist(), cs.value(batch, coupled).tolist()):
+        if v > best_v + 1e-15:
+            winner, best_v = x, v
+    return winner, best_v
+
+
+def coordinate_polish(cs, coupled: bool, r, sweeps: int = 3):
+    """``sweeps`` full per-coordinate sweeps, with no early stop: a coarse
+    2001-point grid over the feasible interval of each coordinate, then a
+    201-point grid one coarse step either side of its winner."""
+    lo, hi = cs.lo, cs.hi
+    r = r.copy()
+    for _ in range(sweeps):
+        for k in range(len(r)):
+            upper = hi[k]
+            if coupled:
+                on = cs.A[:, k] > 0
+                if on.any():
+                    a = cs.A[on, k]
+                    rest = cs.flows(r)[on] - a * r[k]
+                    upper = min(upper, np.min((cs.C[on] - rest) / a))
+            upper = max(upper, lo[k])
+            r[k], best_v = _scan_grid(cs, coupled, r, k, np.linspace(lo[k], upper, 2001), -math.inf)
+            span = (upper - lo[k]) / 2000 if upper > lo[k] else 0.0
+            if span > 0:
+                fine = np.linspace(max(lo[k], r[k] - span), min(upper, r[k] + span), 201)
+                r[k], _ = _scan_grid(cs, coupled, r, k, fine, best_v)
+    return r

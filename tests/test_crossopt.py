@@ -908,28 +908,117 @@ def test_ascent_scores_only_the_steps_it_takes(monkeypatch, mode):
 
     On this case every step taken is a full step, and each start ends each
     round with a failed full step, whose 39 halvings must all be scored to
-    show that the start stops there.
+    show that the start stops there.  Scoring a step yields its gradient,
+    so no gradient is taken on its own.
     """
     s = _k8_scenario(1)
     monkeypatch.setattr(crossopt, "_coordinate_polish", lambda cs, coupled, r: r)
-    rows = {"value": 0, "grad": 0}
+    rows = {"scores": 0, "value": 0, "grad": 0}
 
     def counting(name, method):
-        def wrapped(self, R, *args):
+        def wrapped(self, R, *args, **kwargs):
             rows[name] += int(np.prod(np.shape(R)[:-1]))
-            return method(self, R, *args)
+            return method(self, R, *args, **kwargs)
         return wrapped
 
     cls = crossopt.CompiledScenario
-    monkeypatch.setattr(cls, "value", counting("value", cls.value))
-    monkeypatch.setattr(cls, "penalized_grad", counting("grad", cls.penalized_grad))
+    for name in rows:
+        method = "penalized_grad" if name == "grad" else name
+        monkeypatch.setattr(cls, method, counting(name, getattr(cls, method)))
     _reference_optimize(s, mode, 1)
     steps = rows["grad"]  # the reference takes one (K,) gradient per start per iteration
-    rows["value"] = 0
+    rows.update(scores=0, value=0, grad=0)
     crossopt.optimize(s, mode, 1)
     S, rounds = crossopt.MULTI_STARTS, crossopt.PENALTY_ROUNDS
     assert steps > 40 * S
+    assert rows["grad"] == 0
     # a row per iteration of each start, 39 more where a round ends, S rows
     # where a round starts and for the final pick, and the returned point
-    assert rows["value"] <= (steps + S * rounds * (crossopt.BACKTRACK_HALVINGS - 1)
-                             + S * (rounds + 1) + 1)
+    assert steps <= rows["scores"] + rows["value"] <= (
+        steps + S * rounds * (crossopt.BACKTRACK_HALVINGS - 1) + S * (rounds + 1) + 1)
+
+
+# -- the polish -----------------------------------------------------------------
+
+_SUM_KS = [*range(1, 140), 150, 200, 255, 256, 257, 300, 513]
+
+
+def _sum_bits(x):
+    """The int64 view of ``x`` with every NaN as ``np.nan``: where two NaNs
+    meet, numpy's own sums keep either one's sign and payload."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+@pytest.mark.parametrize("G", [1, 2, 16, 201, 2001])
+def test_row_sums_match_numpy_bitwise(G):
+    """``_row_sums`` of scalar and vector columns holds the bits of numpy's
+    own row sum, through signed zeros, +-inf and NaN."""
+    rng = np.random.default_rng(G)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        for K in _SUM_KS:
+            X = rng.normal(size=(G, K)) * 10.0 ** rng.integers(-12, 13, size=(G, K))
+            hit = rng.random((G, K)) < rng.choice([0.0, 0.01, 0.2])
+            X[hit] = rng.choice(specials, int(hit.sum()))
+            scalar = rng.random(K) < rng.choice([0.0, 0.5, 1.0 - 1.0 / K])
+            cols = [float(X[0, j]) if scalar[j] else X[:, j] for j in range(K)]
+            want = np.stack(np.broadcast_arrays(*cols), -1).sum(-1)
+            got = np.broadcast_to(crossopt._row_sums(cols), (G,))
+            assert (_sum_bits(got) == _sum_bits(want)).all(), K
+    for K in (1, 7, 8, 9, 129, 300):
+        zeros = [-0.0] * (K - 1) + [np.full(G, -0.0)]
+        assert crossopt._row_sums(zeros).tobytes() == np.full((G, K), -0.0).sum(-1).tobytes()
+
+
+def _k64_scenario(seed):
+    """64 domains, 48 links of three random domains each, no nodes, auto
+    coupling; each link's capacity is half its joint demand."""
+    rng = np.random.default_rng(seed)
+    ids = [f"d{i}" for i in range(64)]
+    domains = [DomainSpec(d, rng.uniform(2.0, 2.5), rng.uniform(1.5, 2.5), 0.0, 4.0) for d in ids]
+    links = []
+    for li in range(48):
+        coeffs = {ids[i]: float(rng.uniform(0.5, 1.5)) for i in rng.choice(64, 3, replace=False)}
+        links.append(SharedLink(f"l{li}", 2.0 * sum(coeffs.values()), coeffs))
+    s = Scenario(domains, links)
+    s.coupling = auto_coupling(s)
+    return s
+
+
+def _polish_case(name, seed):
+    if name == "demo":
+        return crossopt.demo_scenario()
+    return (_k8_scenario if name == "k8" else _k64_scenario)(seed)
+
+
+@pytest.mark.parametrize("name, seed", [*(("k8", sd) for sd in (*range(1, 11), 7919)),
+                                        ("demo", 1), ("demo", 7919), ("k64", 1)])
+def test_polish_matches_three_full_sweeps(name, seed, monkeypatch):
+    """The polish stops once a sweep leaves the point's bytes unchanged; it
+    returns the bytes of three full sweeps over whole-batch grids, on the
+    point the ascent ends at in each mode."""
+    polish = crossopt._coordinate_polish
+    seen = []
+    monkeypatch.setattr(crossopt, "_coordinate_polish", lambda cs, coupled, r: seen.append(
+        (cs, coupled, r.copy(), polish(cs, coupled, r))) or seen[-1][3])
+    crossopt.compare(_polish_case(name, seed), seed)
+    assert [coupled for _, coupled, _, _ in seen] == [False, True]
+    for cs, coupled, r, got in seen:
+        assert got.tobytes() == ref.coordinate_polish(cs, coupled, r).tobytes()
+    if (name, seed) == ("k8", 7919):  # the coupled point still moves in the third sweep
+        cs, _, r, got = seen[1]
+        assert ref.coordinate_polish(cs, True, r, sweeps=2).tobytes() != got.tobytes()
+
+
+def test_polish_sweeps_once_where_the_ascent_ends_at_its_fixed_point(monkeypatch):
+    """On this case the first sweep leaves the ascent's point unchanged in
+    both modes: 2K line searches per mode, against 6K for all sweeps."""
+    s = _k8_scenario(1)
+    grid_best = crossopt._grid_best
+    calls = []
+    monkeypatch.setattr(crossopt, "_grid_best", lambda *a: calls.append(a[3]) or grid_best(*a))
+    for mode in ("isolated", "coupled"):
+        calls.clear()
+        crossopt.optimize(s, mode, 1)
+        assert calls == [k for k in range(8) for _ in range(2)]

@@ -474,6 +474,37 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert out.exists()
 
 
+def test_parser_reused_after_a_usage_error(tmp_path, capsys):
+    """``cli.run`` builds its parser once per process.  Usage errors that
+    stop parsing in a subcommand must leave nothing behind: the next command
+    writes the bytes a fresh process writes."""
+    scen = tmp_path / "s.json"
+    io.dump_json({"domains": [{"id": d, "gamma": 2.0, "lambda": 1.5, "r_min": 0.0, "r_max": 4.0}
+                              for d in "ab"],
+                  "links": [{"id": "l", "capacity": 4.0, "coeffs": {"a": 1.0, "b": 1.0}}],
+                  "coupling": "auto"}, str(scen))
+    out = tmp_path / "o.json"
+    argv = ["optimize", "--scenario", str(scen), "--mode", "both", "--seed", "3", "--out", str(out)]
+    written = [out, *(tmp_path / f"o.json{s}" for s in
+                      (".trace_isolated.csv", ".trace_coupled.csv", ".manifest.json"))]
+    proc = subprocess.run([sys.executable, "-m", "versegraph.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    fresh = [p.read_bytes() for p in written]
+    for p in written:
+        p.unlink()
+    for bad in (["optimize", "--scenario", str(scen), "--mode", "all", "--out", str(out)],
+                ["optimize", "--scenario", str(scen), "--mode", "both", "--seed", "x"],
+                ["gen", "--scenario", "network", "--seed", "1"],
+                ["nosuch"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(bad)
+        assert exc.value.code == 2
+    assert "usage: versegraph" in capsys.readouterr().err
+    assert cli.run(argv) == 0
+    assert [p.read_bytes() for p in written] == fresh
+
+
 # -- scenario files ---------------------------------------------------------
 
 def test_scenario_from_dict_explicit_coupling():
