@@ -79,20 +79,10 @@ def clustering_coefficient(g: GraphView, v: int) -> float:
 
 def weakly_connected_components(g: GraphView) -> ComponentLabeling:
     """Components ignoring direction; labels are the minimum vertex id per component."""
-    labels: dict[int, int] = {}
-    for v in g.vertices:
-        if v in labels:
-            continue
-        # v is the smallest unvisited id, hence the component minimum
-        stack = [v]
-        labels[v] = v
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u, "both"):
-                if w not in labels:
-                    labels[w] = v
-                    stack.append(w)
-    return ComponentLabeling(labels, len(set(labels.values())))
+    least = kernels.components(*g.csr("both"))
+    # view vertices ascend, so the least position holds the least id
+    labels = dict(zip(g.vertices, map(g.vertices.__getitem__, least.tolist())))
+    return ComponentLabeling(labels, int(np.count_nonzero(least == np.arange(g.n))))
 
 
 def bfs_levels(g: GraphView, sources, direction: str = "out", within=None) -> dict[int, int]:

@@ -18,7 +18,10 @@ for bit as ``np.add.reduceat`` does.  For a row of at most 8 arcs that is
 rows long enough to have it; numpy sums longer rows pairwise, so they go
 through ``np.add.reduceat`` itself.  Leaving out even zero terms would regroup
 a sum and move its last bits.  Consensus runs one round as two
-``np.bincount`` scatters over the edge list.
+``np.bincount`` scatters over the edge list.  Components hook each root to
+the least label across its tree's arcs, then jump labels to their roots
+(Shiloach & Vishkin 1982; FastSV, Zhang, Azad & Hu 2020): rounds grow with
+log n, not with the diameter.
 """
 
 from __future__ import annotations
@@ -241,6 +244,23 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray
             out[rows[at], targets[cols]] = d
             unreached &= ~hot
     return out
+
+
+def components(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The least position in each position's component of a symmetric CSR.
+
+    Labels form a forest whose parents are smaller than their children.  A
+    round ends when every arc joins equal labels.
+    """
+    label = np.arange(len(indptr) - 1)
+    tails = np.repeat(label, np.diff(indptr))
+    while True:
+        low, high = label[indices], label[tails]
+        if np.array_equal(low, high):
+            return label
+        np.minimum.at(label, high, low)
+        while not np.array_equal(label, up := label[label]):
+            label = up
 
 
 def consensus_run(

@@ -11,6 +11,8 @@ the all-ones vector and a deterministic sign convention, checked on every
 call; a solve that does not get there within ``MAX_ITER`` iterations raises
 :class:`ConvergenceError`.  The recursive bisection works on positional
 arrays: a block's Laplacian is cut out of its parent's CSR with masks.
+Connectivity checks and the peel of a disconnected block come from
+:func:`kernels.components`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .core import GraphView
 from .errors import ConvergenceError, ValidationError
 
@@ -136,19 +139,6 @@ def _cut_count(L: Laplacian, block: np.ndarray) -> int:
     return int(np.count_nonzero(block[L.arc_rows[upper]] != block[L.indices[upper]]))
 
 
-def _reached(L: Laplacian) -> np.ndarray:
-    """Rows connected to row 0, found level by level over the arcs."""
-    seen = np.zeros(L.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        hit = np.zeros_like(seen)
-        hit[L.indices[frontier[L.arc_rows]]] = True
-        frontier = hit & ~seen
-        seen |= frontier
-    return seen
-
-
 def _induced(L: Laplacian, keep: np.ndarray) -> Laplacian:
     """The Laplacian of the rows ``keep`` (ascending) and the arcs among them."""
     pos = np.full(L.shape[0], -1)
@@ -186,7 +176,7 @@ def spectral_bisection(g: GraphView, tol: float = DEFAULT_TOL) -> PartitionResul
     if g.n < 2:
         raise ValidationError("need at least 2 vertices")
     L = laplacian(g)
-    if not _reached(L).all():
+    if kernels.components(L.indptr, L.indices).any():
         raise ValidationError("spectral bisection requires a connected graph")
     return _result(g, L, _split(L, tol).astype(np.int64), 2)
 
@@ -198,7 +188,7 @@ def spectral_kway(g: GraphView, k: int, tol: float = DEFAULT_TOL) -> PartitionRe
     if k & (k - 1):
         raise ValidationError("k must be a power of 2")
     L = laplacian(g)
-    if not _reached(L).all():
+    if kernels.components(L.indptr, L.indices).any():
         raise ValidationError("spectral k-way requires a connected graph")
     # blocks hold ascending row positions, so a block's first entry is its
     # smallest vertex id
@@ -209,9 +199,9 @@ def spectral_kway(g: GraphView, k: int, tol: float = DEFAULT_TOL) -> PartitionRe
         blocks.sort(key=lambda b: (-len(b), b[0]))
         target = blocks.pop(0)
         sub = _induced(L, target)
-        near = _reached(sub)
         # disconnected block: peel off the first vertex's component instead of eigensplit
-        one = ~near if not near.all() else _split(sub, tol)
+        apart = kernels.components(sub.indptr, sub.indices) > 0
+        one = apart if apart.any() else _split(sub, tol)
         blocks += [target[~one], target[one]]
     # deterministic block ids: ordered by smallest contained vertex id
     blocks.sort(key=lambda b: b[0])

@@ -2,7 +2,8 @@
 distances, a dense Laplacian loop for consensus.  Graphs have a few hundred
 vertices, so every BFS runs over several source blocks, and trailing
 isolated vertices give CSR rows without arcs.  The BFS kernels are also held
-bit for bit to a full pull over every row, kept here as the reference."""
+bit for bit to a full pull over every row, kept here as the reference.
+Components are held to networkx and to label propagation to a fixpoint."""
 
 import json
 import tracemalloc
@@ -10,9 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from versegraph import kernels
+from versegraph import analytics, kernels
+from versegraph.core import TemporalMultiLayerGraph
 
-from conftest import make_view, pipeline_params, random_simple_edges
+from conftest import make_view, oracle_components_label_propagation, pipeline_params, random_simple_edges
 
 
 @pytest.fixture
@@ -335,6 +337,118 @@ def test_hop_distances_equal_the_path_counting_bfs(tmp_path, monkeypatch, seed):
                 got = kernels.hop_distances(indptr, indices, view.n)
                 assert got.dtype == np.int32
                 assert np.array_equal(got, _pulled_hop_distances(indptr, indices, view.n))
+
+
+def _symmetric_csr(n, u, v):
+    """CSR over 0..n-1 with both arcs of every edge (u[i], v[i])."""
+    tails, heads = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((heads, tails))
+    return np.searchsorted(tails[order], np.arange(n + 1)), heads[order]
+
+
+def _assert_least_labels(view, label):
+    """``label`` gives each position the least position of its component:
+    the label-propagation oracle's least id, as view ids ascend by position."""
+    want = oracle_components_label_propagation(view)
+    assert label.shape == (view.n,)
+    assert [view.vertices[r] for r in label.tolist()] == [want[v] for v in view.vertices]
+    blocks = {}
+    for pos, r in enumerate(label.tolist()):
+        blocks.setdefault(r, []).append(pos)
+    assert all(r == min(block) for r, block in blocks.items())
+
+
+def _messy_view(n, seed):
+    """Random edges on 0..n-1, too few for a giant component, so there are
+    many components and isolated vertices; half the edges are directed, and
+    self-loops and parallel copies are mixed in."""
+    rng = np.random.default_rng(seed)
+    m = n * 2 // 5
+    ends = rng.integers(n, size=(m, 2)).tolist()
+    edges = [(a, b, 1.0, bool(d)) for (a, b), d in zip(ends, rng.random(m) < 0.5)]
+    edges += [(a, a) for a in rng.integers(n, size=5).tolist()] + edges[:10]
+    return make_view(n, edges)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_components_match_oracles_on_messy_views(seed, nx):
+    view = _messy_view(300, seed)
+    indptr, indices = view.csr("both")
+    label = kernels.components(indptr, indices)
+    _assert_least_labels(view, label)
+    G = nx.Graph()
+    G.add_nodes_from(view.vertices)
+    G.add_edges_from((e.src, e.dst) for e in view.edges)
+    blocks = {}
+    for v, r in zip(view.vertices, label.tolist()):
+        blocks.setdefault(r, set()).add(v)
+    assert {frozenset(b) for b in blocks.values()} == {frozenset(c) for c in nx.connected_components(G)}
+    assert len(blocks) > 10 and (np.diff(indptr) == 0).any()
+    assert analytics.weakly_connected_components(view).count == len(blocks)
+
+
+def test_components_on_layers_with_scattered_ids():
+    """Each layer_subgraph of a three-layer graph holds ids that are not its
+    positions; inter-layer edges stay out of it."""
+    rng = np.random.default_rng(5)
+    g = TemporalMultiLayerGraph()
+    layers = [g.create_layer(name) for name in ("a", "b", "c")]
+    home = rng.integers(3, size=300).tolist()
+    ids = [g.add_vertex(["node"], [layers[h]]) for h in home]
+    for a, b in rng.integers(300, size=(250, 2)).tolist():
+        g.add_edge(ids[a], ids[b], layers[home[a]], layers[home[b]], directed=bool(a % 2))
+    snap = g.snapshot_at(0)
+    for lid in layers:
+        view = snap.layer_subgraph(lid)
+        assert view.vertices != tuple(range(view.n))
+        _assert_least_labels(view, kernels.components(*view.csr("both")))
+        assert analytics.weakly_connected_components(view).labels == oracle_components_label_propagation(view)
+
+
+@pytest.mark.parametrize("n, edges", [(0, []), (1, []), (1, [(0, 0)])])
+def test_components_of_no_or_one_vertex(n, edges):
+    view = make_view(n, edges)
+    _assert_least_labels(view, kernels.components(*view.csr("both")))
+    assert analytics.weakly_connected_components(view).count == n
+
+
+def test_components_of_ten_thousand_shuffled_cycles():
+    rng = np.random.default_rng(10)
+    cycles = rng.permutation(100_000).reshape(10_000, 10)  # each row one cycle, in order
+    label = kernels.components(*_symmetric_csr(100_000, cycles.ravel(), np.roll(cycles, -1, axis=1).ravel()))
+    want = np.empty(100_000, dtype=np.int64)
+    want[cycles] = cycles.min(axis=1, keepdims=True)
+    assert np.array_equal(label, want)
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_components_of_a_shuffled_path(n):
+    order = np.random.default_rng(n).permutation(n)
+    label = kernels.components(*_symmetric_csr(n, order[:-1], order[1:]))
+    assert label.shape == (n,) and not label.any()
+
+
+def test_components_rounds_grow_with_log_n(monkeypatch):
+    """A hooking round calls ``np.minimum.at`` once.  Every tree joins
+    another within two rounds, so a shuffled path of 10⁵ vertices needs at
+    most 2 log2 n of them, where a scheme bound by the diameter needs
+    thousands."""
+    rounds = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        class minimum:
+            @staticmethod
+            def at(*args):
+                rounds.append(1)
+                np.minimum.at(*args)
+
+    monkeypatch.setattr(kernels, "np", CountingNumpy())
+    order = np.random.default_rng(7).permutation(100_000)
+    assert not kernels.components(*_symmetric_csr(100_000, order[:-1], order[1:])).any()
+    assert 1 <= len(rounds) <= 2 * np.log2(100_000)
 
 
 def _consensus_inputs(n, seed):

@@ -222,6 +222,44 @@ def test_kway_two_matches_bisection():
     assert pa == pb
 
 
+def _star(leaves):
+    return make_view(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def _spider(legs, length):
+    """A center (vertex 0) with ``legs`` paths of ``length`` vertices each."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges += [(0, first)] + [(v, v + 1) for v in range(first, first + length - 1)]
+    return make_view(1 + legs * length, edges)
+
+
+# a sign split of a star or a spider leaves blocks whose leaves or legs hang
+# apart, so recursive bisection peels those blocks by component
+@pytest.mark.parametrize("g, k, assignment, cut, sizes", [
+    (_star(9), 4, [0, 1, 2, 0, 3, 3, 2, 0, 3, 3], 7, (3, 1, 2, 4)),
+    (_star(9), 8, [0, 1, 2, 3, 4, 5, 2, 6, 7, 7], 9, (1, 1, 2, 1, 1, 1, 1, 2)),
+    (_star(17), 4, [0, 1, 2, 0, 3, 3, 0, 2, 3, 3, 3, 3, 3, 2, 2, 2, 3, 2], 15, (3, 1, 6, 8)),
+    (_star(17), 8, [0, 1, 2, 0, 3, 4, 0, 5, 6, 7, 7, 7, 7, 5, 5, 5, 7, 5], 15,
+     (3, 1, 1, 1, 1, 5, 1, 5)),
+    (_spider(4, 3), 4, [0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3], 3, (4, 3, 3, 3)),
+    (_spider(4, 3), 8, [0, 0, 1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7], 7, (2, 2, 1, 2, 1, 2, 1, 2)),
+])
+def test_kway_peels_disconnected_blocks(g, k, assignment, cut, sizes):
+    part = partition.spectral_kway(g, k)
+    assert [part.assignment[v] for v in g.vertices] == assignment
+    assert part.cut_edges == cut and part.block_sizes == sizes
+
+
+def test_long_path_with_an_isolated_vertex_is_refused():
+    g = make_view(40_001, [(v, v + 1) for v in range(39_999)])
+    with pytest.raises(ValidationError, match="^spectral bisection requires a connected graph$"):
+        partition.spectral_bisection(g)
+    with pytest.raises(ValidationError, match="^spectral k-way requires a connected graph$"):
+        partition.spectral_kway(g, 4)
+
+
 def test_kway_rejects_bad_k():
     g = make_view(6, [(i, i + 1) for i in range(5)])
     with pytest.raises(ValidationError):
