@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 from typing import Optional
 
 import numpy as np
@@ -370,7 +368,7 @@ PENALTY_MU0 = 1.0
 MULTI_STARTS = 16
 INNER_ITERS = 200
 BACKTRACK_HALVINGS = 40
-POLISH_SWEEPS = 3
+POLISH_SWEEPS = 50
 FEASIBILITY_TOL = 1e-6
 
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -415,82 +413,44 @@ def _restore_feasible(cs: CompiledScenario, R: np.ndarray) -> np.ndarray:
     return np.where(need[:, None, None], lo + t_lo[:, None, None] * (R - lo), R)
 
 
-def _last_winner(vals: np.ndarray, best_v: float) -> int:
-    """Index of the last value of ``vals`` to beat the running best, which
-    starts at ``best_v``, by more than 1e-15 in a scan in order; -1 if none.
+def _coordinate_best(cs: CompiledScenario, coupled: bool, r: np.ndarray, k: int,
+                     upper: float) -> float:
+    """Exact maximizer of the objective along coordinate k on [lo_k, upper].
 
-    A winner exceeds every value before it, so the winners are among the
-    strict prefix maxima ``c`` (NaN and -inf never win).  After candidate i
-    the next winner is the first candidate above ``c[i] + 1e-15``: i + 1
-    except at near-ties, which alone are walked one by one."""
-    prior = np.fmax.accumulate(np.concatenate(([-np.inf], vals)))[:-1]
-    idx = np.flatnonzero(vals > prior)
-    c = vals[idx]
-    n = len(c)
-    i = int(np.searchsorted(c, best_v + 1e-15, side="right"))
-    nxt = np.searchsorted(c, c + 1e-15, side="right")
-    jumps = np.flatnonzero(nxt != np.arange(1, n + 1))
-    while i < n:
-        # candidates i, i + 1, ... win in turn up to the first jump from i on
-        p = np.searchsorted(jumps, i)
-        if p == len(jumps):
-            return int(idx[-1])
-        if nxt[jumps[p]] == n:
-            return int(idx[jumps[p]])
-        i = int(nxt[jumps[p]])
-    return -1
-
-
-def _row_sums(cols: list) -> np.ndarray:
-    """``np.stack(cols, -1).sum(-1)`` with the same bits, summed column by
-    column; a column may be a scalar, which costs no pass over the rows.
-
-    numpy adds each row's pairwise sum to 0.0: under 8 terms a plain loop,
-    up to 128 terms 8 interleaved accumulators, beyond that two halves split
-    at a multiple of 8 (Higham, SIAM J. Sci. Comput. 1993).  Adding 0.0 only
-    turns a -0.0 sum into 0.0.  Every bit is kept but a NaN's sign and
-    payload: where two NaNs meet, numpy keeps either one."""
-    def pairwise(c):
-        n = len(c)
-        if n < 8:
-            return reduce(add, c)
-        if n <= 128:
-            m = n - n % 8
-            r = [reduce(add, c[j:m:8]) for j in range(8)]
-            tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            return reduce(add, c[m:], tree)  # the terms after the last multiple of 8
-        half = n // 2 - n // 2 % 8
-        return pairwise(c[:half]) + pairwise(c[half:])
-    return 0.0 + pairwise(cols)
-
-
-def _grid_best(cs: CompiledScenario, coupled: bool, r: np.ndarray, k: int,
-               grid: np.ndarray, best_v: float) -> tuple[float, float]:
-    """Line search of coordinate k over a grid, evaluated as one batch.
-
-    Scanning in grid order, a point becomes the winner when its value beats
-    the running best by more than 1e-15.  Returns (winner, best value); the
-    winner is r[k] when no point beats ``best_v``.  The values hold the bits
-    of ``cs.value`` on the grid's batch of allocations.
+    The isolated objective increases in R_k.  ``Q`` has a zero diagonal, so
+    along R_k = x the coupled one is U_k(x) - beta x + const, beta =
+    2 (Q r)_k + b_k, with slope gamma u (1 - u) - beta <= gamma/4 - beta.
+    So beta <= 0 gives upper, beta >= gamma/4 (or NaN) gives lo; otherwise
+    the one interior local maximum is at u+, the larger root of
+    u (1 - u) = beta/gamma.  lo, x+ and upper are scored by U_k(x) - beta x
+    in that order, and a later one wins by more than 1e-15.
     """
-    # only coordinate k's utility changes along the grid; the rest are scalars
-    u = cs.utilities(r).tolist()
-    u[k] = cs.utilities(grid, k)
-    vals = _row_sums(u)
-    if coupled:
-        batch = np.repeat(r[None, :], len(grid), axis=0)
-        batch[:, k] = grid
-        vals = vals - (_row_sums(list(((batch @ cs.Q) * batch).T)) + batch @ cs.b + cs.c)
-    i = _last_winner(vals, best_v)
-    return (r[k], best_v) if i < 0 else (grid[i], vals[i])
+    lo = float(cs.lo[k])
+    beta = float(2.0 * (cs.Q[k] @ r) + cs.b[k]) if coupled else 0.0
+    g = float(cs.gamma[k])
+    if beta <= 0.0:
+        return upper
+    if not beta < g / 4.0:
+        return lo
+    u = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * beta / g))
+    x = cs.lam[k] + (2.0 * math.log(u) + math.log(g / beta)) / g  # ln(u+ / u-) / gamma
+    xs = np.array([lo, min(max(x, lo), upper), upper])
+    vals = (cs.utilities(xs, k) - beta * xs).tolist()
+    best = 0
+    for i in (1, 2):
+        if vals[i] > vals[best] + 1e-15:
+            best = i
+    return xs[best]
 
 
 def _coordinate_polish(cs: CompiledScenario, coupled: bool, r: np.ndarray) -> np.ndarray:
-    """Per-coordinate line search on the exact feasible interval.
+    """Exact coordinate ascent on each coordinate's feasible interval.
 
-    Penalty methods land slightly off the active constraint; this nails the
-    optimum onto the boundary to grid-oracle accuracy.  A sweep depends on
-    ``r`` alone, so one that leaves its bytes unchanged ends the polish.
+    Penalty methods land slightly off the active constraint; this moves each
+    coordinate in turn to the maximizer of the objective along its feasible
+    interval (:func:`_coordinate_best`), which puts the optimum onto the
+    boundary.  A sweep depends on ``r`` alone, so one that leaves its bytes
+    unchanged ends the polish.
     """
     lo, hi = cs.lo, cs.hi
     r = r.copy()
@@ -504,13 +464,7 @@ def _coordinate_polish(cs: CompiledScenario, coupled: bool, r: np.ndarray) -> np
                     a = cs.A[on, k]
                     rest = cs.flows(r)[on] - a * r[k]
                     upper = min(upper, np.min((cs.C[on] - rest) / a))
-            upper = max(upper, lo[k])
-            r[k], best_v = _grid_best(cs, coupled, r, k, np.linspace(lo[k], upper, 2001), -np.inf)
-            # refine around the winner
-            span = (upper - lo[k]) / 2000 if upper > lo[k] else 0.0
-            if span > 0:
-                fine = np.linspace(max(lo[k], r[k] - span), min(upper, r[k] + span), 201)
-                r[k], _ = _grid_best(cs, coupled, r, k, fine, best_v)
+            r[k] = _coordinate_best(cs, coupled, r, k, float(max(upper, lo[k])))
         if r.tobytes() == before:
             break
     return r

@@ -7,7 +7,9 @@ local id lookups.  ``tests/test_crossopt.py`` checks that the arrays of
 ``compile_scenario`` (``Q``, ``b``, ``c``) give the same penalty, and that
 ``auto_coupling`` gives the same edges as :func:`auto_coupling_pairs`, the
 pairwise scan it replaced.  :func:`coordinate_polish` is the polish step as
-first written, the reference for ``crossopt._coordinate_polish``.
+first written, a grid scan; it is now a bound, not a byte reference: the
+exact coordinate ascent of ``crossopt._coordinate_polish`` must score no
+lower from the same point, up to rounding.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ def _scan_grid(cs, coupled, r, k, grid, best_v):
 def coordinate_polish(cs, coupled: bool, r, sweeps: int = 3):
     """``sweeps`` full per-coordinate sweeps, with no early stop: a coarse
     2001-point grid over the feasible interval of each coordinate, then a
-    201-point grid one coarse step either side of its winner."""
+    201-point grid one coarse step either side of its winner.  Its value is
+    the lower bound the exact polish is checked against."""
     lo, hi = cs.lo, cs.hi
     r = r.copy()
     for _ in range(sweeps):
