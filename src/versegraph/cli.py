@@ -257,7 +257,8 @@ def _cmd_simulate(args) -> list[str]:
                       + "".join(f"{rnd},{spread!r}\n" for rnd, spread in enumerate(spreads)))
         outputs.append(tpath)
     elif args.kind == "consistency":
-        storage = sorted(g.vertices_with_role("storage-node")) or list(view.vertices)
+        storage = sorted(v for v in g.vertices_with_role("storage-node") if v in view.index)
+        storage = storage or list(view.vertices)
         n_items = io.json_value(params.get("items", 4), io.INT, "items")
         if n_items < 0:
             raise ValidationError(f"items must be >= 0, got {n_items}")

@@ -34,9 +34,6 @@ class VertexRecord(NamedTuple):
     t_start: int
     t_end: Optional[int]  # None = still open
 
-    def active_at(self, t: int) -> bool:
-        return self.t_start <= t and (self.t_end is None or t < self.t_end)
-
 
 class EdgeRecord(NamedTuple):
     id: int
@@ -53,9 +50,6 @@ class EdgeRecord(NamedTuple):
     @property
     def intra_layer(self) -> bool:
         return self.layer_src == self.layer_dst
-
-    def active_at(self, t: int) -> bool:
-        return self.t_start <= t and (self.t_end is None or t < self.t_end)
 
 
 # Ids and ticks are stored as int64 and must lie strictly within ±2**62; an
@@ -267,34 +261,18 @@ class GraphView:
     """A static single-graph slice of a snapshot: vertices plus an edge multiset.
 
     Produced by :meth:`SnapshotView.layer_subgraph` and
-    :meth:`SnapshotView.flatten`, from the snapshot's columns; or built here
-    from edge records.  Immutable; its one adjacency structure is
-    :meth:`csr`, built on first use per direction.  Its edges are also held
-    as read-only columns in id order: ``edge_ids``, ``src`` and ``dst``
-    (positions in ``vertices``), ``edge_directed`` and ``weights``.
+    :meth:`SnapshotView.flatten`, from the snapshot's columns: the sorted
+    vertex ids ``ids``, and the ``edges`` columns id, src, dst, directed and
+    weight, sorted by id; ``records`` builds the edge records.  Immutable;
+    its one adjacency structure is :meth:`csr`, built on first use per
+    direction.  Its edges are also held as read-only columns in id order:
+    ``edge_ids``, ``src`` and ``dst`` (positions in ``vertices``),
+    ``edge_directed`` and ``weights``.
     """
 
-    def __init__(self, vertices: Iterable[int], edges: Iterable[EdgeRecord]):
-        edges = tuple(sorted(edges, key=lambda e: e.id))
-        self.vertices: tuple[int, ...] = tuple(sorted(set(vertices)))
-        cols = list(zip(*((e.id, e.src, e.dst, e.directed, e.weight) for e in edges))) or [()] * 5
-        self._setup(np.array(self.vertices, dtype=np.int64),
-                    *map(np.array, cols, (np.int64, np.int64, np.int64, bool, np.float64)))
-        self.edges = edges
-
-    @classmethod
-    def _of(cls, ids: np.ndarray, edges: Sequence[np.ndarray],
-            records: Callable[[], tuple[EdgeRecord, ...]]) -> GraphView:
-        """The view of these sorted vertex ids and of the edges with these
-        id, src, dst, directed and weight columns, sorted by id; ``records``
-        builds the edge records."""
-        view = cls.__new__(cls)
-        view.vertices = tuple(ids.tolist())
-        view._setup(ids, *edges)
-        view._records = records
-        return view
-
-    def _setup(self, ids, eid, src, dst, directed, weight) -> None:
+    def __init__(self, ids: np.ndarray, edges: Sequence[np.ndarray],
+                 records: Callable[[], tuple[EdgeRecord, ...]]):
+        eid, src, dst, directed, weight = edges
         n, m = len(ids), len(src)
         ends = np.concatenate([src, dst])
         at = np.searchsorted(ids, ends)
@@ -304,10 +282,12 @@ class GraphView:
         if outside.any():
             first = eid[np.flatnonzero(outside)[0]]
             raise ValidationError(f"edge {first} references vertex outside view")
+        self.vertices: tuple[int, ...] = tuple(ids.tolist())
         self.edge_ids, self.src, self.dst = eid, at[:m], at[m:]
         self.edge_directed, self.weights = directed, weight
         for col in (eid, self.src, self.dst, directed, weight):
             col.flags.writeable = False
+        self._records = records
         self._csr: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._rows: dict[str, dict[int, tuple[int, ...]]] = {}
 
@@ -384,7 +364,7 @@ class SnapshotView:
     at ``time``, sorted by id, with their ``t_end`` as it was then."""
 
     def __init__(self, graph: TemporalMultiLayerGraph, t: int):
-        self.time = int(t)
+        self.time = t
         self.layers = dict(graph._layer_names)
         self._graph = graph
         self._vrows, self._vends = graph._active(graph._vertices, t)
@@ -431,8 +411,8 @@ class SnapshotView:
         g, rows, ends = self._graph, self._erows[emask], self._eends[emask]
         e = g._edges
         cols = [e[k][rows] for k in ("id", "src", "dst", "directed", "weight")]
-        return GraphView._of(self._vids[vmask], cols,
-                             lambda: g._records_at(e, rows.tolist(), _plain_ends(ends)))
+        return GraphView(self._vids[vmask], cols,
+                         lambda: g._records_at(e, rows.tolist(), _plain_ends(ends)))
 
     def layer_subgraph(self, layer: int) -> GraphView:
         """Single-layer view: V_i plus only the intra-layer edges of ``layer``.
@@ -460,10 +440,18 @@ class SnapshotView:
         return view.neighbors(v, direction) if v in view.index else ()
 
     def validate_bipartite(
-        self, layer: int, part_a: set[str], part_b: set[str]
+        self, layer: int, part_a: Iterable[str], part_b: Iterable[str]
     ) -> tuple[bool, list[EdgeRecord]]:
-        """Check every intra-layer edge joins a part_a-role vertex to a part_b one."""
-        if set(part_a) & set(part_b):
+        """Check every intra-layer edge joins a part_a-role vertex to a part_b
+        one; each part is a collection of roles, not a string."""
+        if isinstance(part_a, (str, bytes)) or isinstance(part_b, (str, bytes)):
+            raise ValidationError("bipartite role sets must be collections, not a string")
+        try:
+            part_a, part_b = frozenset(part_a), frozenset(part_b)
+        except TypeError:
+            raise ValidationError(f"bipartite role sets must be collections of roles, got "
+                                  f"{part_a!r} and {part_b!r}") from None
+        if part_a & part_b:
             raise ValidationError("bipartite role sets overlap")
         sub = self.layer_subgraph(layer)
         violations = []
@@ -500,14 +488,6 @@ class TemporalMultiLayerGraph:
         self._incident: Optional[dict[int, list[int]]] = None  # vertex row -> edge rows
         self._next_vertex = 0
         self._next_edge = 0
-
-    @classmethod
-    def from_records(cls, layer_names: Iterable[str], vertices: Iterable[VertexRecord],
-                     edges: Iterable[EdgeRecord]) -> TemporalMultiLayerGraph:
-        """A graph of exactly these records, as :meth:`from_columns` builds it.
-        A record may also be given as the tuple of its fields."""
-        return cls.from_columns(layer_names, list(zip(*vertices)) or [()] * 6,
-                                list(zip(*edges)) or [()] * 10)
 
     @classmethod
     def from_columns(cls, layer_names: Iterable[str], vertices: Sequence[Sequence],
@@ -712,6 +692,7 @@ class TemporalMultiLayerGraph:
 
     def _active(self, cols: _Columns, t: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows active at ``t`` in id order, and their ends."""
+        t = min(max(t, -_LIMIT), _LIMIT)  # stored ticks lie within ±2**62, OPEN above it
         rows = np.flatnonzero((cols["t_start"] <= t) & (t < cols["t_end"]))
         rows = rows[np.argsort(cols["id"][rows], kind="stable")]
         return rows, cols["t_end"][rows]
@@ -872,7 +853,7 @@ class TemporalMultiLayerGraph:
     # -- queries -----------------------------------------------------------
 
     def snapshot_at(self, t: int) -> SnapshotView:
-        return SnapshotView(self, t)
+        return SnapshotView(self, _int(t, "snapshot tick"))
 
     @property
     def events(self) -> list[tuple]:

@@ -105,9 +105,6 @@ class CouplingEdge:
                         {"w_link": self.w_link, "w_energy": self.w_energy,
                          "w_util": self.w_util, "sign": self.sign})
 
-    def pair(self) -> frozenset[str]:
-        return frozenset((self.m, self.n))
-
 
 @dataclass
 class Scenario:
@@ -136,10 +133,6 @@ class Scenario:
         for e in self.coupling:
             if e.m not in known or e.n not in known or e.m == e.n:
                 raise ValidationError(f"bad coupling edge ({e.m}, {e.n})")
-
-    @property
-    def domain_ids(self) -> list[str]:
-        return [d.id for d in self.domains]
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.array([d.r_min for d in self.domains], dtype=float)
@@ -243,12 +236,6 @@ class CompiledScenario:
         if coupled:
             g = g - 2.0 * mu * (over @ self.A)
         return out, g
-
-    def penalized(self, R: np.ndarray, coupled: bool, mu: float) -> np.ndarray:
-        return self.scores(R, coupled, mu)[0][..., 2]
-
-    def penalized_grad(self, R: np.ndarray, coupled: bool, mu: float) -> np.ndarray:
-        return self.scores(R, coupled, mu)[1]
 
 
 def _lookup(table: dict, key: str, what: str):

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EdgeRecord, Scalar, SnapshotView, TemporalMultiLayerGraph, VertexRecord
+from .core import Scalar, SnapshotView, TemporalMultiLayerGraph
 from .crossopt import (
     CouplingEdge,
     DomainSpec,
@@ -32,25 +32,8 @@ from .errors import ValidationError
 FORMAT_VERSION = 1
 
 
-def _record_dict(rec: VertexRecord | EdgeRecord) -> dict:
-    """A record as its JSON object, sets sorted; an open ``t_end`` is left out."""
-    out = {k: v for k, v in rec._asdict().items() if not (k == "t_end" and v is None)}
-    if isinstance(rec, VertexRecord):
-        out.update(roles=sorted(rec.roles), layers=sorted(rec.layers),
-                   attrs=dict(sorted(rec.attrs.items())))
-    return out
-
-
-def graph_to_dict(g: TemporalMultiLayerGraph) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "layers": [{"id": lid, "name": name} for lid, name in sorted(g.layer_names.items())],
-        "vertices": [_record_dict(v) for _, v in sorted(g.vertex_records.items())],
-        "edges": [_record_dict(e) for _, e in sorted(g.edge_records.items())],
-    }
-
-
-# The bytes of json.dumps(graph_to_dict(g), indent=2, sort_keys=True): one
+# The bytes of json.dumps(graph_to_dict(g), indent=2, sort_keys=True), where
+# graph_to_dict is the record-by-record oracle in tests/record_graph.py: one
 # template per record with its keys in sorted order.  Strings go through the
 # C escaper json.dumps uses; a graph stores plain ints, bools and floats, so
 # %d and %r write what int.__repr__ and float.__repr__ write.
@@ -82,8 +65,9 @@ def _scalar(value: Scalar) -> str:
 
 
 def graph_to_json(g: TemporalMultiLayerGraph) -> str:
-    """``json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\\n"``, written
-    record by record from fixed templates over the graph's columns."""
+    """``json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\\n"``, with
+    ``graph_to_dict`` the oracle in ``tests/record_graph.py``, written record
+    by record from fixed templates over the graph's columns."""
     layers = [_LAYER % (lid, _str(name)) for lid, name in sorted(g.layer_names.items())]
     ids, roles, layer_sets, attrs, starts, ends = g.vertex_columns()
     # a graph keeps one object per distinct role or layer set

@@ -11,6 +11,8 @@ import pytest
 import versegraph
 from versegraph.core import EdgeRecord, GraphView
 
+from record_graph import graph_view
+
 # tests that start ``python -m versegraph.cli`` need their child process to
 # import the same package as the tests, also when only pytest's pythonpath
 # setting put it on the path
@@ -40,7 +42,7 @@ def make_view(n, edges, directed=False):
         w = e[2] if len(e) > 2 else 1.0
         d = e[3] if len(e) > 3 else directed
         recs.append(EdgeRecord(i, u, v, 0, 0, d, float(w), "", 0, None))
-    return GraphView(range(n), recs)
+    return graph_view(range(n), recs)
 
 
 def random_simple_edges(n, p, rng, weighted=False):

@@ -9,7 +9,10 @@ local id lookups.  ``tests/test_crossopt.py`` checks that the arrays of
 pairwise scan it replaced.  :func:`coordinate_polish` is the polish step as
 first written, a grid scan; it is now a bound, not a byte reference: the
 exact coordinate ascent of ``crossopt._coordinate_polish`` must score no
-lower from the same point, up to rounding.
+lower from the same point, up to rounding.  :func:`penalized` and
+:func:`penalized_grad` read one of the two outputs of
+``CompiledScenario.scores``, for the one-start ascent in
+``tests/test_crossopt.py``.
 """
 
 from __future__ import annotations
@@ -118,6 +121,16 @@ def auto_coupling_pairs(scenario) -> list[tuple[str, str]]:
 
     ids = [d.id for d in scenario.domains]
     return [(m, n) for i, m in enumerate(ids) for n in ids[i + 1:] if shares(m, n)]
+
+
+def penalized(cs, R, coupled: bool, mu: float):
+    """The penalized objective of each allocation, from ``cs.scores``."""
+    return cs.scores(R, coupled, mu)[0][..., 2]
+
+
+def penalized_grad(cs, R, coupled: bool, mu: float):
+    """The penalized gradient of each allocation, from ``cs.scores``."""
+    return cs.scores(R, coupled, mu)[1]
 
 
 def _scan_grid(cs, coupled, r, k, grid, best_v):

@@ -1,10 +1,13 @@
 """The record-based graph store that the columnar one in ``versegraph.core``
 replaced, kept as the oracle for it: records held in dicts, an event log
 appended on every write, snapshots and views built by passes over records,
-and the importer and DOT writer that read a graph record by record.  Ids and ticks
-follow the same range rule as the columns.  ``tests/test_columnar_core.py``
-checks that the two agree on every record, event, snapshot, view, exported
-byte and error message.
+and the importer, JSON document and DOT writer that read a graph record by
+record.  Ids and ticks follow the same range rule as the columns.
+``tests/test_columnar_core.py`` checks that the two agree on every record,
+event, snapshot, view, exported byte and error message.
+
+Here too are the builders that give the package's own structures from
+records: :func:`graph_from_records` and :func:`graph_view`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from versegraph.core import EdgeRecord, Scalar, VertexRecord
+from versegraph.core import EdgeRecord, GraphView, Scalar, TemporalMultiLayerGraph, VertexRecord
 from versegraph.errors import ValidationError
 from versegraph.io import FORMAT_VERSION, INT, NUMBER, STR, BOOL, LIST, OBJECT, _known, json_value
 
@@ -73,6 +76,30 @@ def _utf8(text: str, what: str) -> None:
 
 _INT, _STR = frozenset({int}), frozenset({str})
 _NO_ATTRS: Mapping[str, Scalar] = MappingProxyType({})  # shared by every vertex without attrs
+
+
+def active_at(rec: VertexRecord | EdgeRecord, t: int) -> bool:
+    """Whether the record's validity ``[t_start, t_end)`` covers tick ``t``."""
+    return rec.t_start <= t and (rec.t_end is None or t < rec.t_end)
+
+
+def graph_from_records(layer_names: Iterable[str], vertices: Iterable[VertexRecord],
+                       edges: Iterable[EdgeRecord]) -> TemporalMultiLayerGraph:
+    """The columnar graph of exactly these records, as ``from_columns`` builds
+    it.  A record may also be given as the tuple of its fields."""
+    return TemporalMultiLayerGraph.from_columns(layer_names, list(zip(*vertices)) or [()] * 6,
+                                                list(zip(*edges)) or [()] * 10)
+
+
+def graph_view(vertices: Iterable[int], edges: Iterable[EdgeRecord]) -> GraphView:
+    """The package's view of these vertex ids and edge records, built by its
+    one constructor from their columns; its ``edges`` are these records,
+    sorted by id."""
+    edges = tuple(sorted(edges, key=lambda e: e.id))
+    cols = list(zip(*((e.id, e.src, e.dst, e.directed, e.weight) for e in edges))) or [()] * 5
+    return GraphView(np.array(sorted(set(vertices)), dtype=np.int64),
+                     list(map(np.array, cols, (np.int64, np.int64, np.int64, bool, np.float64))),
+                     lambda: edges)
 
 
 class RecordView:
@@ -360,7 +387,7 @@ class RecordGraph:
         t = _int(t, "retirement tick")
         if rec.t_end is not None:
             raise ValidationError(f"vertex {vid} already retired")
-        if not rec.active_at(t):
+        if not active_at(rec, t):
             raise ValidationError(f"vertex {vid} not active at t={t}")
         # open incident edges retire at t, so must start by then; others must end by then
         incident = [e for e in self._edges.values() if vid in (e.src, e.dst)]
@@ -383,7 +410,7 @@ class RecordGraph:
         t = _int(t, "retirement tick")
         if rec.t_end is not None:
             raise ValidationError(f"edge {eid} already retired")
-        if not rec.active_at(t):
+        if not active_at(rec, t):
             raise ValidationError(f"edge {eid} not active at t={t}")
         self._edges[rec.id] = rec._replace(t_end=t)
         self.events.append(("edge-", rec.id, t))
@@ -391,11 +418,12 @@ class RecordGraph:
     # -- queries -----------------------------------------------------------
 
     def snapshot_at(self, t: int) -> RecordSnapshot:
+        t = _index(t, "snapshot tick")
         return RecordSnapshot(
-            int(t),
+            t,
             self._layer_names,
-            (v for v in self._vertices.values() if v.active_at(t)),
-            (e for e in self._edges.values() if e.active_at(t)),
+            (v for v in self._vertices.values() if active_at(v, t)),
+            (e for e in self._edges.values() if active_at(e, t)),
         )
 
     # read-only views that follow later changes; nothing is copied
@@ -481,6 +509,29 @@ def _parse_graph(doc: dict) -> tuple[list[str], list[tuple], list[EdgeRecord]]:
         edges = [e._replace(weight=float(e.weight), relation="" if e.relation is None else e.relation)
                  for e in edges]
     return [name for _, name in layers], vertices, edges
+
+
+# -- the record-by-record JSON document -----------------------------------------
+
+def _record_dict(rec: VertexRecord | EdgeRecord) -> dict:
+    """A record as its JSON object, sets sorted; an open ``t_end`` is left out."""
+    out = {k: v for k, v in rec._asdict().items() if not (k == "t_end" and v is None)}
+    if isinstance(rec, VertexRecord):
+        out.update(roles=sorted(rec.roles), layers=sorted(rec.layers),
+                   attrs=dict(sorted(rec.attrs.items())))
+    return out
+
+
+def graph_to_dict(g) -> dict:
+    """The interchange document of a graph, either store, built record by
+    record: ``io.graph_to_json(g)`` must equal
+    ``json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\\n"``."""
+    return {
+        "version": FORMAT_VERSION,
+        "layers": [{"id": lid, "name": name} for lid, name in sorted(g.layer_names.items())],
+        "vertices": [_record_dict(v) for _, v in sorted(g.vertex_records.items())],
+        "edges": [_record_dict(e) for _, e in sorted(g.edge_records.items())],
+    }
 
 
 # -- the record-by-record DOT writer --------------------------------------------

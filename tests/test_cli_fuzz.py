@@ -116,7 +116,7 @@ def _graph_doc() -> dict:
     g.add_edge(u, b, soc, net, weight=1.5, relation="session", t_start=1)
     g.add_edge(u, w, soc, soc, directed=False, t_start=2)
     g.retire_vertex(a, 10)
-    return io.graph_to_dict(g)
+    return json.loads(io.graph_to_json(g))
 
 
 # no large integers in params: an edited size or count must not ask for a

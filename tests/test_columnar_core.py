@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from record_graph import RecordGraph
+from record_graph import RecordGraph, graph_from_records, graph_to_dict
 from record_graph import graph_from_dict as record_graph_from_dict
 from record_graph import snapshot_to_dot as record_snapshot_to_dot
 from versegraph import io
@@ -74,7 +74,7 @@ def _same_graph(new: TemporalMultiLayerGraph, old: RecordGraph):
     assert new.events == old.events
     for t in TICKS:
         _same_snapshot(new.snapshot_at(t), old.snapshot_at(t))
-    assert io.graph_to_json(new) == json.dumps(io.graph_to_dict(old), indent=2, sort_keys=True) + "\n"
+    assert io.graph_to_json(new) == json.dumps(graph_to_dict(old), indent=2, sort_keys=True) + "\n"
 
 
 def _random_op(rng, old: RecordGraph) -> tuple:
@@ -134,6 +134,27 @@ def test_operations_match_the_record_store(seed):
         _same_snapshot(a, b)
 
 
+# snapshot ticks: refused, converted, and beyond every stored tick and OPEN
+SNAPSHOT_TICKS = [2.7, True, float("nan"), float("inf"), None, "3", 2.0, np.int64(3), 2 ** 62,
+                  2 ** 63, 2 ** 70, -(2 ** 70)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_snapshot_ticks_match_the_record_store(seed):
+    rng = random.Random(seed)
+    new, old = TemporalMultiLayerGraph(), RecordGraph()
+    for name in ("network", "social"):
+        new.create_layer(name), old.create_layer(name)
+    _run_ops(rng, new, old, 40)
+    for t in SNAPSHOT_TICKS:
+        got, want = _outcome(new.snapshot_at, t), _outcome(old.snapshot_at, t)
+        if want[0] == "ok":
+            assert got[0] == "ok" and type(got[1].time) is int
+            _same_snapshot(got[1], want[1])
+        else:
+            assert got == want == ("error", f"snapshot tick must be an integer, got {t!r}")
+
+
 # field values that break a record, by field position
 BAD_VERTEX = {0: [True, 2.5, "1", 2 ** 63, 2 ** 62], 1: ["ab", [["a"]], {1}, ["\ud800"]],
               2: [set(), {7}, {True}, "0", [0.0]], 3: [{"x": None}, {1: 2}],
@@ -168,13 +189,13 @@ def test_from_records_matches_the_record_store(seed):
     # the writes go to a graph whose log is derived, then appended to
     names = ["network", "social", "content"]
     old = RecordGraph.from_records(names, [], [])
-    _run_ops(rng, TemporalMultiLayerGraph.from_records(names, [], []), old, 40)
+    _run_ops(rng, graph_from_records(names, [], []), old, 40)
     names = list(old.layer_names.values())
     vs, es = list(old.vertex_records.values()), list(old.edge_records.values())
     rng.shuffle(vs), rng.shuffle(es)
     for _ in range(rng.choice([0, 1, 1, 2])):
         _corrupt(rng, *rng.choice([(vs, BAD_VERTEX), (es, BAD_EDGE)]))
-    got = _outcome(TemporalMultiLayerGraph.from_records, names, vs, es)
+    got = _outcome(graph_from_records, names, vs, es)
     want = _outcome(RecordGraph.from_records, names, vs, es)
     assert got[0] == want[0] and (got[0] == "ok" or got == want), (got, want)
     if got[0] == "ok":
@@ -205,7 +226,7 @@ def test_each_bad_field_matches_the_record_store(kind, field, value):
         rec[field] = value
         args = (names, vs[:i] + [tuple(rec)] + vs[i + 1:], es) if kind == "vertex" else \
             (names, vs, es[:i] + [tuple(rec)] + es[i + 1:])
-        got = _outcome(TemporalMultiLayerGraph.from_records, *args)
+        got = _outcome(graph_from_records, *args)
         want = _outcome(RecordGraph.from_records, *args)
         assert got[0] == want[0] and (got[0] == "ok" or got == want), (got, want)
         if got[0] == "ok":
@@ -252,7 +273,7 @@ def test_import_matches_the_record_importer(seed):
     for name in ("network", "social", "content"):
         new.create_layer(name), old.create_layer(name)
     _run_ops(rng, new, old, 50)
-    doc = io.graph_to_dict(old)
+    doc = graph_to_dict(old)
     for _ in range(rng.choice([0, 1, 1, 2, 3])):
         container, key = rng.choice(_places(doc))
         edit = rng.random()
@@ -275,7 +296,7 @@ def test_import_matches_the_record_importer(seed):
                "t_start", "t_end"))) for field in fields])
 def test_each_bad_json_field_matches_the_record_importer(key, field):
     names, vs, es = _sample_records()
-    doc = io.graph_to_dict(RecordGraph.from_records(names, vs, es))
+    doc = graph_to_dict(RecordGraph.from_records(names, vs, es))
     for value in JUNK:
         for i in (0, len(doc[key]) // 2, len(doc[key]) - 1):
             bad = copy.deepcopy(doc)

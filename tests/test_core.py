@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from versegraph import io
-from versegraph.core import EdgeRecord, GraphView, TemporalMultiLayerGraph, VertexRecord
+from versegraph.core import EdgeRecord, TemporalMultiLayerGraph, VertexRecord
 from versegraph.errors import ValidationError
+
+from record_graph import graph_from_records, graph_to_dict, graph_view
 
 
 @pytest.fixture
@@ -161,6 +163,19 @@ def test_snapshot_matches_log_scan(g):
         assert set(g.snapshot_at(t).vertices) == expected
 
 
+def test_snapshot_tick_must_be_an_integer(g):
+    """A tick is read as the other tick boundaries read it: a bool, a float
+    or a string is refused, not truncated or let through as a raw error."""
+    net = g.create_layer("network")
+    v = g.add_vertex({"a"}, {net}, t_start=2)
+    for bad in (2.7, True, float("nan"), float("inf"), None, "3"):
+        with pytest.raises(ValidationError, match="snapshot tick must be an integer"):
+            g.snapshot_at(bad)
+    assert g.snapshot_at(np.int64(2)).time == 2 and v in g.snapshot_at(np.int64(2)).vertices
+    # ticks beyond every stored one compare as they should: v is still open
+    assert v in g.snapshot_at(2 ** 70).vertices and v not in g.snapshot_at(-(2 ** 70)).vertices
+
+
 def test_snapshot_determinism(g):
     net = g.create_layer("network")
     a = g.add_vertex({"server"}, {net}, {}, 2)
@@ -251,10 +266,10 @@ def test_snapshot_views_built_once(g):
     assert snap.layer_subgraph(net) is snap.layer_subgraph(net)
     assert snap.layer_subgraph(con) is snap.layer_subgraph(con)
     assert snap.layer_subgraph(net) is not snap.layer_subgraph(con)
-    fresh = {None: GraphView(snap.vertices.keys(), snap.edges),
-             net: GraphView(snap.layer_vertices(net),
-                            [e for e in snap.edges if e.intra_layer and e.layer_src == net]),
-             con: GraphView(snap.layer_vertices(con), [])}
+    fresh = {None: graph_view(snap.vertices.keys(), snap.edges),
+             net: graph_view(snap.layer_vertices(net),
+                             [e for e in snap.edges if e.intra_layer and e.layer_src == net]),
+             con: graph_view(snap.layer_vertices(con), [])}
     for layer, view in fresh.items():
         for v in vs:
             for direction in ("out", "in", "both"):
@@ -279,6 +294,18 @@ def test_validate_bipartite(g):
     assert not ok and [b.id for b in bad] == [e]
     with pytest.raises(ValidationError):
         snap.validate_bipartite(con, {"admin"}, {"admin"})
+    # any collection of roles; a string would be a set of letters
+    assert snap.validate_bipartite(con, ["admin"], ("content-item",)) == (True, [])
+    with pytest.raises(ValidationError, match="overlap"):
+        snap.validate_bipartite(con, ["admin"], ["admin"])
+    for part in ("admin", b"admin"):
+        with pytest.raises(ValidationError, match="not a string"):
+            snap.validate_bipartite(con, part, {"content-item"})
+        with pytest.raises(ValidationError, match="not a string"):
+            snap.validate_bipartite(con, {"content-item"}, part)
+    for part in (5, [["admin"]]):
+        with pytest.raises(ValidationError, match="collections of roles"):
+            snap.validate_bipartite(con, {"content-item"}, part)
 
 
 def test_validate_bipartite_empty_layer(g):
@@ -368,7 +395,7 @@ def test_strings_must_encode_as_utf8(g):
     bad = EdgeRecord(0, 0, 0, 0, 0, True, 1.0, "\ud800", 0, None)
     vs = [VertexRecord(0, frozenset({"a"}), frozenset({0}), {}, 0, None)]
     with pytest.raises(ValidationError, match="edge 0: relation"):
-        TemporalMultiLayerGraph.from_records(["net"], vs, [bad])
+        graph_from_records(["net"], vs, [bad])
 
 
 @pytest.mark.parametrize("attrs", [
@@ -381,15 +408,15 @@ def test_attrs_must_be_json_scalars(g, attrs):
         g.add_vertex({"a"}, {net}, attrs)
     bad = VertexRecord(0, frozenset({"a"}), frozenset({net}), attrs, 0, None)
     with pytest.raises(ValidationError, match="vertex 0: attrs"):
-        TemporalMultiLayerGraph.from_records(["network"], [bad], [])
+        graph_from_records(["network"], [bad], [])
     assert not g.vertex_records
 
 
 def test_scalar_attrs_round_trip(g):
     net = g.create_layer("network")
     g.add_vertex({"a"}, {net}, {"s": "x", "b": True, "i": 10 ** 30, "f": -2.5})
-    doc = io.graph_to_dict(g)
-    assert io.graph_to_dict(io.graph_from_dict(doc)) == doc
+    doc = graph_to_dict(g)
+    assert graph_to_dict(io.graph_from_dict(doc)) == doc
 
 
 def test_record_views_are_read_only_and_live(g):
@@ -416,7 +443,7 @@ def test_from_records_canonical_log_and_next_ids(monkeypatch):
     for name in ("add_vertex", "add_edge", "retire_vertex", "retire_edge"):
         monkeypatch.setattr(TemporalMultiLayerGraph, name, None)
     vs, es = _records()
-    g = TemporalMultiLayerGraph.from_records(["net", "soc"], vs, es)
+    g = graph_from_records(["net", "soc"], vs, es)
     assert dict(g.vertex_records) == {v.id: v for v in vs}
     assert dict(g.edge_records) == {e.id: e for e in es}
     assert [ev[:2] for ev in g.events] == [
@@ -439,7 +466,7 @@ def test_from_records_applies_the_add_rules(patch, match):
     vs, es = _records()
     patch(vs, es)
     with pytest.raises(ValidationError, match=match):
-        TemporalMultiLayerGraph.from_records(["net", "soc"], vs, es)
+        graph_from_records(["net", "soc"], vs, es)
 
 
 def _types(rec) -> list[type]:
@@ -470,7 +497,7 @@ def test_ids_and_ticks_must_be_integers(g):
                         ("edge+", 0, 0, 0, 0, 0, True, 3.0, "", 2), ("vertex-", 0, 5), ("edge-", 0, 5)]
     assert all(type(x) in (str, int, bool, float, frozenset, MappingProxyType)
                for ev in g.events for x in ev)
-    assert io.graph_to_json(g) == json.dumps(io.graph_to_dict(g), indent=2, sort_keys=True) + "\n"
+    assert io.graph_to_json(g) == json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("patch, match", [
@@ -488,9 +515,9 @@ def test_from_records_applies_the_integer_rule(patch, match):
     vs, es = _records()
     patch(vs, es)
     with pytest.raises(ValidationError, match=match):
-        TemporalMultiLayerGraph.from_records(["net", "soc"], vs, es)
+        graph_from_records(["net", "soc"], vs, es)
     with pytest.raises(ValidationError, match="layer name must be a string"):
-        TemporalMultiLayerGraph.from_records(["net", 1], *_records())
+        graph_from_records(["net", 1], *_records())
 
 
 def test_from_records_stores_plain_ints_and_private_attrs():
@@ -498,7 +525,7 @@ def test_from_records_stores_plain_ints_and_private_attrs():
     attrs = {"k": 1}
     vs[1] = vs[1]._replace(id=np.int64(1), attrs=attrs, layers=[np.int16(0), 1])
     es[0] = es[0]._replace(src=np.int64(1), weight=np.float32(1.5), directed=np.bool_(True))
-    g = TemporalMultiLayerGraph.from_records(["net", "soc"], vs, es)
+    g = graph_from_records(["net", "soc"], vs, es)
     attrs["k"] = 2
     assert _types(g.vertex_records[1]) == [int, frozenset, frozenset, MappingProxyType, int,
                                            type(None), int, int]
@@ -521,7 +548,7 @@ def test_stored_attrs_are_read_only(g):
     with pytest.raises(AttributeError):
         g.vertex_records[v].attrs.clear()
     assert io.graph_to_json(g) == before
-    assert io.graph_to_dict(g)["vertices"][0]["attrs"] == {"k": 1.5}
-    g2 = io.graph_from_dict(io.graph_to_dict(g))
+    assert graph_to_dict(g)["vertices"][0]["attrs"] == {"k": 1.5}
+    g2 = io.graph_from_dict(graph_to_dict(g))
     with pytest.raises(TypeError):
         g2.vertex_records[v].attrs["k"] = 0

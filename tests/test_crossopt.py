@@ -517,7 +517,7 @@ def test_differential_cases_cover_every_term():
     assert any(len(nd.incident) >= 2 for s in cases for nd in s.nodes)
     assert any(e.utility for e in edges) and any(e.sign == -1.0 for e in edges)
     assert any(w != 1.0 for e in edges for w in (e.w_link, e.w_energy, e.w_util))
-    assert any(len({e.pair() for e in s.coupling}) < len(s.coupling) for s in cases)
+    assert any(len({frozenset((e.m, e.n)) for e in s.coupling}) < len(s.coupling) for s in cases)
     assert any(len(s.domains) == 1 and not s.links for s in cases)
 
 
@@ -660,13 +660,13 @@ def _reference_optimize(scenario, mode, seed):
         for rnd in range(crossopt.PENALTY_ROUNDS):
             mu = crossopt.PENALTY_MU0 * crossopt.PENALTY_GROWTH ** rnd
             for _ in range(crossopt.INNER_ITERS):
-                g = cs.penalized_grad(r, coupled, mu)
-                base = cs.penalized(r, coupled, mu)
+                g = ref.penalized_grad(cs, r, coupled, mu)
+                base = ref.penalized(cs, r, coupled, mu)
                 step = 1.0
                 moved = False
                 for _ in range(40):
                     cand = np.minimum(np.maximum(r + step * g, lo), hi)
-                    if cs.penalized(cand, coupled, mu) > base + 1e-15:
+                    if ref.penalized(cs, cand, coupled, mu) > base + 1e-15:
                         r = cand
                         moved = True
                         break
@@ -850,11 +850,12 @@ def test_ascent_scores_only_the_steps_it_takes(monkeypatch, mode):
     On this case every step taken is a full step, and each start ends each
     round with a failed full step, whose 39 halvings must all be scored to
     show that the start stops there.  Scoring a step yields its gradient,
-    so no gradient is taken on its own.
+    so no gradient is taken on its own: each row of ``_grad`` is a row of
+    ``scores``.
     """
     s = _k8_scenario(1)
     monkeypatch.setattr(crossopt, "_coordinate_polish", lambda cs, coupled, r: r)
-    rows = {"scores": 0, "value": 0, "grad": 0}
+    rows = {"scores": 0, "value": 0, "_grad": 0, "steps": 0}
 
     def counting(name, method):
         def wrapped(self, R, *args, **kwargs):
@@ -863,16 +864,17 @@ def test_ascent_scores_only_the_steps_it_takes(monkeypatch, mode):
         return wrapped
 
     cls = crossopt.CompiledScenario
-    for name in rows:
-        method = "penalized_grad" if name == "grad" else name
-        monkeypatch.setattr(cls, method, counting(name, getattr(cls, method)))
+    for name in ("scores", "value", "_grad"):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    # the reference scores one (K,) row for its gradient per start per iteration
+    monkeypatch.setattr(ref, "penalized_grad", counting("steps", ref.penalized_grad))
     _reference_optimize(s, mode, 1)
-    steps = rows["grad"]  # the reference takes one (K,) gradient per start per iteration
-    rows.update(scores=0, value=0, grad=0)
+    steps = rows["steps"]
+    rows.update(scores=0, value=0, _grad=0)
     crossopt.optimize(s, mode, 1)
     S, rounds = crossopt.MULTI_STARTS, crossopt.PENALTY_ROUNDS
     assert steps > 40 * S
-    assert rows["grad"] == 0
+    assert rows["_grad"] == rows["scores"]
     # a row per iteration of each start, 39 more where a round ends, S rows
     # where a round starts and for the final pick, and the returned point
     assert steps <= rows["scores"] + rows["value"] <= (

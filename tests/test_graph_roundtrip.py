@@ -24,6 +24,8 @@ from versegraph import io  # noqa: E402
 from versegraph.core import TemporalMultiLayerGraph  # noqa: E402
 from versegraph.errors import ValidationError  # noqa: E402
 
+from record_graph import graph_to_dict  # noqa: E402
+
 LAYERS = ["network", "social", "content"]
 TICKS = range(0, 12)
 
@@ -52,7 +54,7 @@ OP = st.one_of(VERTEX, EDGE, EDGE, st.tuples(st.just("retire_vertex"), PICK, TIC
 
 
 def _dump(g: TemporalMultiLayerGraph) -> str:
-    return json.dumps(io.graph_to_dict(g), indent=2, sort_keys=True) + "\n"
+    return json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n"
 
 
 def _apply(g: TemporalMultiLayerGraph, op: tuple) -> None:

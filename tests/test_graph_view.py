@@ -10,8 +10,10 @@ import random
 import numpy as np
 import pytest
 
-from versegraph.core import EdgeRecord, GraphView, TemporalMultiLayerGraph
+from versegraph.core import EdgeRecord, TemporalMultiLayerGraph
 from versegraph.errors import ValidationError
+
+from record_graph import graph_view
 
 DIRECTIONS = ("out", "in", "both")
 
@@ -40,7 +42,7 @@ def _edges(pairs):
 
 
 def _check(vertices, edges):
-    view = GraphView(vertices, edges)
+    view = graph_view(vertices, edges)
     adj = _oracle(view.vertices, edges)
     for d in DIRECTIONS:
         indptr, indices = view.csr(d)
@@ -96,7 +98,7 @@ def test_empty_view_and_view_without_edges():
 
 
 def test_bad_direction_and_unknown_vertex():
-    view = GraphView([0, 1], _edges([(0, 1, True)]))
+    view = graph_view([0, 1], _edges([(0, 1, True)]))
     with pytest.raises(ValidationError, match="direction"):
         view.csr("sideways")
     with pytest.raises(ValidationError, match="direction"):
@@ -132,7 +134,7 @@ def test_edge_columns_match_records(seed):
     ids = rng.sample(range(100), rng.randint(0, 40))
     records = [EdgeRecord(i, rng.choice(vertices), rng.choice(vertices), 0, 0, rng.random() < 0.5,
                           rng.choice([0.0, 0.1, 2.5]), "", 0, None) for i in ids]
-    _check_columns(GraphView(vertices, records), records)
+    _check_columns(graph_view(vertices, records), records)
     # a snapshot's views, read from the graph's columns
     g = TemporalMultiLayerGraph()
     layers = [g.create_layer("a"), g.create_layer("b")]
@@ -150,8 +152,8 @@ def test_edge_columns_match_records(seed):
 
 
 def test_edge_columns_of_empty_views():
-    _check_columns(GraphView([], []), [])
-    _check_columns(GraphView([3, 1], []), [])
+    _check_columns(graph_view([], []), [])
+    _check_columns(graph_view([3, 1], []), [])
     g = TemporalMultiLayerGraph()
     layer = g.create_layer("a")
     snap = g.snapshot_at(0)

@@ -39,7 +39,7 @@ def test_round_trip_identity(tmp_path):
 
 def test_round_trip_snapshot_equivalence():
     g = _small_graph()
-    g2 = io.graph_from_dict(io.graph_to_dict(g))
+    g2 = io.graph_from_dict(json.loads(io.graph_to_json(g)))
     for t in (0, 1, 5, 10, 11):
         s1, s2 = g.snapshot_at(t), g2.snapshot_at(t)
         assert set(s1.vertices) == set(s2.vertices)
@@ -116,14 +116,14 @@ def test_import_rejects_bad_version():
 
 
 def test_import_rejects_dangling_edge():
-    doc = io.graph_to_dict(_small_graph())
+    doc = json.loads(io.graph_to_json(_small_graph()))
     doc["edges"][0]["dst"] = 999
     with pytest.raises(ValidationError, match="dangling endpoint 999"):
         io.graph_from_dict(doc)
 
 
 def test_import_rejects_negative_weight():
-    doc = io.graph_to_dict(_small_graph())
+    doc = json.loads(io.graph_to_json(_small_graph()))
     doc["edges"][1]["weight"] = -1.0
     with pytest.raises(ValidationError, match="edge 1"):
         io.graph_from_dict(doc)
@@ -131,7 +131,7 @@ def test_import_rejects_negative_weight():
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
 def test_import_rejects_non_finite_weight(weight):
-    doc = io.graph_to_dict(_small_graph())
+    doc = json.loads(io.graph_to_json(_small_graph()))
     doc["edges"][1]["weight"] = weight
     with pytest.raises(ValidationError, match="edge 1: non-finite weight"):
         io.graph_from_dict(doc)
@@ -143,7 +143,7 @@ def test_import_rejects_non_finite_weight(weight):
     lambda doc: doc["vertices"][0].update(layers=7),
 ])
 def test_import_rejects_malformed_records(patch):
-    doc = io.graph_to_dict(_small_graph())
+    doc = json.loads(io.graph_to_json(_small_graph()))
     patch(doc)
     with pytest.raises(ValidationError, match="malformed graph file"):
         io.graph_from_dict(doc)
@@ -157,21 +157,21 @@ def test_import_rejects_malformed_records(patch):
     (lambda doc: doc["edges"][0].update(t_ned=5), "t_ned"),
 ])
 def test_import_rejects_unknown_keys(patch, key):
-    doc = io.graph_to_dict(_small_graph())
+    doc = json.loads(io.graph_to_json(_small_graph()))
     patch(doc)
     with pytest.raises(ValidationError, match=f"malformed graph file: .*'{key}'"):
         io.graph_from_dict(doc)
 
 
 def test_import_rejects_edge_outside_vertex_lifetime():
-    doc = io.graph_to_dict(_small_graph())
+    doc = json.loads(io.graph_to_json(_small_graph()))
     doc["edges"][0]["t_start"] = -5
     with pytest.raises(ValidationError, match="inactive"):
         io.graph_from_dict(doc)
 
 
 def test_import_rejects_layer_membership_violation():
-    doc = io.graph_to_dict(_small_graph())
+    doc = json.loads(io.graph_to_json(_small_graph()))
     doc["edges"][0]["layer_src"] = 1
     doc["edges"][0]["layer_dst"] = 1
     with pytest.raises(ValidationError):
@@ -179,7 +179,7 @@ def test_import_rejects_layer_membership_violation():
 
 
 def test_import_rejects_duplicate_ids():
-    doc = io.graph_to_dict(_small_graph())
+    doc = json.loads(io.graph_to_json(_small_graph()))
     doc["vertices"].append(dict(doc["vertices"][0]))
     with pytest.raises(ValidationError, match="duplicate vertex"):
         io.graph_from_dict(doc)
@@ -343,7 +343,7 @@ def _assert_exit_2(capsys, argv):
 
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_cli_analyze_non_finite_weight_exit_2(tmp_path, capsys, text):
-    doc = io.graph_to_dict(_small_graph())
+    doc = json.loads(io.graph_to_json(_small_graph()))
     doc["edges"][0]["weight"] = "WEIGHT"
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(doc).replace('"WEIGHT"', text))
@@ -423,6 +423,27 @@ def test_cli_simulate_bad_params_exit_2(tmp_path, capsys, kind, params):
     cli.run(["gen", "--scenario", "network", "--seed", "2", "--out", str(gpath)])
     _assert_exit_2(capsys, ["simulate", "--kind", kind, "--in", gpath, "--params",
                             _write(tmp_path, "p.json", params), "--out", tmp_path / "s.json"])
+
+
+def test_cli_consistency_takes_storage_nodes_from_the_view(tmp_path):
+    """Replicas go only to the storage nodes of the simulated view: not to
+    one retired by ``at`` or to one outside ``layer``."""
+    g = TemporalMultiLayerGraph()
+    net, other = g.create_layer("net"), g.create_layer("other")
+    a, b, c = (g.add_vertex({"storage-node"}, {net}) for _ in range(3))
+    g.add_vertex({"storage-node"}, {other})
+    for u, v in ((a, b), (b, c), (c, a)):
+        g.add_edge(u, v, net, net, directed=False)
+    g.retire_vertex(c, 3)
+    gpath = tmp_path / "g.json"
+    io.export_graph(g, str(gpath))
+    for at in (1, 5):
+        out = tmp_path / f"s{at}.json"
+        assert cli.run(["simulate", "--kind", "consistency", "--in", str(gpath), "--params",
+                        str(_write(tmp_path, "p.json", {"layer": "net", "at": at})),
+                        "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"rounds": {"0": 1, "1": 0, "2": 0, "3": 0},
+                                               "divergent": []}
 
 
 def test_cli_consensus_trace_has_rounds_plus_one_rows(tmp_path):
@@ -675,7 +696,7 @@ def test_typed_scenario_is_accepted(tmp_path):
 
 
 def test_graph_file_with_non_scalar_attrs_exit_2(tmp_path, capsys):
-    doc = io.graph_to_dict(_small_graph())
+    doc = json.loads(io.graph_to_json(_small_graph()))
     doc["vertices"][0]["attrs"] = {"x": [1]}
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(doc))
@@ -771,14 +792,14 @@ def test_round_trip_retire_in_birth_tick(tmp_path):
 
 
 def test_import_rejects_vertex_ending_before_start():
-    doc = io.graph_to_dict(_small_graph())
+    doc = json.loads(io.graph_to_json(_small_graph()))
     doc["vertices"][0]["t_end"] = -1
     with pytest.raises(ValidationError):
         io.graph_from_dict(doc)
 
 
 def test_import_rejects_edge_ending_before_start():
-    doc = io.graph_to_dict(_small_graph())
+    doc = json.loads(io.graph_to_json(_small_graph()))
     doc["edges"][1]["t_end"] = 0  # the session edge starts at 1
     with pytest.raises(ValidationError, match="edge 1: t_end must not precede t_start"):
         io.graph_from_dict(doc)

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from versegraph import netopt
-from versegraph.core import EdgeRecord, GraphView, TemporalMultiLayerGraph
+from versegraph.core import EdgeRecord, TemporalMultiLayerGraph
 from versegraph.errors import InfeasibleError, ValidationError
 from versegraph.netopt import ServerSpec, TaskDag
 
 import netopt_reference as ref
+from record_graph import graph_view
 from conftest import make_view, oracle_min_cut, oracle_mst_weight, oracle_shortest_weight, random_simple_edges
 
 
@@ -332,7 +333,7 @@ def _random_view(rng, case):
     ids = rng.sample(range(10 * len(edges) + 1), len(edges))
     records = [EdgeRecord(i, u, v, 0, 0, d, w, "", 0, None) for i, (u, v, w, d) in zip(ids, edges)]
     rng.shuffle(records)
-    return GraphView(vids, records)
+    return graph_view(vids, records)
 
 
 def _check_against_reference(g, rng, pairs=3):
@@ -384,7 +385,7 @@ def test_netopt_reads_no_records(monkeypatch):
         t = rng.randint(0, 4)
         views = [g.snapshot_at(t).layer_subgraph(la), g.snapshot_at(t).layer_subgraph(lb),
                  g.snapshot_at(t).flatten()]
-        records = [GraphView(v.vertices, v.edges) for v in views]
+        records = [graph_view(v.vertices, v.edges) for v in views]
         queries = [(rng.choice(v.vertices), rng.choice(v.vertices)) for v in views]
         trees = list(map(_tree, views))
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from versegraph import cli, io, partition
-from versegraph.core import EdgeRecord, GraphView
+from versegraph.core import EdgeRecord
 from versegraph.errors import ConvergenceError, ValidationError
 
 from conftest import make_view, pipeline_params, random_simple_edges
+from record_graph import graph_view
 
 
 def clique_pair(m):
@@ -168,8 +169,8 @@ def test_laplacian_and_cut_count_match_loop_references(seed):
     ids = sorted(rng.sample(range(50), rng.randint(1, 14)))
     edges = [(rng.choice(ids), rng.choice(ids), 1.0, rng.random() < 0.5)
              for _ in range(rng.randint(0, 30))]
-    g = GraphView(ids, [EdgeRecord(i, u, v, 0, 0, d, w, "", 0, None)
-                        for i, (u, v, w, d) in enumerate(edges + edges[:3])])
+    g = graph_view(ids, [EdgeRecord(i, u, v, 0, 0, d, w, "", 0, None)
+                         for i, (u, v, w, d) in enumerate(edges + edges[:3])])
     L = partition.laplacian(g)
     assert np.array_equal(L @ np.eye(g.n), _laplacian_reference(g))
     x = np.random.default_rng(seed).normal(size=(g.n, 3))

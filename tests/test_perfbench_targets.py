@@ -36,8 +36,9 @@ def test_every_span_target_resolves():
 
 def test_every_name_the_workloads_and_metrics_read_resolves():
     """The names that ``perfbench/workloads.py`` and ``perfbench/metrics.py``
-    read, on the objects they read them from.  ``metrics.environment``
-    reads ``kernels.USING_NUMBA`` on every run."""
+    read, on the objects they read them from, records included: the edge
+    fields of ``_nx_graph`` and the roles that the churn workload reads.
+    ``metrics.environment`` reads ``kernels.USING_NUMBA`` on every run."""
     _load("workloads")  # the names it imports
     g = TemporalMultiLayerGraph()
     cfg = scenario.GeneratorConfig(seed=1, routers=6, servers=2, devices=6, users=6)
@@ -57,6 +58,9 @@ def test_every_name_the_workloads_and_metrics_read_resolves():
              "vertex_records"]),
         (snap, ["vertices", "layer_subgraph", "layer_vertices", "flatten"]),
         (view, ["vertices", "edges", "directed", "n"]),
+        (view.edges[0], ["src", "dst", "weight", "directed"]),
+        (g.vertex_records[a], ["roles"]),
+        (snap.vertices[a], ["roles"]),
         (netopt.shortest_path(view, a, b), ["total_weight", "vertices"]),
         (netopt.minimum_spanning_tree(view), ["total_weight"]),
         (netopt.max_flow_min_cut(view, a, b), ["value"]),

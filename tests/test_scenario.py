@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from versegraph import kernels, scenario
-from versegraph.core import EdgeRecord, GraphView, TemporalMultiLayerGraph
+from versegraph.core import EdgeRecord, TemporalMultiLayerGraph
 from versegraph.errors import ValidationError
 from versegraph.scenario import (
     GeneratorConfig,
@@ -22,6 +22,7 @@ from versegraph.scenario import (
 )
 
 from conftest import make_view, pipeline_params
+from record_graph import graph_view
 
 
 def _network_view(cfg, layer_name="network"):
@@ -310,7 +311,7 @@ def _random_connected_view(rng, n):
     pairs += [(int(a), int(b)) for a, b in rng.integers(0, n, size=(n // 2, 2))]
     edges = [EdgeRecord(j, ids[a], ids[b], 0, 0, bool(rng.random() < 0.2), 1.0, "", 0, None)
              for j, (a, b) in enumerate(pairs)]
-    return GraphView(ids, edges)
+    return graph_view(ids, edges)
 
 
 @pytest.mark.parametrize("n", [2, 3, 9, 40, 129, 300, 1500])
