@@ -89,6 +89,7 @@ def bfs_levels(g: GraphView, sources, direction: str = "out", within=None) -> di
     """Hop level of every vertex reached from ``sources`` (level 0), in visit
     order: level by level, each level in ascending vertex id.  With ``within``
     a set of ids, the search enters no vertex outside it."""
+    g.csr(direction)  # refuses an unknown direction, whatever the sources
     frontier = sorted(set(sources))
     dist = dict.fromkeys(frontier, 0)
     level = 0

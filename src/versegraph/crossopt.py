@@ -469,10 +469,10 @@ def optimize(
 
     All starts move together as one array, round by round; a start that has
     stopped in a round is held fixed until the next round begins, so each
-    one follows the path it would follow on its own.  An iteration scores
-    each moving start's full step, and its 39 halvings only if that fails;
-    scoring a step also yields its penalized gradient, and both are kept for
-    the step taken, so no point is evaluated twice.  Raises ValidationError
+    one follows the path it would follow on its own.  An iteration scores each
+    moving start's full step, and its 39 halvings if it fails but moves the
+    point; scoring a step also yields its penalized gradient, and both are kept
+    for the step taken, so no point is evaluated twice.  Raises ValidationError
     when the returned point's objective or a trace number is not finite.
     """
     coupled = _coupled(mode)
@@ -499,10 +499,10 @@ def optimize(
             cand = np.minimum(np.maximum(R[run] + step, lo), hi)
             score, cand_g = cs.scores(cand, coupled, mu)
             moved = score[:, 0, 2] > bar[:, 0]
-            if not moved.all():
-                # a failed full step scores all its halvings at once and
-                # takes the first that improves
-                f = np.flatnonzero(~moved)
+            # a failed full step scores all its halvings at once and takes the first that
+            # improves, unless it left the point as it was, as each halving then does too
+            f = np.flatnonzero(~moved & (cand != R[run]).any(axis=(1, 2)))
+            if len(f):
                 hsteps = halvings * step[f, None]
                 hc = np.minimum(np.maximum(R[run[f], None] + hsteps, lo), hi)
                 hs, hg = cs.scores(hc, coupled, mu)

@@ -46,18 +46,17 @@ class GeneratorConfig:
 
 def _attach(rng, n: int, m: int) -> list[tuple[int, int]]:
     """``(new, earlier)`` position pairs in draw order: each position i >= 1 of
-    0..n-1 links to min(m, i) distinct earlier ones, each drawn from those left
-    with probability proportional to degree + 1 (smoothing for isolates)."""
+    0..n-1 links to min(m, i) distinct earlier ones, each drawn with probability
+    proportional to degree + 1 (smoothing for isolates), or 0 once drawn for i."""
     degree = np.zeros(n)
     pairs = []
     for new in range(1, n):
-        pool = np.arange(new)
         weights = degree[:new] + 1.0
         for _ in range(min(m, new)):
-            idx = rng.choice(len(pool), p=weights / weights.sum())
-            pairs.append((new, int(pool[idx])))
-            degree[[new, pool[idx]]] += 1  # weights is a copy: seen from the next position on
-            pool, weights = np.delete(pool, idx), np.delete(weights, idx)
+            idx = int(rng.choice(new, p=weights / weights.sum()))
+            pairs.append((new, idx))
+            degree[[new, idx]] += 1  # weights is a copy: seen from the next position on
+            weights[idx] = 0.0  # a flat step in choice's exact sums: as if deleted
     return pairs
 
 

@@ -164,6 +164,10 @@ def test_bfs_levels_sources_direction_and_within():
     assert analytics.bfs_levels(g, [2], "in") == {2: 0, 1: 1, 3: 1, 0: 2, 4: 2, 5: 3}
     assert analytics.bfs_levels(g, [0], "both", within={0, 1, 3}) == {0: 0, 1: 1}
     assert analytics.bfs_levels(g, []) == {}
+    # an unknown direction is refused whatever the sources, none included
+    for sources in ([], [0]):
+        with pytest.raises(ValidationError, match="bad direction 'sideways'"):
+            analytics.bfs_levels(g, sources, "sideways")
 
 
 def test_bfs_matches_unit_dijkstra():

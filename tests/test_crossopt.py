@@ -845,21 +845,24 @@ def test_optimize_rejects_scenario_with_no_finite_start():
 @pytest.mark.parametrize("mode", ["isolated", "coupled"])
 def test_ascent_scores_only_the_steps_it_takes(monkeypatch, mode):
     """The ascent scores the full step of each moving start, and halvings
-    only after a failed full step, not all 40 step sizes of every start.
+    only after a failed full step that moved the point, not all 40 step
+    sizes of every start.
 
     On this case every step taken is a full step, and each start ends each
-    round with a failed full step, whose 39 halvings must all be scored to
-    show that the start stops there.  Scoring a step yields its gradient,
-    so no gradient is taken on its own: each row of ``_grad`` is a row of
-    ``scores``.
+    round with a failed full step that leaves its point as it was; each of
+    its 39 halvings would leave the point as it was too, so none is scored.
+    Scoring a step yields its gradient, so no gradient is taken on its own:
+    each row of ``_grad`` is a row of ``scores``.
     """
     s = _k8_scenario(1)
     monkeypatch.setattr(crossopt, "_coordinate_polish", lambda cs, coupled, r: r)
-    rows = {"scores": 0, "value": 0, "_grad": 0, "steps": 0}
+    rows = {"scores": 0, "value": 0, "_grad": 0, "steps": 0, "halvings": 0}
 
     def counting(name, method):
         def wrapped(self, R, *args, **kwargs):
             rows[name] += int(np.prod(np.shape(R)[:-1]))
+            if name == "scores" and np.ndim(R) == 4:  # (starts, halvings, 1, K)
+                rows["halvings"] += int(np.prod(np.shape(R)[:-1]))
             return method(self, R, *args, **kwargs)
         return wrapped
 
@@ -874,11 +877,11 @@ def test_ascent_scores_only_the_steps_it_takes(monkeypatch, mode):
     crossopt.optimize(s, mode, 1)
     S, rounds = crossopt.MULTI_STARTS, crossopt.PENALTY_ROUNDS
     assert steps > 40 * S
+    assert rows["halvings"] == 0
     assert rows["_grad"] == rows["scores"]
-    # a row per iteration of each start, 39 more where a round ends, S rows
-    # where a round starts and for the final pick, and the returned point
-    assert steps <= rows["scores"] + rows["value"] <= (
-        steps + S * rounds * (crossopt.BACKTRACK_HALVINGS - 1) + S * (rounds + 1) + 1)
+    # a row per iteration of each start, S rows where a round starts and for
+    # the final pick, and the returned point
+    assert steps <= rows["scores"] + rows["value"] <= steps + S * (rounds + 1) + 1
 
 
 # -- the polish -----------------------------------------------------------------

@@ -466,6 +466,22 @@ def test_pipeline_partition_bytes_pinned(pipeline_graph, tmp_path, scale, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PARTITION_SHA256[scale, seed]
 
 
+# sha256 of `versegraph analyze --metrics degree,betweenness,clustering,components`
+# on the 1x cli-pipeline graph, taken when the sampler still kept its np.delete pool
+ANALYZE_SHA256 = {
+    1: "841646155669e787f52c29adaae4d371f15a5fbd82ac4dc679ecb7254c2e7446",
+    7919: "23dee465fca43f9444ba2d180e4bce44b4533ce69d04beacdffa7974156bea74",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ANALYZE_SHA256))
+def test_pipeline_analyze_bytes_pinned(pipeline_graph, tmp_path, seed):
+    out = tmp_path / "a.csv"
+    assert cli.run(["analyze", "--in", pipeline_graph(1, seed), "--metrics",
+                    "degree,betweenness,clustering,components", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ANALYZE_SHA256[seed]
+
+
 @pytest.mark.parametrize("seed", [*range(1, 11), 7919])
 def test_fiedler_sign_margin_on_pipeline_graphs(pipeline_graph, monkeypatch, seed):
     """In each of the three solves of a k=4 partition, the smallest |v_i| is

@@ -134,6 +134,34 @@ def test_attach_matches_degree_dict_reference(seed):
         assert got_rng.random() == want_rng.random()
 
 
+def _attach_pool_reference(rng, n, m):
+    """The array sampler before zero weights: a position pool beside the
+    weights, both rebuilt by np.delete after each draw."""
+    degree = np.zeros(n)
+    pairs = []
+    for new in range(1, n):
+        pool = np.arange(new)
+        weights = degree[:new] + 1.0
+        for _ in range(min(m, new)):
+            idx = rng.choice(len(pool), p=weights / weights.sum())
+            pairs.append((new, int(pool[idx])))
+            degree[[new, pool[idx]]] += 1
+            pool, weights = np.delete(pool, idx), np.delete(weights, idx)
+    return pairs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7919])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_attach_matches_pool_reference(seed, m):
+    """A zeroed weight draws as a deleted one: equal pairs, and the stream
+    left at the same place, for every n up to 40 and at larger n to 300."""
+    sizes = [*range(1, 41), *np.random.default_rng(seed).integers(41, 300, 4).tolist(), 300]
+    for n in sizes:
+        got_rng, want_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+        assert scenario._attach(got_rng, n, m) == _attach_pool_reference(want_rng, n, m), n
+        assert got_rng.random() == want_rng.random()
+
+
 # sha256 of `versegraph gen --scenario <name> --seed 1`, written by the
 # per-pick degree-dict sampler that _attach replaced
 GEN_SHA256 = {
