@@ -13,7 +13,9 @@ them, never on the live log.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 from functools import cached_property
 from itertools import chain, compress, repeat
 from types import MappingProxyType
@@ -69,6 +71,13 @@ def _int(value, what: str, *args) -> int:
         except TypeError:
             pass
     raise ValidationError(f"{what % args} must be an integer, got {value!r}")
+
+
+def _is_finite(value) -> bool:
+    """True for a real number, not a bool, that a float holds finitely."""
+    # abs() compares exactly, so NaN, the infinities and too large ints fail
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
 
 
 def _stored_int(value, what: str, *args) -> int:

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SnapshotView
+from .core import SnapshotView, _int
 from .errors import InfeasibleError, ValidationError
 
 
@@ -473,9 +473,12 @@ def optimize(
     moving start's full step, and its 39 halvings if it fails but moves the
     point; scoring a step also yields its penalized gradient, and both are kept
     for the step taken, so no point is evaluated twice.  Raises ValidationError
-    when the returned point's objective or a trace number is not finite.
+    when the seed is not a non-negative integer, or the returned point's
+    objective or a trace number is not finite.
     """
     coupled = _coupled(mode)
+    if _int(seed, "seed") < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     cs = compile_scenario(scenario)
     lo, hi = cs.lo, cs.hi
     if coupled and cs.max_violation(lo) > 0:

@@ -5,21 +5,17 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GraphView
+from .core import GraphView, _is_finite
 from .errors import InfeasibleError, ValidationError
 
 
 def _finite(value, what: str) -> None:
     """Refuse a value that is not a real number that a float holds finitely."""
-    # abs() compares exactly, so NaN, the infinities and too large ints fail
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and abs(value) <= sys.float_info.max):
+    if not _is_finite(value):
         raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 

@@ -2,37 +2,42 @@
 
 Matrix-free throughout.  :func:`laplacian` returns the Laplacian as a
 read-only operator over a view's collapsed undirected CSR, and
-:func:`fiedler_vector` finds the second-smallest eigenpair with block LOBPCG
-(Knyazev, SIAM J. Sci. Comput. 2001) using nothing but ``L @ X`` and
-``L.diagonal()``, so memory grows with n times the block plus the arcs, never
-with n².  The only dense eigenproblem solved is the Rayleigh–Ritz one, at most
-``3 * BLOCK`` wide.  The contract is a residual bound plus orthogonality to
-the all-ones vector and a deterministic sign convention, checked on every
-call; a solve that does not get there within ``MAX_ITER`` iterations raises
-:class:`ConvergenceError`.  The recursive bisection works on positional
-arrays: a block's Laplacian is cut out of its parent's CSR with masks.
-Connectivity checks and the peel of a disconnected block come from
+:func:`fiedler_vector` finds the second-smallest eigenpair with LOBPCG
+(Knyazev, SIAM J. Sci. Comput. 2001) preconditioned by an aggregation
+multigrid V-cycle, using ``L @ x`` and the Laplacian's arcs, so memory grows
+with n plus the arcs, never with n².  The only dense matrices are the 3 × 3
+Rayleigh–Ritz problem and the pseudo-inverse of the multigrid's coarsest
+level, at most ``MAX_COARSE`` wide.  The contract is a residual bound plus
+orthogonality to the all-ones vector and a deterministic sign convention,
+checked on every call; a solve that does not get there within ``MAX_ITER``
+iterations raises :class:`ConvergenceError`.  The recursive bisection works
+on positional arrays: a block's Laplacian is cut out of its parent's CSR with
+masks.  Connectivity checks and the peel of a disconnected block come from
 :func:`kernels.components`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import kernels
-from .core import GraphView
+from .core import GraphView, _int, _is_finite
 from .errors import ConvergenceError, ValidationError
 
 DEFAULT_TOL = 1e-8
-BLOCK = 4  # LOBPCG block size: Ritz vectors carried per iteration
 MAX_ITER = 10_000  # iterations before a solve is refused
 # the solve stops when the Fiedler residual is this fraction of ``tol``:
 # entries of the vector are far from 0 next to their error, so the signs
 # that split a block are those of the exact eigenvector
 TIGHTEN = 1e-3
-SEED = 0  # seed of the random start block
+SEED = 0  # seed of the start vector
+MAX_COARSE = 100  # rows of the multigrid's coarsest level, solved by a dense pseudo-inverse
+OMEGA = 0.8  # damping of the multigrid's Jacobi sweeps
 
 
 @dataclass(frozen=True)
@@ -54,20 +59,116 @@ class Laplacian:
         self.arc_rows = np.repeat(np.arange(n), np.diff(indptr))  # the row of every arc
         self._degree = np.diff(indptr).astype(np.float64)
         self._degree.flags.writeable = False
-        # np.add.reduceat gives an empty segment the value at its start, not
-        # 0, so only rows with arcs are reduced
-        self._rows = np.flatnonzero(indptr[:-1] < indptr[1:])
-        self._starts = indptr[self._rows]
 
     def diagonal(self) -> np.ndarray:
         return self._degree
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        out = (self._degree if x.ndim == 1 else self._degree[:, None]) * x
-        if len(self._rows):
-            out[self._rows] -= np.add.reduceat(x[self.indices], self._starts, axis=0)
-        return out
+        if x.ndim == 2:
+            return np.stack([self @ column for column in x.T], axis=1)
+        return self._degree * x - np.bincount(self.arc_rows, weights=x[self.indices],
+                                              minlength=self.shape[0])
+
+    @cached_property
+    def _multigrid(self) -> tuple[list, np.ndarray]:
+        """The preconditioner of :func:`fiedler_vector`, built on first use."""
+        return _build_multigrid(self.shape[0], self.arc_rows, self.indices)
+
+
+class _Level(NamedTuple):
+    """A multigrid level: the arcs ``rows -> cols`` of its Laplacian
+    L = D - A (both directions, rows ascending; ``wts`` None for unit
+    weights), the Jacobi sweep's S = ``OMEGA / D`` (D read as 1 where a row
+    has no arcs), ``keep`` = the diagonal 1 - S D of I - S L, and each row's
+    aggregate among the ``m`` rows of the next level."""
+    rows: np.ndarray
+    cols: np.ndarray
+    wts: Optional[np.ndarray]
+    smooth: np.ndarray
+    keep: np.ndarray
+    agg: np.ndarray
+    m: int
+
+    def adjacent(self, x: np.ndarray) -> np.ndarray:
+        """A @ x."""
+        arcs = x[self.cols] if self.wts is None else self.wts * x[self.cols]
+        return np.bincount(self.rows, weights=arcs, minlength=len(x))
+
+
+def _build_multigrid(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[list, np.ndarray]:
+    """The aggregation-multigrid hierarchy of the unit-weight Laplacian with
+    arcs ``rows -> cols`` (both directions of every edge, rows ascending):
+    its levels above the coarsest, and the coarsest one's dense
+    pseudo-inverse, which has at most ``MAX_COARSE`` rows.
+
+    Roots are a maximal independent set, picked in Luby rounds on the key
+    (weighted degree, fixed hash of position); every other row with arcs
+    joins its neighbouring root of highest key, and the rows with none share
+    one aggregate.  So every level has fewer rows than the one before.  The
+    next level is the Galerkin product P^T L P of the piecewise-constant
+    prolongation P: the Laplacian of the edges between aggregates, weighted
+    by their count."""
+    wts = None
+    levels = []
+    while n > MAX_COARSE:
+        degree = np.bincount(rows, weights=wts, minlength=n)
+        # degree < 2**31, and the multiplicative hash maps positions below
+        # 2**32 one to one: no two keys are equal
+        spread = np.arange(n, dtype=np.uint64) * np.uint64(2654435761) & np.uint64(2**32 - 1)
+        key = degree.astype(np.int64) << 32 | spread.astype(np.int64)
+        firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+
+        def row_max(vals):  # the largest of ``vals`` over each row's arcs, -1 for none
+            out = np.full(n, -1, dtype=vals.dtype)
+            out[rows[firsts]] = np.maximum.reduceat(vals[cols], firsts)
+            return out
+        root, open_ = np.zeros(n, dtype=bool), degree > 0
+        while open_.any():
+            new = open_ & (key > row_max(np.where(open_, key, -1)))
+            root |= new
+            open_ &= ~new & (row_max(new.view(np.int8)) < 1)
+        nroots = int(np.count_nonzero(root))
+        agg = np.full(n, nroots)  # rows with no arcs: the aggregate after the roots'
+        agg[root] = np.arange(nroots)
+        root_key = np.where(root, key, -1)
+        join = (root_key[cols] == row_max(root_key)[rows]) & ~root[rows]
+        agg[rows[join]] = agg[cols[join]]
+        m = nroots + int(np.count_nonzero(degree == 0) > 0)
+        smooth = OMEGA / np.where(degree > 0, degree, 1.0)
+        levels.append(_Level(rows, cols, wts, smooth, 1 - smooth * degree, agg, m))
+        # the next level's arcs: those between aggregates, parallel ones summed
+        crows, ccols = agg[rows], agg[cols]
+        cross = crows != ccols
+        pair, index = np.unique(crows[cross] * m + ccols[cross], return_inverse=True)
+        wts = np.bincount(index, weights=None if wts is None else wts[cross])
+        rows, cols, n = pair // m, pair % m, m
+    degree = np.bincount(rows, weights=wts, minlength=n)
+    dense = np.diag(degree) - np.bincount(rows * n + cols, weights=wts,
+                                          minlength=n * n).reshape(n, n)
+    # rounding leaves a zero eigenvalue near eps times the largest one; with
+    # at most MAX_COARSE rows and weights of 1 or more, the nonzero ones are
+    # far above 1e-10 times it
+    return levels, np.linalg.pinv(dense, rcond=1e-10, hermitian=True)
+
+
+def _vcycle(multigrid: tuple[list, np.ndarray], r: np.ndarray) -> np.ndarray:
+    """One V-cycle on L e = r from e = 0: a damped Jacobi sweep, the
+    correction from the next level, and another sweep; symmetric in ``r``.
+    With S = ``smooth`` and L = D - A, the first sweep gives x = S r with
+    residual r - L x = ``keep * r + A x``, and a sweep from x gives
+    x + S (r - L x) = ``keep * x + S (r + A x)``."""
+    levels, coarsest = multigrid
+    down = []
+    for level in levels:
+        x = level.smooth * r
+        down.append((r, x))
+        r = np.bincount(level.agg, weights=level.keep * r + level.adjacent(x), minlength=level.m)
+    e = coarsest @ r
+    for level, (r, x) in zip(reversed(levels), reversed(down)):
+        x = x + e[level.agg]
+        e = level.keep * x + level.smooth * (r + level.adjacent(x))
+    return e
 
 
 def laplacian(g: GraphView) -> Laplacian:
@@ -77,59 +178,91 @@ def laplacian(g: GraphView) -> Laplacian:
     return Laplacian(*g.csr("both"))
 
 
+def _check_tol(tol) -> None:
+    if not (_is_finite(tol) and tol > 0):
+        raise ValidationError(f"tol must be a finite number > 0, got {tol!r}")
+
+
 def fiedler_vector(L, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
     """Second-smallest eigenpair of a graph Laplacian.
 
-    ``L`` is anything with ``shape``, ``diagonal()`` and ``L @ X``: a
-    :class:`Laplacian` or a dense array.  Block LOBPCG with the constant
-    vector projected out, a Jacobi (1/degree) preconditioner and a fixed-seed
-    start.  Returned vector is unit norm, orthogonal to the all-ones vector
-    within ``tol``, with its first entry over 1e-12 in magnitude positive.
+    ``L`` is a :class:`Laplacian` or a dense array, whose preconditioner is
+    built from its off-diagonal nonzeros.  Single-vector LOBPCG with the
+    constant vector projected out, one multigrid V-cycle as the
+    preconditioner (Notay, ETNA 2010; Knyazev & Neymeyr, ETNA 2003) and a
+    fixed-seed start.  Each iteration applies ``L`` once, to the new
+    preconditioned residual; the products of the other basis vectors follow
+    from their linear combinations.  The returned vector is unit norm with
+    entries summing to zero and its first entry over 1e-12 in magnitude
+    positive; the solve ends only when its residual on a fresh ``L @ v`` is
+    within ``tol * TIGHTEN`` (or the rounding floor).
     """
-    if tol <= 0:
-        raise ValidationError("tol must be > 0")
+    _check_tol(tol)
     n = L.shape[0]
     if n < 2:
         raise ValidationError("need at least 2 vertices")
-    d = np.asarray(L.diagonal(), dtype=np.float64)
-    precond = 1.0 / np.where(d > 0, d, 1.0)[:, None]
-    ones = np.full((n, 1), 1.0 / np.sqrt(n))
-    m = min(BLOCK, n - 1)
-    # the search basis S holds the Ritz block X, then the preconditioned
-    # residuals W and the last step P.  Householder QR keeps it orthonormal
-    # and, with the ones column first, orthogonal to that; a dependent column
-    # comes back as some further orthonormal direction, which Rayleigh–Ritz
-    # may use or ignore.  When n <= 3m the basis may fill the space: QR
-    # returns at most n columns and Rayleigh–Ritz is then exact.
-    start = np.random.default_rng(SEED).standard_normal((n, m))
-    S = np.linalg.qr(np.hstack([ones, start]))[0][:, 1:]
-    P = S[:, :0]
+    if isinstance(L, Laplacian):
+        multigrid = L._multigrid
+    else:
+        rows, cols = np.nonzero(np.asarray(L))
+        off = rows != cols
+        multigrid = _build_multigrid(n, rows[off], cols[off])
     # rounding alone leaves a residual of about eps * ||L||, and ||L|| is at
     # most twice the largest degree: no bound is set below a multiple of that
+    d = np.asarray(L.diagonal(), dtype=np.float64)
     floor = 64 * np.finfo(np.float64).eps * max(1.0, 2 * float(d.max()))
     target = max(tol * TIGHTEN, floor)
+    # Z[j] = (v_j, L v_j) for an orthonormal basis: v_0 = e, the unit
+    # constant vector (L e = 0); v_1 = x, the Ritz vector; v_2 = p, the last
+    # step; v_3 = w, the preconditioned residual
+    Z = np.zeros((4, 2, n))
+    (e, _), (x, Lx), (p, _), (w, Lw) = Z
+    e[:] = 1 / math.sqrt(n)
+    x[:] = np.random.default_rng(SEED).standard_normal(n)
+    m = 2  # w is made orthogonal to Z[:m]: e and x, and p once there is a step
+    refresh = True  # take Lx from a product, not from the recurrence
     for _ in range(MAX_ITER):
-        AS = L @ S
-        theta, C = np.linalg.eigh(S.T @ AS)
-        theta, C = theta[:m], C[:, :m]
-        if S.shape[1] > m:  # P: the part of the new Ritz vectors outside the old ones
-            P = S[:, m:] @ C[m:]
-        X = S @ C
-        R = AS @ C - X * theta
-        if np.linalg.norm(R[:, 0]) <= target:
-            break
-        S = np.linalg.qr(np.hstack([ones, X, precond * R, P]))[0][:, 1:]
+        if refresh:
+            x -= (e @ x) * e
+            x /= math.sqrt(x @ x)
+            Lx[:] = L @ x
+            theta = float(x @ Lx)
+        r = Lx - theta * x
+        if math.sqrt(r @ r) <= target:
+            if refresh:
+                break
+            refresh = True  # the recurrence may have drifted: confirm
+            continue
+        refresh = False
+        w[:] = _vcycle(multigrid, r)
+        # Gram–Schmidt against the basis before it, a second time only where
+        # the first cancelled most of the vector ("twice is enough")
+        basis = Z[:m, 0]
+        for _ in range(2):
+            a = basis @ w
+            w -= a @ basis
+            size = w @ w
+            if a @ a <= size:
+                break
+        w /= math.sqrt(size)
+        Lw[:] = L @ w
+        # Rayleigh–Ritz: the lowest eigenpair of the projection on x, p, w
+        S = Z[1:] if m == 3 else Z[1::2]
+        thetas, C = np.linalg.eigh(S[:, 0] @ S[:, 1].T)
+        theta, c = float(thetas[0]), C[:, 0]
+        step = (c[1:] @ S[1:].reshape(m - 1, -1)).reshape(2, n)
+        Z[1] *= c[0]
+        Z[1] += step
+        # p: the step, less its part along the new x
+        Z[2] = step - (x @ step[0]) * Z[1]
+        size = math.sqrt(p @ p)
+        m = 3 if size > 0 else 2
+        Z[2] /= size or 1
     else:
         raise ConvergenceError(f"LOBPCG did not converge in {MAX_ITER} iterations")
-    lam, v = float(theta[0]), X[:, 0] / np.linalg.norm(X[:, 0])
-    residual = float(np.linalg.norm(L @ v - lam * v))
-    if residual > max(tol, floor):
-        raise ConvergenceError(f"eigen residual {residual} exceeds tolerance")
     # deterministic sign: first entry over the noise floor positive
-    big = np.flatnonzero(np.abs(v) > 1e-12)
-    if len(big) and v[big[0]] < 0:
-        v = -v
-    return lam, v
+    big = np.flatnonzero(np.abs(x) > 1e-12)
+    return theta, -x if len(big) and x[big[0]] < 0 else x.copy()
 
 
 def _cut_count(L: Laplacian, block: np.ndarray) -> int:
@@ -173,6 +306,7 @@ def _result(g: GraphView, L: Laplacian, block: np.ndarray, k: int) -> PartitionR
 
 def spectral_bisection(g: GraphView, tol: float = DEFAULT_TOL) -> PartitionResult:
     """Split a connected view in two by Fiedler-vector sign."""
+    _check_tol(tol)
     if g.n < 2:
         raise ValidationError("need at least 2 vertices")
     L = laplacian(g)
@@ -183,6 +317,8 @@ def spectral_bisection(g: GraphView, tol: float = DEFAULT_TOL) -> PartitionResul
 
 def spectral_kway(g: GraphView, k: int, tol: float = DEFAULT_TOL) -> PartitionResult:
     """Recursive bisection to k blocks (k a power of 2), largest block first."""
+    k = _int(k, "k")
+    _check_tol(tol)
     if k < 2 or k > g.n:
         raise ValidationError(f"k={k} out of range [2, {g.n}]")
     if k & (k - 1):

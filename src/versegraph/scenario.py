@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .analytics import bfs_levels, bfs_order, weakly_connected_components
-from .core import GraphView, TemporalMultiLayerGraph
+from .core import GraphView, TemporalMultiLayerGraph, _is_finite
 from .errors import ConvergenceError, ValidationError
 
 CDN_SCORE_BYTES = 1 << 20  # size of the buffer cdn_place_caches scores candidates in
@@ -290,6 +290,8 @@ def consensus_sim(
     When ``spreads`` is a list, the spread before the first round and after
     every round is appended to it.
     """
+    if not (_is_finite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
     if weakly_connected_components(topology).count != 1:
         raise ValidationError("consensus requires a connected topology")
     if set(values) != set(topology.vertices):

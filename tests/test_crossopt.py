@@ -305,6 +305,19 @@ def test_optimize_deterministic():
     assert np.array_equal(r1, r2)
 
 
+def test_optimize_and_compare_reject_a_seed_that_is_not_a_non_negative_integer():
+    s = crossopt.demo_scenario()
+    for seed, message in [(-1, "^seed must be a non-negative integer"),
+                          (1.5, "^seed must be an integer"), (True, "^seed must be an integer"),
+                          ("3", "^seed must be an integer")]:
+        with pytest.raises(ValidationError, match=message):
+            crossopt.optimize(s, "coupled", seed=seed)
+        with pytest.raises(ValidationError, match=message):
+            crossopt.compare(s, seed=seed)
+    assert np.array_equal(crossopt.optimize(s, "coupled", seed=np.int64(9)),
+                          crossopt.optimize(s, "coupled", seed=9))
+
+
 # -- compare ----------------------------------------------------------------
 
 def test_compare_demo_gap_and_feasibility():

@@ -239,13 +239,13 @@ def _spider(legs, length):
 # a sign split of a star or a spider leaves blocks whose leaves or legs hang
 # apart, so recursive bisection peels those blocks by component
 @pytest.mark.parametrize("g, k, assignment, cut, sizes", [
-    (_star(9), 4, [0, 1, 2, 0, 3, 3, 2, 0, 3, 3], 7, (3, 1, 2, 4)),
-    (_star(9), 8, [0, 1, 2, 3, 4, 5, 2, 6, 7, 7], 9, (1, 1, 2, 1, 1, 1, 1, 2)),
-    (_star(17), 4, [0, 1, 2, 0, 3, 3, 0, 2, 3, 3, 3, 3, 3, 2, 2, 2, 3, 2], 15, (3, 1, 6, 8)),
-    (_star(17), 8, [0, 1, 2, 0, 3, 4, 0, 5, 6, 7, 7, 7, 7, 5, 5, 5, 7, 5], 15,
-     (3, 1, 1, 1, 1, 5, 1, 5)),
-    (_spider(4, 3), 4, [0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3], 3, (4, 3, 3, 3)),
-    (_spider(4, 3), 8, [0, 0, 1, 1, 2, 3, 3, 4, 5, 5, 6, 7, 7], 7, (2, 2, 1, 2, 1, 2, 1, 2)),
+    (_star(9), 4, [0, 1, 2, 3, 0, 3, 3, 3, 0, 1], 7, (3, 2, 1, 4)),
+    (_star(9), 8, [0, 1, 2, 3, 4, 5, 6, 6, 7, 1], 9, (1, 2, 1, 1, 1, 1, 2, 1)),
+    (_star(17), 4, [0, 1, 0, 1, 2, 1, 0, 0, 3, 3, 3, 0, 3, 1, 3, 3, 3, 3], 13, (5, 4, 1, 8)),
+    (_star(17), 8, [0, 1, 2, 1, 3, 1, 0, 0, 4, 5, 6, 2, 7, 1, 7, 7, 7, 7], 15,
+     (3, 4, 2, 1, 1, 1, 1, 5)),
+    (_spider(4, 3), 4, [0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0, 0, 0], 3, (4, 3, 3, 3)),
+    (_spider(4, 3), 8, [0, 1, 2, 2, 3, 4, 4, 5, 6, 6, 0, 7, 7], 7, (2, 1, 2, 1, 2, 1, 2, 2)),
 ])
 def test_kway_peels_disconnected_blocks(g, k, assignment, cut, sizes):
     part = partition.spectral_kway(g, k)
@@ -269,6 +269,14 @@ def test_kway_rejects_bad_k():
         partition.spectral_kway(g, 1)
     with pytest.raises(ValidationError):
         partition.spectral_kway(g, 8)
+
+
+def test_kway_rejects_a_k_that_is_not_an_integer():
+    g = make_view(6, [(i, i + 1) for i in range(5)])
+    for k in (2.0, 4.5, "2", None, True):
+        with pytest.raises(ValidationError, match="^k must be an integer"):
+            partition.spectral_kway(g, k)
+    assert partition.spectral_kway(g, np.int64(2)) == partition.spectral_kway(g, 2)
 
 
 def test_bisection_beats_or_matches_exhaustive_on_cliques():
@@ -417,6 +425,62 @@ def test_fiedler_rejects_bad_input():
         partition.fiedler_vector(partition.laplacian(make_view(1, [])))
     with pytest.raises(ValidationError):
         partition.laplacian(make_view(0, []))
+    # a tol that is not a finite number > 0: inf would return an unconverged
+    # vector, nan would run to the iteration cap
+    g = make_view(40, [(i, i + 1) for i in range(39)])
+    for tol in (float("inf"), float("nan"), -1e-8, True, "1e-8", None, 10**400):
+        with pytest.raises(ValidationError, match="^tol must be a finite number > 0"):
+            partition.fiedler_vector(partition.laplacian(g), tol=tol)
+        with pytest.raises(ValidationError, match="^tol must be a finite number > 0"):
+            partition.spectral_bisection(g, tol=tol)
+        with pytest.raises(ValidationError, match="^tol must be a finite number > 0"):
+            partition.spectral_kway(g, 4, tol=tol)
+
+
+# -- long chains ---------------------------------------------------------------
+
+def _chain(shape, n):
+    """Edges of a path, a cycle or a ladder (two paths of n/2 joined rung by
+    rung) on 0..n-1, in chain order."""
+    half = n // 2
+    return {
+        "path": [(i, i + 1) for i in range(n - 1)],
+        "cycle": [(i, (i + 1) % n) for i in range(n)],
+        "ladder": [(i, i + 1) for rail in (0, half) for i in range(rail, rail + half - 1)]
+        + [(i, half + i) for i in range(half)],
+    }[shape]
+
+
+@pytest.mark.parametrize("shape, cut2, cut4", [("path", 1, 3), ("cycle", 2, 4), ("ladder", 2, 6)])
+def test_long_chains_bisect_and_split(shape, cut2, cut4):
+    """Chains of 10^4 vertices in shuffled id order converge within
+    ``MAX_ITER`` and split into equal contiguous runs."""
+    n = 10_000
+    ids = list(range(n))
+    random.Random(n).shuffle(ids)
+    g = make_view(n, [(ids[u], ids[v]) for u, v in _chain(shape, n)])
+    halves = partition.spectral_bisection(g)
+    assert (halves.cut_edges, halves.block_sizes) == (cut2, (n // 2, n // 2))
+    quarters = partition.spectral_kway(g, 4)
+    assert (quarters.cut_edges, quarters.block_sizes) == (cut4, (n // 4,) * 4)
+    if shape == "path":  # one change of side along the path
+        side = [halves.assignment[ids[i]] for i in range(n)]
+        assert sum(a != b for a, b in zip(side, side[1:])) == 1
+
+
+def test_fiedler_on_a_path_of_100k_vertices():
+    n = 100_000
+    order = np.random.default_rng(n).permutation(n)
+    u, v = order[:-1], order[1:]
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    arcs = np.lexsort((cols, rows))
+    L = partition.Laplacian(np.searchsorted(rows[arcs], np.arange(n + 1)), cols[arcs])
+    lam, x = partition.fiedler_vector(L)
+    assert lam == pytest.approx(4 * np.sin(np.pi / (2 * n)) ** 2, rel=1e-9)
+    assert np.linalg.norm(L @ x - lam * x) <= partition.DEFAULT_TOL * partition.TIGHTEN
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    assert abs(x.sum()) <= 1e-12
+    assert x[np.abs(x) > 1e-12][0] > 0
 
 
 # -- the cli-pipeline graphs ---------------------------------------------------

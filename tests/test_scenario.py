@@ -522,6 +522,16 @@ def test_consensus_disconnected_rejected():
         consensus_sim({0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}, view)
 
 
+def test_consensus_rejects_a_tol_that_is_not_a_finite_number_at_least_0():
+    # no spread is within a NaN tol, yet the cap would end the run as a success
+    view = make_view(6, [(i, (i + 1) % 6) for i in range(6)])
+    values = {v: float(v) for v in range(6)}
+    for tol in (float("nan"), float("inf"), -1e-9, True, "1e-9", None):
+        with pytest.raises(ValidationError, match="^tol must be a finite number >= 0"):
+            consensus_sim(values, view, tol=tol, max_rounds=200_000)
+    assert consensus_sim(values, view, tol=0.5)[1] == pytest.approx(2.5)
+
+
 def _consensus_reference(values, topology, tol):
     """consensus_sim's old pair list: sorted distinct non-loop pairs from the
     edge list, Metropolis weights from recounted degrees."""
