@@ -89,23 +89,12 @@ def bfs_levels(g: GraphView, sources, direction: str = "out", within=None) -> di
     """Hop level of every vertex reached from ``sources`` (level 0), in visit
     order: level by level, each level in ascending vertex id.  With ``within``
     a set of ids, the search enters no vertex outside it."""
-    g.csr(direction)  # refuses an unknown direction, whatever the sources
-    frontier = sorted(set(sources))
-    dist = dict.fromkeys(frontier, 0)
-    level = 0
-    while frontier:
-        level += 1
-        nxt = set()
-        for u in frontier:
-            for w in g.neighbors(u, direction):
-                if w not in dist:
-                    nxt.add(w)
-        if within is not None:
-            nxt.intersection_update(within)
-        frontier = sorted(nxt)
-        for w in frontier:
-            dist[w] = level
-    return dist
+    indptr, heads = g.csr(direction)  # refuses an unknown direction, whatever the sources
+    starts = sorted(set(map(g.position, sources)))
+    allowed = None if within is None else np.bincount(
+        [g.index[v] for v in within if v in g.index], minlength=g.n) > 0
+    levels = [starts] + [r.tolist() for r, _ in kernels.bfs(indptr, heads, starts, allowed)]
+    return {g.vertices[p]: level for level, at in enumerate(levels) for p in at}
 
 
 def bfs_order(g: GraphView, root: int) -> tuple[list[int], dict[int, int]]:

@@ -317,6 +317,13 @@ class GraphView:
     def index(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
+    def position(self, v) -> int:
+        """The position in ``vertices`` of vertex ``v``, read as an int."""
+        v = _int(v, "vertex")
+        if v not in self.index:
+            raise ValidationError(f"unknown vertex {v}")
+        return self.index[v]
+
     def neighbors(self, v: int, direction: str = "both") -> tuple[int, ...]:
         """Distinct neighbor ids in ascending order: row ``v`` of :meth:`csr`,
         kept as a tuple of ids once a direction is first read here."""

@@ -21,7 +21,10 @@ a sum and move its last bits.  Consensus runs one round as two
 ``np.bincount`` scatters over the edge list.  Components hook each root to
 the least label across its tree's arcs, then jump labels to their roots
 (Shiloach & Vishkin 1982; FastSV, Zhang, Azad & Hu 2020): rounds grow with
-log n, not with the diameter.
+log n, not with the diameter.  ``bfs`` is the traversal the rest of the
+package runs (Kepner & Gilbert 2011): a level gathers the frontier's arcs,
+drops the heads already seen or not allowed, and keeps the first arc into
+each head left; those heads, ascending, are the next frontier.
 """
 
 from __future__ import annotations
@@ -244,6 +247,24 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray
             out[rows[at], targets[cols]] = d
             unreached &= ~hot
     return out
+
+
+def bfs(indptr: np.ndarray, heads: np.ndarray, sources, allowed=None, usable=None):
+    """Yields ``(reached, slots)`` per level after ``sources`` that reaches a position: those,
+    ascending, and the slot of the first arc into each, frontier ascending then row order.
+    Positions where ``allowed`` is False are not entered, slots where ``usable`` is not taken."""
+    seen = np.zeros(len(indptr) - 1, bool) if allowed is None else ~np.asarray(allowed, bool)
+    frontier = np.sort(np.asarray(sources, dtype=np.int64))
+    while len(frontier):
+        seen[frontier] = True
+        deg = indptr[frontier + 1] - indptr[frontier]
+        slots = np.repeat(indptr[frontier] - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+        slots = slots[~seen[heads[slots]] & (True if usable is None else usable[slots])]
+        slots = slots[np.argsort(heads[slots], kind="stable")]  # each head's first arc first
+        slots = slots[np.diff(heads[slots], prepend=-1) != 0]
+        frontier = heads[slots]
+        if len(frontier):
+            yield frontier, slots
 
 
 def components(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GraphView, _is_finite
+from . import kernels
+from .core import GraphView, _int, _is_finite
 from .errors import InfeasibleError, ValidationError
 
 
@@ -61,26 +62,24 @@ class TaskDag:
     deps: list[tuple[int, int]] = field(default_factory=list)  # (prerequisite, dependent)
 
 
-def _residual(g: GraphView, what: str, s: int, t: int) -> tuple:
-    """The positions of vertices ``s`` and ``t``, and the residual arc list
-    of ``g``: arc ``2i`` runs along edge ``i`` of the columns and arc ``2i+1``
-    against it, each with the edge's weight as capacity, except 0 against a
-    directed edge.  The list is the head position and capacity of each arc,
-    and the arcs leaving each vertex position in arc order."""
-    for v in (s, t):
-        if v not in g.index:
-            raise ValidationError(f"unknown vertex {v}")
+def _arcs(g: GraphView) -> tuple:
+    """``(indptr, order, head)``: arc ``2i`` runs along edge ``i``, ``2i+1`` against it;
+    ``order[indptr[v]:indptr[v + 1]]`` are the arcs leaving position ``v``, ascending."""
+    tail = np.column_stack([g.src, g.dst]).ravel()
+    order = np.argsort(tail, kind="stable")
+    return (np.searchsorted(tail[order], np.arange(g.n + 1)), order,
+            np.column_stack([g.dst, g.src]).ravel())
+
+
+def _residual(g: GraphView, what: str, s, t) -> tuple:
+    """The positions of vertices ``s`` and ``t``, each arc's capacity (the
+    edge's weight, except 0 against a directed edge) and :func:`_arcs`."""
+    s, t = g.position(s), g.position(t)
     bad = np.flatnonzero(g.weights < 0)
     if len(bad):
         raise ValidationError(f"negative {what} on edge {g.edge_ids[bad[0]]}")
-    tail = np.column_stack([g.src, g.dst]).ravel()
-    head = np.column_stack([g.dst, g.src]).ravel()
-    cap = np.column_stack([g.weights, np.where(g.edge_directed, 0.0, g.weights)]).ravel()
-    order = np.argsort(tail, kind="stable")
-    ptr = np.searchsorted(tail[order], np.arange(g.n + 1)).tolist()
-    order = order.tolist()
-    return (g.index[s], g.index[t], head.tolist(), cap.tolist(),
-            [order[a:b] for a, b in zip(ptr, ptr[1:])])
+    return (s, t, np.column_stack([g.weights, np.where(g.edge_directed, 0.0, g.weights)]).ravel(),
+            *_arcs(g))
 
 
 def shortest_path(g: GraphView, s: int, t: int) -> PathResult:
@@ -88,7 +87,8 @@ def shortest_path(g: GraphView, s: int, t: int) -> PathResult:
     ties broken by (predecessor vertex id, edge id).  The search stops when
     ``t`` is settled: no later update may touch a settled vertex."""
     # vertex and edge positions follow id order, so they break ties as ids do
-    sp, tp, head, cost, out = _residual(g, "weight", s, t)
+    sp, tp, *arcs = _residual(g, "weight", s, t)
+    cost, ptr, out, head = (c.tolist() for c in arcs)
     one_way = g.edge_directed.tolist()
     unset = (g.n,)  # above every (vertex, edge) pair
     dist, pred, done = [float("inf")] * g.n, [unset] * g.n, [False] * g.n
@@ -103,7 +103,7 @@ def shortest_path(g: GraphView, s: int, t: int) -> PathResult:
             break
         # the kept (distance, predecessor, edge) is the least of the offers,
         # so the order of v's arcs does not matter
-        for ai in out[v]:
+        for ai in out[ptr[v]:ptr[v + 1]]:
             if ai & 1 and one_way[ai >> 1]:
                 continue
             w, nd = head[ai], d + cost[ai]
@@ -129,49 +129,36 @@ def max_flow_min_cut(g: GraphView, s: int, t: int) -> FlowCutResult:
     Edge weights are read as capacities; undirected edges carry capacity in
     both directions.
     """
-    if s == t:
+    if _int(s, "vertex") == _int(t, "vertex"):  # read as ints, so True is not taken as 1
         raise ValidationError("source equals sink")
-    s, t, head, cap, out = _residual(g, "capacity", s, t)  # positions from here on
-    ids = g.edge_ids.tolist()
-    flows: dict[int, float] = dict.fromkeys(ids, 0.0)
+    s, t, cap, indptr, order, head = _residual(g, "capacity", s, t)  # positions from here on
+    flow = np.zeros(len(g.edge_ids))
     value = 0.0
     while True:
-        # shortest augmenting path, deterministic neighbor order
-        prev: dict[int, int] = {s: -1}
-        frontier = [s]
-        while frontier and t not in prev:
-            nxt = []
-            for u in frontier:
-                for ai in out[u]:
-                    v = head[ai]
-                    if cap[ai] > 1e-12 and v not in prev:
-                        prev[v] = ai
-                        nxt.append(v)
-            frontier = sorted(nxt)
-        if t not in prev:
-            break
-        # bottleneck
-        path = []
-        v = t
+        # shortest augmenting path: each vertex's arc from its first discoverer
+        prev, reach = np.zeros(g.n, dtype=np.int64), np.arange(g.n) == s
+        for reached, slots in kernels.bfs(indptr, head[order], [s], usable=cap[order] > 1e-12):
+            reach[reached] = True
+            prev[reached] = order[slots]
+            if reach[t]:
+                break
+        if not reach[t]:
+            break  # the S side is what this search reached
+        path, v = [], t
         while v != s:
-            ai = prev[v]
-            path.append(ai)
-            v = head[ai ^ 1]
-        bottleneck = min(cap[ai] for ai in path)
-        for ai in path:
-            cap[ai] -= bottleneck
-            cap[ai ^ 1] += bottleneck
-            # an odd arc pushes against its edge
-            flows[ids[ai >> 1]] += -bottleneck if ai & 1 else bottleneck
+            path.append(prev[v])
+            v = head[path[-1] ^ 1]
+        path = np.array(path)
+        bottleneck = float(cap[path].min())
+        cap[path] -= bottleneck
+        cap[path ^ 1] += bottleneck
+        # an odd arc pushes against its edge
+        flow[path >> 1] += np.where(path & 1, -bottleneck, bottleneck)
         value += bottleneck
-    # S-side = residual-reachable from s: what the last search reached
-    reach = np.zeros(g.n, dtype=bool)
-    reach[list(prev)] = True
     # cut = stored edges crossing S->T
     a, b = reach[g.src], reach[g.dst]
-    cut = g.edge_ids[(a != b) & (a | ~g.edge_directed)].tolist()
-    flows = {eid: abs(f) for eid, f in flows.items()}
-    return FlowCutResult(value, flows, frozenset(cut))
+    cut = frozenset(g.edge_ids[(a != b) & (a | ~g.edge_directed)].tolist())
+    return FlowCutResult(value, dict(zip(g.edge_ids.tolist(), np.abs(flow).tolist())), cut)
 
 
 def minimum_spanning_tree(g: GraphView) -> TreeResult:
@@ -204,28 +191,25 @@ def minimum_spanning_tree(g: GraphView) -> TreeResult:
 def augment_redundancy(g: GraphView, tree: TreeResult, k: int) -> TreeResult:
     """Greedy backup selection: cheapest non-tree chords whose fundamental
     cycle covers a still-uncovered tree edge, at most ``k`` of them."""
+    k = _int(k, "k")
     if k < 0:
         raise ValidationError("k must be >= 0")
     ids, src, dst = (c.tolist() for c in (g.edge_ids, g.src, g.dst))
     tree_set = set(tree.edge_ids)
-    # tree adjacency over vertex positions
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for eid, a, b in zip(ids, src, dst):
-        if eid in tree_set:
-            adj[a].append((b, eid))
-            adj[b].append((a, eid))
-    # the tree rooted at position 0: each reached position's parent, the edge
-    # to it and its depth
-    up = {0: (0, -1, 0)}
-    reached = [0] if g.n else []
-    for u in reached:
-        for v, eid in adj[u]:
-            if v not in up:
-                up[v] = (u, eid, up[u][2] + 1)
-                reached.append(v)
-    found = sum(map(len, adj)) // 2  # the tree's edges in the view
-    if not len(tree.edge_ids) == len(tree_set) == found == len(up) - 1 == g.n - 1:
+    in_tree = np.array([eid in tree_set for eid in ids], dtype=bool)
+    # the tree rooted at position 0, over the arcs of tree edges: each
+    # position's parent, the edge to it and its depth (0 only at the root)
+    indptr, order, head = _arcs(g)
+    parent, edge, depth = (np.zeros(g.n, dtype=np.int64) for _ in range(3))
+    for level, (reached, slots) in enumerate(kernels.bfs(
+            indptr, head[order], [0] if g.n else [], usable=in_tree[order >> 1]), 1):
+        arcs = order[slots]
+        parent[reached], edge[reached] = head[arcs ^ 1], g.edge_ids[arcs >> 1]
+        depth[reached] = level
+    spanned = np.count_nonzero(depth)
+    if not len(tree.edge_ids) == len(tree_set) == in_tree.sum() == spanned == g.n - 1:
         raise ValidationError("tree must be n - 1 distinct edges of the view that join every vertex")
+    up = list(zip(parent.tolist(), edge.tolist(), depth.tolist()))
 
     def tree_path_edges(a: int, b: int) -> list[int]:
         path = []

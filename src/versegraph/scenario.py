@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .analytics import bfs_levels, bfs_order, weakly_connected_components
+from .analytics import bfs_levels, weakly_connected_components
 from .core import GraphView, TemporalMultiLayerGraph, _is_finite
 from .errors import ConvergenceError, ValidationError
 
@@ -317,22 +317,21 @@ def consensus_sim(
 
 
 def trust_path(g: GraphView, a: int, b: int) -> Optional[list[int]]:
-    """Shortest directed trust chain a -> b, or None when absent.
-
-    Ties broken by expanding smaller vertex ids first.
-    """
-    for v in (a, b):
-        if v not in g.index:
-            raise ValidationError(f"unknown vertex {v}")
-    dist = bfs_order(g, a)[1]
-    if b not in dist:
+    """Shortest directed trust chain a -> b, or None when absent.  Each vertex
+    on it follows its first discoverer: the least-id in-neighbor a level closer."""
+    a, b = g.position(a), g.position(b)
+    indptr, heads = g.csr("out")
+    prev = {a: a}
+    for reached, slots in kernels.bfs(indptr, heads, [a]):
+        prev.update(zip(reached.tolist(), (np.searchsorted(indptr, slots, "right") - 1).tolist()))
+        if b in prev:
+            break
+    if b not in prev:
         return None
-    # walk back: the smallest-id in-neighbor one level closer to a
     path = [b]
     while path[-1] != a:
-        w = path[-1]
-        path.append(next(u for u in g.neighbors(w, "in") if dist.get(u) == dist[w] - 1))
-    return path[::-1]
+        path.append(prev[path[-1]])
+    return [g.vertices[v] for v in reversed(path)]
 
 
 def anomaly_scores(

@@ -1,9 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
-from versegraph import analytics
+import analytics_reference as reference
+from versegraph import analytics, netopt
+from versegraph.core import EdgeRecord
 from versegraph.errors import ValidationError
+from versegraph.scenario import trust_path
 
 from conftest import (
     make_view,
@@ -11,6 +15,7 @@ from conftest import (
     oracle_components_label_propagation,
     random_simple_edges,
 )
+from record_graph import graph_view
 
 
 def test_degree_star():
@@ -192,3 +197,84 @@ def test_normalized_centralities_in_unit_interval():
         g = make_view(n, random_simple_edges(n, 0.5, rng))
         for rep in (analytics.degree_centrality(g), analytics.betweenness_centrality(g)):
             assert all(0.0 <= s <= 1.0 + 1e-12 for s in rep.scores.values())
+
+
+def _messy_view(rng, case):
+    """A multigraph on up to 16 vertices whose ids are not their positions:
+    parallel edges and self-loops, all edges undirected, all directed, or
+    mixed."""
+    n = rng.randint(0, 16)
+    vids = rng.sample(range(60), n)
+    p_directed = [0, 0.5, 1][case % 3]
+    edges = []
+    for _ in range(rng.randint(0, 3 * n) if n else 0):
+        u, v = rng.choice(vids), rng.choice(vids)
+        if rng.random() < 0.1:
+            v = u
+        for _ in range(rng.choice([1, 1, 2])):  # parallel copies
+            edges.append((u, v, rng.random() < p_directed))
+    records = [EdgeRecord(i, u, v, 0, 0, d, 1.0, "", 0, None)
+               for i, (u, v, d) in zip(rng.sample(range(10 * len(edges) + 1), len(edges)), edges)]
+    return graph_view(vids, records)
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except ValidationError as exc:
+        return "ValidationError", str(exc)
+    return list(result.items()) if isinstance(result, dict) else result
+
+
+def test_bfs_levels_and_trust_path_match_reference():
+    """The kernel-based traversals give the set-and-dict loops' items in
+    their order, and their trust paths, on 1,200 seeded random multigraphs:
+    several sources (an unknown one at times), every direction, and
+    ``within`` sets that hold ids outside the view."""
+    rng = random.Random(2027)
+    for case in range(1200):
+        g = _messy_view(rng, case)
+        for direction in ("out", "in", "both"):
+            sources = rng.sample(g.vertices, min(g.n, rng.choice([0, 1, 1, 2, 3])))
+            if rng.random() < 0.05:
+                sources.append(60)  # in no view
+            within = None
+            if rng.random() < 0.5:
+                within = set(rng.sample(g.vertices, rng.randint(0, g.n)))
+                within |= set(rng.sample(range(60, 70), 2))
+            assert (_outcome(analytics.bfs_levels, g, sources, direction, within)
+                    == _outcome(reference.bfs_levels, g, sources, direction, within))
+        for _ in range(8 if g.n else 0):
+            a, b = rng.choice(g.vertices), rng.choice(g.vertices + (60,))
+            assert _outcome(trust_path, g, a, b) == _outcome(reference.trust_path, g, a, b)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: analytics.bfs_levels(g, [True]),
+    lambda g: analytics.bfs_levels(g, [0.0]),
+    lambda g: analytics.bfs_levels(g, ["a", 1]),
+    lambda g: analytics.bfs_order(g, 1.0),
+    lambda g: trust_path(g, 0, 0.0),
+    lambda g: trust_path(g, True, 1),
+    lambda g: netopt.shortest_path(g, 0, None),
+    lambda g: netopt.max_flow_min_cut(g, True, 1),
+    lambda g: netopt.max_flow_min_cut(g, 0, 2.0),
+], ids=["bfs-true", "bfs-float", "bfs-str", "order-float", "trust-float", "trust-true",
+        "path-none", "flow-true", "flow-float"])
+def test_traversal_vertex_arguments_must_be_integers(call):
+    g = make_view(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValidationError, match="^vertex must be an integer, got "):
+        call(g)
+
+
+def test_traversal_vertex_arguments_read_as_ints():
+    g = make_view(3, [(0, 1), (1, 2)])
+    levels = analytics.bfs_levels(g, [np.int64(0)])
+    assert list(levels.items()) == [(0, 0), (1, 1), (2, 2)]
+    assert all(type(v) is int for v in levels)
+    assert trust_path(g, np.int64(0), np.int64(2)) == [0, 1, 2]
+    assert netopt.max_flow_min_cut(g, np.int64(0), 2).value == 1.0
+    for call in (lambda: analytics.bfs_levels(g, [1, 9]), lambda: analytics.bfs_order(g, 9),
+                 lambda: trust_path(g, 0, 9), lambda: netopt.shortest_path(g, 9, 0)):
+        with pytest.raises(ValidationError, match="^unknown vertex 9$"):
+            call()

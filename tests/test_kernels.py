@@ -451,6 +451,85 @@ def test_components_rounds_grow_with_log_n(monkeypatch):
     assert 1 <= len(rounds) <= 2 * np.log2(100_000)
 
 
+def _frontier_bfs(indptr, heads, sources, allowed=None, usable=None):
+    """``kernels.bfs`` as checked arrays: the levels as lists, and every
+    level's ``reached`` and ``slots`` joined, each int64."""
+    levels = list(kernels.bfs(np.array(indptr, dtype=np.int64), np.array(heads, dtype=np.int64),
+                              sources, allowed, usable))
+    reached = np.concatenate([r for r, _ in levels] or [np.empty(0, np.int64)])
+    slots = np.concatenate([s for _, s in levels] or [np.empty(0, np.int64)])
+    assert reached.dtype == slots.dtype == np.int64
+    return [(r.tolist(), s.tolist()) for r, s in levels], reached, slots
+
+
+# rows: 0 -> 1, 2 | 1 -> 2, 3, 3 | 2 -> (none) | 3 -> 0, 4 | 4 -> (none)
+_CSR = ([0, 2, 5, 5, 7, 7], [1, 2, 2, 3, 3, 0, 4])
+
+
+@pytest.mark.parametrize("sources, allowed, usable", [
+    ([], None, None),  # no sources
+    ([2], None, None),  # a source with no arcs
+    ([0, 1], np.zeros(5, bool), None),  # every head disallowed
+    ([0, 1, 3], None, np.zeros(7, bool)),  # no usable slot
+])
+def test_bfs_reaching_nothing_yields_no_level(sources, allowed, usable):
+    levels, reached, slots = _frontier_bfs(*_CSR, sources, allowed, usable)
+    assert levels == [] and len(reached) == len(slots) == 0
+
+
+def test_bfs_levels_and_first_arcs():
+    # from 0: level 1 is 1 (slot 0) and 2 (slot 1, not its row's first arc);
+    # level 2 is 3, first by slot 3 of the two parallel arcs 1 -> 3
+    assert _frontier_bfs(*_CSR, [0])[0] == [([1, 2], [0, 1]), ([3], [3]), ([4], [6])]
+    # frontier order decides, not slot order alone: from 3 and 1 (given in
+    # any order), 2 is first reached by row 1, 0 and 4 by row 3
+    assert _frontier_bfs(*_CSR, [3, 1, 3])[0] == [([0, 2, 4], [5, 2, 6])]
+    # masks: without slot 3 the other parallel arc reaches 3; a disallowed 2
+    # is never entered, and a source is never reached again
+    usable = np.ones(7, bool)
+    usable[3] = False
+    assert _frontier_bfs(*_CSR, [1], None, usable)[0] == [([2, 3], [2, 4]), ([0, 4], [5, 6])]
+    allowed = np.array([True, True, False, True, True])
+    assert _frontier_bfs(*_CSR, [0], allowed)[0] == [([1], [0]), ([3], [3]), ([4], [6])]
+
+
+def test_bfs_stops_where_the_caller_breaks():
+    seen = []
+    for reached, _ in kernels.bfs(*map(np.array, _CSR), [0]):
+        seen.append(reached.tolist())
+        if 3 in seen[-1]:
+            break
+    assert seen == [[1, 2], [3]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bfs_matches_a_queue_of_first_discoverers(seed):
+    """On random multigraph CSRs with masks: every position reached at its
+    level, through the first usable arc from the lowest frontier position."""
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        rows = [sorted(rng.integers(0, n, int(rng.integers(0, 5))).tolist()) for _ in range(n)]
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        heads = [h for r in rows for h in r]
+        allowed = rng.random(n) < 0.8
+        usable = rng.random(len(heads)) < 0.8
+        sources = rng.integers(0, n, int(rng.integers(0, 3))).tolist()
+        frontier, seen, want = sorted(set(sources)), set(sources), []
+        while frontier:
+            level = {}
+            for u in frontier:
+                for slot in range(indptr[u], indptr[u + 1]):
+                    h = heads[slot]
+                    if usable[slot] and allowed[h] and h not in seen and h not in level:
+                        level[h] = slot
+            if level:
+                want.append((sorted(level), [level[h] for h in sorted(level)]))
+            frontier = sorted(level)
+            seen.update(level)
+        assert _frontier_bfs(indptr, heads, sources, allowed, usable)[0] == want
+
+
 def _consensus_inputs(n, seed):
     """A random tree plus extra edges (connected), Metropolis weights."""
     rng = np.random.default_rng(seed)

@@ -1,7 +1,7 @@
-"""The pipeline's graph commands run on numpy alone: neither scipy (about
-21 MB resident) nor numpy.ma (0.7 MB, pulled in by the first np.unique call)
-is imported.  Runs in a fresh interpreter so other tests' imports don't
-count."""
+"""The pipeline's graph commands, and the traversals on ``kernels.bfs``, run
+on numpy alone: neither scipy (about 21 MB resident) nor numpy.ma (0.7 MB,
+pulled in by the first np.unique call) is imported.  Runs in a fresh
+interpreter so other tests' imports don't count."""
 
 import json
 import subprocess
@@ -25,6 +25,15 @@ codes = [
              "--out", path("c.json")]),
     cli.run(["simulate", "--kind", "consistency", "--in", path("g.json"), "--out", path("s.json")]),
 ]
+# the traversals that run on kernels.bfs, which must not call np.unique either
+from versegraph import analytics, netopt, scenario
+snap = io.import_graph(path("g.json")).snapshot_at(0)
+net = snap.layer_subgraph(next(i for i, name in snap.layers.items() if name == "network"))
+a, b = net.vertices[0], net.vertices[-1]
+analytics.bfs_order(net, a)
+scenario.trust_path(snap.flatten(), a, b)
+netopt.max_flow_min_cut(net, a, b)
+netopt.augment_redundancy(net, netopt.minimum_spanning_tree(net), 3)
 print(json.dumps({"codes": codes, "loaded": sorted(m for m in ("scipy", "numpy.ma")
                                                    if m in sys.modules)}))
 """

@@ -1,5 +1,7 @@
 import random
+import re
 
+import numpy as np
 import pytest
 
 from versegraph import netopt
@@ -202,6 +204,30 @@ def test_augment_k_zero():
     aug = netopt.augment_redundancy(g, tree, 0)
     assert aug.backup_edge_ids == ()
     assert aug.edge_ids == tree.edge_ids
+
+
+@pytest.mark.parametrize("k, message", [
+    (1.5, "k must be an integer, got 1.5"),
+    (float("nan"), "k must be an integer, got nan"),
+    (True, "k must be an integer, got True"),
+    ("2", "k must be an integer, got '2'"),
+    (None, "k must be an integer, got None"),
+    (-1, "k must be >= 0"),
+])
+def test_augment_refuses_a_k_that_is_no_count(k, message):
+    # three chords that each cover a tree edge: a k read as anything but a
+    # count would show in how many come back
+    g = make_view(4, [(0, 1), (1, 2), (2, 3), (0, 2, 2.0), (1, 3, 2.0), (0, 3, 2.0)])
+    tree = netopt.minimum_spanning_tree(g)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        netopt.augment_redundancy(g, tree, k)
+
+
+def test_augment_reads_k_as_an_int():
+    g = make_view(4, [(0, 1), (1, 2), (2, 3), (0, 2, 2.0), (1, 3, 2.0), (0, 3, 2.0)])
+    tree = netopt.minimum_spanning_tree(g)
+    got = [netopt.augment_redundancy(g, tree, k).backup_edge_ids for k in (1, np.int64(1), 2)]
+    assert got == [(3,), (3,), (3, 4)]
 
 
 @pytest.mark.parametrize("edges, tree", [
