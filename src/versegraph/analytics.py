@@ -64,16 +64,12 @@ def betweenness_centrality(g: GraphView) -> CentralityReport:
 
 def clustering_coefficient(g: GraphView, v: int) -> float:
     """Fraction of closed neighbor pairs around v (undirected interpretation)."""
-    if v not in g.index:
-        raise ValidationError(f"unknown vertex {v}")
     ns = g.neighbors(v, "both")
     k = len(ns)
     if k < 2:
         return 0.0
-    links = 0
     nset = set(ns)
-    for u in ns:
-        links += sum(1 for w in g.neighbors(u, "both") if w in nset and w > u)
+    links = sum(1 for u in ns for w in g.neighbors(u, "both") if w in nset and w > u)
     return 2.0 * links / (k * (k - 1))
 
 

@@ -326,7 +326,10 @@ class GraphView:
 
     def neighbors(self, v: int, direction: str = "both") -> tuple[int, ...]:
         """Distinct neighbor ids in ascending order: row ``v`` of :meth:`csr`,
-        kept as a tuple of ids once a direction is first read here."""
+        kept as a tuple of ids once a direction is first read here; ``v`` is
+        read as :meth:`position` reads it."""
+        if type(v) is not int:  # the cache's keys are ints: no bool or float reaches it
+            v = _int(v, "vertex")
         try:
             return self._rows[direction][v]
         except KeyError:
@@ -450,6 +453,7 @@ class SnapshotView:
     def neighbors(
         self, v: int, direction: str = "both", layer: Optional[int] = None
     ) -> tuple[int, ...]:
+        v = _int(v, "vertex")
         if v not in self.vertices:
             raise ValidationError(f"unknown vertex {v}")
         view = self.flatten() if layer is None else self.layer_subgraph(layer)

@@ -1,19 +1,20 @@
 """Spectral partitioning: graph Laplacian, Fiedler vector, recursive bisection.
 
-Matrix-free throughout.  :func:`laplacian` returns the Laplacian as a
-read-only operator over a view's collapsed undirected CSR, and
+Matrix-free throughout.  One class, :class:`Laplacian`, a read-only operator
+over a weighted CSR with one product ``L @ x`` = D x - A x, serves the view
+(:func:`laplacian`), every k-way block and every multigrid level.
 :func:`fiedler_vector` finds the second-smallest eigenpair with LOBPCG
 (Knyazev, SIAM J. Sci. Comput. 2001) preconditioned by an aggregation
-multigrid V-cycle, using ``L @ x`` and the Laplacian's arcs, so memory grows
-with n plus the arcs, never with n².  The only dense matrices are the 3 × 3
-Rayleigh–Ritz problem and the pseudo-inverse of the multigrid's coarsest
-level, at most ``MAX_COARSE`` wide.  The contract is a residual bound plus
-orthogonality to the all-ones vector and a deterministic sign convention,
-checked on every call; a solve that does not get there within ``MAX_ITER``
-iterations raises :class:`ConvergenceError`.  The recursive bisection works
-on positional arrays: a block's Laplacian is cut out of its parent's CSR with
-masks.  Connectivity checks and the peel of a disconnected block come from
-:func:`kernels.components`.
+multigrid V-cycle, so memory grows with n plus the arcs, never with n².  The
+only dense matrices are the 3 × 3 Rayleigh–Ritz problem and the
+pseudo-inverse of the multigrid's coarsest level, at most ``MAX_COARSE``
+wide.  The contract is a residual bound plus orthogonality to the all-ones
+vector and a deterministic sign convention, checked on every call; a solve
+that does not get there within ``MAX_ITER`` iterations raises
+:class:`ConvergenceError`.  The recursive bisection works on positional
+arrays: the first split runs on the view's Laplacian, and each later block's
+is cut out of its parent block's CSR with masks.  Connectivity checks and
+the peel of a disconnected block come from :func:`kernels.components`.
 """
 
 from __future__ import annotations
@@ -48,59 +49,56 @@ class PartitionResult:
 
 
 class Laplacian:
-    """L = D - A of a collapsed undirected adjacency given as a CSR without
-    self-loops (a view's ``csr("both")``), rows in ascending vertex id.
-    Read-only and never formed: ``L @ x`` takes 1-D and 2-D operands."""
+    """L = D - A of an undirected adjacency without self-loops, given as a CSR
+    with rows ascending and each row's columns strictly ascending (a view's
+    ``csr("both")``) and arc weights ``wts`` (None for unit weights).  Views,
+    k-way blocks and multigrid levels all use it.  Read-only and never
+    formed: ``L @ x`` = D x - ``adjacent(x)`` takes 1-D and 2-D operands."""
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
-        self.indptr, self.indices = indptr, indices
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, wts: Optional[np.ndarray] = None):
+        self.indptr, self.indices, self.wts = indptr, indices, wts
         n = len(indptr) - 1
         self.shape = (n, n)
         self.arc_rows = np.repeat(np.arange(n), np.diff(indptr))  # the row of every arc
-        self._degree = np.diff(indptr).astype(np.float64)
+        self._degree = np.bincount(self.arc_rows, weights=wts, minlength=n).astype(np.float64)
         self._degree.flags.writeable = False
 
     def diagonal(self) -> np.ndarray:
         return self._degree
 
+    def adjacent(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for a 1-D ``x``."""
+        arcs = x[self.indices] if self.wts is None else self.wts * x[self.indices]
+        return np.bincount(self.arc_rows, weights=arcs, minlength=self.shape[0])
+
     def __matmul__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2:
             return np.stack([self @ column for column in x.T], axis=1)
-        return self._degree * x - np.bincount(self.arc_rows, weights=x[self.indices],
-                                              minlength=self.shape[0])
+        return self._degree * x - self.adjacent(x)
 
     @cached_property
     def _multigrid(self) -> tuple[list, np.ndarray]:
         """The preconditioner of :func:`fiedler_vector`, built on first use."""
-        return _build_multigrid(self.shape[0], self.arc_rows, self.indices)
+        return _build_multigrid(self)
 
 
 class _Level(NamedTuple):
-    """A multigrid level: the arcs ``rows -> cols`` of its Laplacian
-    L = D - A (both directions, rows ascending; ``wts`` None for unit
-    weights), the Jacobi sweep's S = ``OMEGA / D`` (D read as 1 where a row
-    has no arcs), ``keep`` = the diagonal 1 - S D of I - S L, and each row's
-    aggregate among the ``m`` rows of the next level."""
-    rows: np.ndarray
-    cols: np.ndarray
-    wts: Optional[np.ndarray]
+    """A multigrid level: its Laplacian L = D - A, the Jacobi sweep's
+    S = ``OMEGA / D`` (D read as 1 where a row has no arcs), ``keep`` = the
+    diagonal 1 - S D of I - S L, and each row's aggregate among the ``m``
+    rows of the next level."""
+    L: Laplacian
     smooth: np.ndarray
     keep: np.ndarray
     agg: np.ndarray
     m: int
 
-    def adjacent(self, x: np.ndarray) -> np.ndarray:
-        """A @ x."""
-        arcs = x[self.cols] if self.wts is None else self.wts * x[self.cols]
-        return np.bincount(self.rows, weights=arcs, minlength=len(x))
 
-
-def _build_multigrid(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[list, np.ndarray]:
-    """The aggregation-multigrid hierarchy of the unit-weight Laplacian with
-    arcs ``rows -> cols`` (both directions of every edge, rows ascending):
-    its levels above the coarsest, and the coarsest one's dense
-    pseudo-inverse, which has at most ``MAX_COARSE`` rows.
+def _build_multigrid(L: Laplacian) -> tuple[list, np.ndarray]:
+    """The aggregation-multigrid hierarchy of ``L``: its levels above the
+    coarsest, and the coarsest one's dense pseudo-inverse, which has at most
+    ``MAX_COARSE`` rows.
 
     Roots are a maximal independent set, picked in Luby rounds on the key
     (weighted degree, fixed hash of position); every other row with arcs
@@ -109,10 +107,9 @@ def _build_multigrid(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[list, 
     next level is the Galerkin product P^T L P of the piecewise-constant
     prolongation P: the Laplacian of the edges between aggregates, weighted
     by their count."""
-    wts = None
     levels = []
-    while n > MAX_COARSE:
-        degree = np.bincount(rows, weights=wts, minlength=n)
+    while L.shape[0] > MAX_COARSE:
+        n, rows, cols, degree = L.shape[0], L.arc_rows, L.indices, L.diagonal()
         # degree < 2**31, and the multiplicative hash maps positions below
         # 2**32 one to one: no two keys are equal
         spread = np.arange(n, dtype=np.uint64) * np.uint64(2654435761) & np.uint64(2**32 - 1)
@@ -136,16 +133,15 @@ def _build_multigrid(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[list, 
         agg[rows[join]] = agg[cols[join]]
         m = nroots + int(np.count_nonzero(degree == 0) > 0)
         smooth = OMEGA / np.where(degree > 0, degree, 1.0)
-        levels.append(_Level(rows, cols, wts, smooth, 1 - smooth * degree, agg, m))
-        # the next level's arcs: those between aggregates, parallel ones summed
+        levels.append(_Level(L, smooth, 1 - smooth * degree, agg, m))
+        # the next level: the arcs between aggregates, parallel ones summed, rows ascending
         crows, ccols = agg[rows], agg[cols]
         cross = crows != ccols
         pair, index = np.unique(crows[cross] * m + ccols[cross], return_inverse=True)
-        wts = np.bincount(index, weights=None if wts is None else wts[cross])
-        rows, cols, n = pair // m, pair % m, m
-    degree = np.bincount(rows, weights=wts, minlength=n)
-    dense = np.diag(degree) - np.bincount(rows * n + cols, weights=wts,
-                                          minlength=n * n).reshape(n, n)
+        wts = np.bincount(index, weights=None if L.wts is None else L.wts[cross])
+        L = Laplacian(np.searchsorted(pair // m, np.arange(m + 1)), pair % m, wts)
+    dense = np.diag(L.diagonal())  # L written out: its arcs are distinct
+    dense[L.arc_rows, L.indices] = -1.0 if L.wts is None else -L.wts
     # rounding leaves a zero eigenvalue near eps times the largest one; with
     # at most MAX_COARSE rows and weights of 1 or more, the nonzero ones are
     # far above 1e-10 times it
@@ -163,11 +159,11 @@ def _vcycle(multigrid: tuple[list, np.ndarray], r: np.ndarray) -> np.ndarray:
     for level in levels:
         x = level.smooth * r
         down.append((r, x))
-        r = np.bincount(level.agg, weights=level.keep * r + level.adjacent(x), minlength=level.m)
+        r = np.bincount(level.agg, weights=level.keep * r + level.L.adjacent(x), minlength=level.m)
     e = coarsest @ r
     for level, (r, x) in zip(reversed(levels), reversed(down)):
         x = x + e[level.agg]
-        e = level.keep * x + level.smooth * (r + level.adjacent(x))
+        e = level.keep * x + level.smooth * (r + level.L.adjacent(x))
     return e
 
 
@@ -187,8 +183,8 @@ def fiedler_vector(L, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
     """Second-smallest eigenpair of a graph Laplacian.
 
     ``L`` is a :class:`Laplacian` or a dense array, whose preconditioner is
-    built from its off-diagonal nonzeros.  Single-vector LOBPCG with the
-    constant vector projected out, one multigrid V-cycle as the
+    that of the Laplacian of its off-diagonal nonzeros.  Single-vector LOBPCG
+    with the constant vector projected out, one multigrid V-cycle as the
     preconditioner (Notay, ETNA 2010; Knyazev & Neymeyr, ETNA 2003) and a
     fixed-seed start.  Each iteration applies ``L`` once, to the new
     preconditioned residual; the products of the other basis vectors follow
@@ -201,12 +197,12 @@ def fiedler_vector(L, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
     n = L.shape[0]
     if n < 2:
         raise ValidationError("need at least 2 vertices")
-    if isinstance(L, Laplacian):
-        multigrid = L._multigrid
-    else:
+    pattern = L
+    if not isinstance(L, Laplacian):
         rows, cols = np.nonzero(np.asarray(L))
         off = rows != cols
-        multigrid = _build_multigrid(n, rows[off], cols[off])
+        pattern = Laplacian(np.searchsorted(rows[off], np.arange(n + 1)), cols[off])
+    multigrid = pattern._multigrid
     # rounding alone leaves a residual of about eps * ||L||, and ||L|| is at
     # most twice the largest degree: no bound is set below a multiple of that
     d = np.asarray(L.diagonal(), dtype=np.float64)
@@ -280,7 +276,7 @@ def _induced(L: Laplacian, keep: np.ndarray) -> Laplacian:
     inside = (rows >= 0) & (cols >= 0)
     # rows stay ascending and each row's columns too: keep is ascending
     indptr = np.searchsorted(rows[inside], np.arange(len(keep) + 1))
-    return Laplacian(indptr, cols[inside])
+    return Laplacian(indptr, cols[inside], None if L.wts is None else L.wts[inside])
 
 
 def _split(L: Laplacian, tol: float) -> np.ndarray:
@@ -326,22 +322,23 @@ def spectral_kway(g: GraphView, k: int, tol: float = DEFAULT_TOL) -> PartitionRe
     L = laplacian(g)
     if kernels.components(L.indptr, L.indices).any():
         raise ValidationError("spectral k-way requires a connected graph")
-    # blocks hold ascending row positions, so a block's first entry is its
-    # smallest vertex id
-    blocks = [np.arange(g.n)]
+    # a block holds its ascending row positions, so its first entry is its
+    # smallest vertex id, its parent's Laplacian and its rows there, from
+    # which its own Laplacian is cut when it is split (None: the view's own)
+    blocks = [(np.arange(g.n), L, None)]
     while len(blocks) < k:
         # split the largest block (it has two rows or more, as k <= n); ties
         # resolved by smallest member id
-        blocks.sort(key=lambda b: (-len(b), b[0]))
-        target = blocks.pop(0)
-        sub = _induced(L, target)
+        blocks.sort(key=lambda b: (-len(b[0]), b[0][0]))
+        target, parent, keep = blocks.pop(0)
+        sub = parent if keep is None else _induced(parent, keep)
         # disconnected block: peel off the first vertex's component instead of eigensplit
         apart = kernels.components(sub.indptr, sub.indices) > 0
         one = apart if apart.any() else _split(sub, tol)
-        blocks += [target[~one], target[one]]
+        blocks += [(target[side], sub, np.flatnonzero(side)) for side in (~one, one)]
     # deterministic block ids: ordered by smallest contained vertex id
-    blocks.sort(key=lambda b: b[0])
+    blocks.sort(key=lambda b: b[0][0])
     block = np.empty(g.n, dtype=np.int64)
-    for bi, rows in enumerate(blocks):
+    for bi, (rows, _, _) in enumerate(blocks):
         block[rows] = bi
     return _result(g, L, block, k)

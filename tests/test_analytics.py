@@ -1,11 +1,12 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
 import analytics_reference as reference
 from versegraph import analytics, netopt
-from versegraph.core import EdgeRecord
+from versegraph.core import EdgeRecord, TemporalMultiLayerGraph
 from versegraph.errors import ValidationError
 from versegraph.scenario import trust_path
 
@@ -265,6 +266,40 @@ def test_traversal_vertex_arguments_must_be_integers(call):
     g = make_view(3, [(0, 1), (1, 2)])
     with pytest.raises(ValidationError, match="^vertex must be an integer, got "):
         call(g)
+
+
+def _triangle_with_pendant():
+    """The view 0-1, 1-2, 0-2, 2-3 and a snapshot whose flattened view it is."""
+    graph = TemporalMultiLayerGraph()
+    layer = graph.create_layer("net")
+    vs = [graph.add_vertex({"node"}, {layer}) for _ in range(4)]
+    for u, v in [(0, 1), (1, 2), (0, 2), (2, 3)]:
+        graph.add_edge(vs[u], vs[v], layer, layer, directed=False)
+    snap = graph.snapshot_at(0)
+    return snap.flatten(), snap
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda g, snap, v: analytics.clustering_coefficient(g, v), (1.0, 1 / 3)),
+    (lambda g, snap, v: g.neighbors(v), ((0, 2), (0, 1, 3))),
+    (lambda g, snap, v: g.degree(v), (2, 3)),
+    (lambda g, snap, v: snap.neighbors(v), ((0, 2), (0, 1, 3))),
+], ids=["clustering", "neighbors", "degree", "snapshot-neighbors"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "cached"])
+def test_view_api_reads_vertex_ids_as_position_does(call, want, warm):
+    """A bool, a float or an unhashable id is refused, not matched by hash
+    to the vertex it equals, whether or not the view's rows are cached; a
+    numpy int reads as its int, and an unknown int stays unknown."""
+    g, snap = _triangle_with_pendant()
+    if warm:
+        g.neighbors(0)
+    for bad in (True, 2.0, [1], "1", None):
+        message = f"^vertex must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValidationError, match=message):
+            call(g, snap, bad)
+    assert (call(g, snap, 1), call(g, snap, np.int64(2))) == want
+    with pytest.raises(ValidationError, match="^unknown vertex 9$"):
+        call(g, snap, 9)
 
 
 def test_traversal_vertex_arguments_read_as_ints():

@@ -394,6 +394,63 @@ def test_fiedler_random_views_match_dense_oracle():
                                    *partition.fiedler_vector(partition.laplacian(g)))
 
 
+def _connected_view(n, rng):
+    """A random spanning tree on 0..n-1 plus random extra edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 2)}
+    return make_view(n, sorted(edges))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_multigrid_levels_are_galerkin_products(monkeypatch, seed):
+    """Every level is a Laplacian: the first is the view's own, each next
+    one is P^T L P of the level before it, P the piecewise-constant
+    prolongation of that level's aggregates, and the coarsest pseudo-inverse
+    is that of the last level's Galerkin product written out."""
+    monkeypatch.setattr(partition, "MAX_COARSE", 6)
+    rng = random.Random(seed)
+    L = partition.laplacian(_connected_view(rng.randint(60, 160), rng))
+    levels, coarsest = partition._build_multigrid(L)
+    assert len(levels) >= 2 and levels[0].L is L
+    y_rng = np.random.default_rng(seed)
+    for prev, level in zip(levels, levels[1:]):
+        assert isinstance(level.L, partition.Laplacian)
+        assert level.L.shape[0] == prev.m < prev.L.shape[0]
+        # integer entries: every sum is exact, so the two orders agree bitwise
+        y = y_rng.integers(-9, 10, size=prev.m).astype(np.float64)
+        galerkin = np.bincount(prev.agg, weights=prev.L @ y[prev.agg], minlength=prev.m)
+        assert np.array_equal(level.L @ y, galerkin)
+    last = levels[-1]
+    P = np.eye(last.m)[last.agg]
+    dense = P.T @ (last.L @ P)
+    assert last.m <= partition.MAX_COARSE
+    assert np.array_equal(coarsest, np.linalg.pinv(dense, rcond=1e-10, hermitian=True))
+
+
+def test_multigrid_of_a_small_view_is_its_dense_pseudo_inverse():
+    g = make_view(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6)])
+    levels, coarsest = partition._build_multigrid(partition.laplacian(g))
+    assert levels == []
+    want = np.linalg.pinv(_laplacian_reference(g), rcond=1e-10, hermitian=True)
+    assert np.array_equal(coarsest, want)
+
+
+def test_weighted_laplacian_and_its_induced_blocks():
+    """With arc weights, L = D - W, D the weighted degrees; a block cut out
+    of it keeps the weights of the arcs inside it."""
+    rng = np.random.default_rng(3)
+    n = 9
+    W = np.triu(rng.integers(0, 4, size=(n, n)), 1).astype(np.float64)
+    W += W.T
+    rows, cols = np.nonzero(W)
+    L = partition.Laplacian(np.searchsorted(rows, np.arange(n + 1)), cols, W[rows, cols])
+    assert np.array_equal(L @ np.eye(n), np.diag(W.sum(1)) - W)
+    keep = np.array([0, 2, 3, 7, 8])
+    sub = W[np.ix_(keep, keep)]
+    assert np.array_equal(partition._induced(L, keep) @ np.eye(len(keep)),
+                          np.diag(sub.sum(1)) - sub)
+
+
 def test_iteration_cap_raises_convergence_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(partition, "MAX_ITER", 2)
     g = make_view(40, [(i, i + 1) for i in range(39)])
@@ -568,6 +625,42 @@ def test_fiedler_sign_margin_on_pipeline_graphs(pipeline_graph, monkeypatch, see
         u = U[:, 1] * np.sign(U[:, 1] @ v)
         assert lam == pytest.approx(w[1], rel=1e-9)
         assert np.abs(v).min() >= 1e3 * np.abs(v - u).max()
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_kway_blocks_are_cut_from_their_parents(pipeline_graph, monkeypatch, seed):
+    """The first split solves on the view's Laplacian itself; every later
+    block's Laplacian is cut from its parent block's, and every one solved
+    equals the one cut straight from the view's on the same rows."""
+    cuts, solves = [], []
+    induced, solve = partition._induced, partition.fiedler_vector
+
+    def cut(L, keep):
+        sub = induced(L, keep)
+        cuts.append((L, keep, sub))
+        return sub
+
+    def record(L, tol=partition.DEFAULT_TOL):
+        solves.append(L)
+        return solve(L, tol)
+    monkeypatch.setattr(partition, "_induced", cut)
+    monkeypatch.setattr(partition, "fiedler_vector", record)
+    view = io.import_graph(pipeline_graph(1, seed)).snapshot_at(0).flatten()
+    partition.spectral_kway(view, 8)
+    root = solves[0]
+    assert root.indices is view.csr("both")[1]
+    known = [(root, np.arange(view.n))]  # each Laplacian with its rows in the view
+    for parent, keep, sub in cuts:
+        rows = next(r for M, r in known if M is parent)
+        assert len(keep) < len(rows)
+        known.append((sub, rows[keep]))
+    assert len(solves) >= 3
+    for L in solves[1:]:
+        want = induced(root, next(r for M, r in known if M is L))
+        for name in ("indptr", "indices", "arc_rows"):
+            assert np.array_equal(getattr(L, name), getattr(want, name))
+        assert L.wts is None and want.wts is None
+        assert np.array_equal(L.diagonal(), want.diagonal())
 
 
 def test_kway_peak_memory_below_one_dense_laplacian(pipeline_graph):
