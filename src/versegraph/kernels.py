@@ -5,26 +5,34 @@ vertex indices ``0..n-1``.  Betweenness and hop distances run
 level-synchronous BFSs that advance a block of up to 64 sources at once.  A
 vertex's columns are one uint64 of bits, and a level's bits come from one
 ``np.bitwise_or.reduceat`` of the last level's bits over the arcs; hop
-distances read nothing else.  Betweenness also counts paths: each level lists
-the vertices it reached with the bits of the columns where it did; these
-level bits, not a distance matrix, say where a vertex sits.  Per level the
-path-count BFS pulls only the rows that can change: vertices with an arc from
-the frontier in a column where they are still unreached.  The backward
+distances read nothing else, and write a block's levels into one (n, b)
+int32 array through the unpacked level bits.  Betweenness also counts paths:
+each level lists the vertices it reached with the bits of the columns where
+it did; these level bits, not a distance matrix, say where a vertex sits.
+Per level the path-count BFS pulls only the rows that can change: vertices
+with an arc from the frontier in a column where they are still unreached.
+It pulls the path counts themselves, since a vertex new at level d has no
+in-neighbour reached before level d - 1 in that column.  The backward
 dependency pass likewise pulls only the vertices at level d - 1 in some
-column that have an arc to a vertex at level d in that column.  Rows are
-restricted, never arcs: a pulled row sums all of its arcs, in CSR order, bit
-for bit as ``np.add.reduceat`` does.  For a row of at most 8 arcs that is
-``a0 + (((a1 + a2) + a3) ...)``, added one arc position at a time over the
-rows long enough to have it; numpy sums longer rows pairwise, so they go
-through ``np.add.reduceat`` itself.  Leaving out even zero terms would regroup
-a sum and move its last bits.  Consensus runs one round as two
-``np.bincount`` scatters over the edge list.  Components hook each root to
-the least label across its tree's arcs, then jump labels to their roots
-(Shiloach & Vishkin 1982; FastSV, Zhang, Azad & Hu 2020): rounds grow with
-log n, not with the diameter.  ``bfs`` is the traversal the rest of the
-package runs (Kepner & Gilbert 2011): a level gathers the frontier's arcs,
-drops the heads already seen or not allowed, and keeps the first arc into
-each head left; those heads, ascending, are the next frontier.
+column that have an arc to a vertex at level d in that column, from a
+(len(level d) + 1, b) block whose row 0 of zeros stands for every vertex off
+level d; so a block of sources keeps two (n, b) float arrays, the path
+counts and the dependencies.  Columns are masked by products with the
+unpacked bits, or, where a product is not finite (inf * 0 is NaN), by
+``np.copyto``.  Rows are restricted, never arcs: a pulled row sums all of
+its arcs, in CSR order, bit for bit as ``np.add.reduceat`` does.  For a row
+of at most 8 arcs that is ``a0 + (((a1 + a2) + a3) ...)``, added one arc
+position at a time over the rows long enough to have it; numpy sums longer
+rows pairwise, so they go through ``np.add.reduceat`` itself.  Leaving out
+even zero terms would regroup a sum and move its last bits.  Consensus runs
+one round as two ``np.bincount`` scatters over the edge list.  Components
+hook each root to the least label across its tree's arcs, then jump labels
+to their roots (Shiloach & Vishkin 1982; FastSV, Zhang, Azad & Hu 2020):
+rounds grow with log n, not with the diameter.  ``bfs`` is the traversal the
+rest of the package runs (Kepner & Gilbert 2011): a level gathers the
+frontier's arcs, drops the heads already seen or not allowed, and keeps the
+first arc into each head left; those heads, ascending, are the next
+frontier.
 """
 
 from __future__ import annotations
@@ -71,12 +79,14 @@ def _puller(indptr: np.ndarray, indices: np.ndarray):
     """Row-restricted pull over a CSR.
 
     ``hot`` and ``keep`` hold one uint64 of column bits per vertex.
-    ``pull(x, hot, keep)`` returns ``(rows, hit, sums)``, row i for vertex
-    ``v = rows[i]``: the vertices with an arc to some u where ``hot[u] &
-    keep[v]`` is not 0, in no set order; the OR of those bits; and
-    ``x[indices[indptr[v]:indptr[v + 1]]]`` summed as ``np.add.reduceat``
-    sums it.  When ``x[u, j]`` is 0 unless bit j of ``hot[u]`` is set, the
-    rows left out would sum only zeros in every column that ``keep`` selects.
+    ``pull(x, hot, keep, slot=None)`` returns ``(rows, hit, sums)``, row i
+    for vertex ``v = rows[i]``: the vertices with an arc to some u where
+    ``hot[u] & keep[v]`` is not 0, in no set order; the OR of those bits; and
+    ``x[slot[indices[indptr[v]:indptr[v + 1]]]]`` summed as ``np.add.reduceat``
+    sums it.  ``slot`` maps each position to its row of ``x`` (``x`` has a
+    row per position when it is None).  In every column j that ``keep``
+    selects, a row left out would sum x only at heads u where bit j of
+    ``hot[u]`` is clear.
     """
     deg = np.diff(indptr)
     rows_with_arcs = np.flatnonzero(deg)
@@ -85,10 +95,15 @@ def _puller(indptr: np.ndarray, indices: np.ndarray):
     # position p are then a prefix
     by_deg = rows_with_arcs[np.argsort(-deg[rows_with_arcs], kind="stable")]
 
-    def pull(x: np.ndarray, hot: np.ndarray, keep: np.ndarray):
+    def pull(x: np.ndarray, hot: np.ndarray, keep: np.ndarray, slot=None):
         reach = pull_bits(hot) & keep
         rows = by_deg[reach[by_deg] != 0]
         starts, counts = indptr[rows], deg[rows]
+
+        def at(arcs):  # the rows of x at these arcs' heads
+            heads = indices[arcs]
+            return x[heads if slot is None else slot[heads]]
+
         # longer[p]: how many picked rows have more than p arcs, a prefix
         longer = np.searchsorted(-counts, -np.arange(_PLAIN + 1))
         sums = np.empty((len(rows), x.shape[1]))
@@ -97,17 +112,27 @@ def _puller(indptr: np.ndarray, indices: np.ndarray):
             ends = np.cumsum(counts[:big])
             firsts = ends - counts[:big]
             arcs = np.arange(ends[-1]) + np.repeat(starts[:big] - firsts, counts[:big])
-            np.add.reduceat(x[indices[arcs]], firsts, axis=0, out=sums[:big])
+            np.add.reduceat(at(arcs), firsts, axis=0, out=sums[:big])
         # the other rows, as a0 + (((a1 + a2) + a3) ...)
         tail = sums[big:longer[1]]
-        tail[:] = x[indices[starts[big:longer[1]] + 1]]
+        tail[:] = at(starts[big:longer[1]] + 1)
         for p in range(2, _PLAIN):
-            tail[:longer[p] - big] += x[indices[starts[big:longer[p]] + p]]
-        tail += x[indices[starts[big:longer[1]]]]
-        sums[longer[1]:] = x[indices[starts[longer[1]:]]]
+            tail[:longer[p] - big] += at(starts[big:longer[p]] + p)
+        tail += at(starts[big:longer[1]])
+        sums[longer[1]:] = at(starts[longer[1]:])
         return rows, reach[rows], sums
 
     return pull
+
+
+def _keep(x: np.ndarray, mask: np.ndarray) -> None:
+    """Zero ``x`` where ``mask`` is False, bit for bit as ``np.copyto(x,
+    0.0, where=~mask)``: a product with the bools, unless it is not finite
+    somewhere, since inf * 0 is NaN where copyto writes 0.  Cells ``mask``
+    keeps are multiplied by 1, which leaves every value as it was."""
+    x *= mask
+    if not np.isfinite(x).all():
+        np.copyto(x, 0.0, where=~mask)
 
 
 def _blocks(n: int, arcs: int):
@@ -116,36 +141,36 @@ def _blocks(n: int, arcs: int):
         yield np.arange(lo, min(lo + size, n))
 
 
-def _bfs(pull, sources: np.ndarray, n: int) -> tuple[np.ndarray, list, np.ndarray]:
+def _bfs(pull, sources: np.ndarray, n: int) -> tuple[np.ndarray, list]:
     """BFS from every source in ``sources`` at once.
 
     Column j of the (n, len(sources)) ``sigma`` counts the shortest paths
     from ``sources[j]``.  ``levels[d]`` is ``(rows, bits)``: the vertices at
     level d in some column and for each the column bits where it is.  A
     level pulls only the rows with an arc from the previous level in a
-    column where they are still unreached; no other cell can change.  The
-    frontier buffer comes back all zeros, for the caller to reuse.
+    column where they are still unreached; no other cell can change.  It
+    pulls ``sigma`` itself: a vertex new at level d in column j has no
+    in-neighbour reached before level d - 1 there, and the ones not reached
+    yet hold 0, so each cell kept sums the same terms in the same order as
+    a pull of level d - 1's counts alone.
     """
     b = len(sources)
     bits = np.uint64(1) << np.arange(b, dtype=np.uint64)
     sigma = np.zeros((n, b))
     sigma[sources, np.arange(b)] = 1.0
-    frontier = sigma.copy()
     unreached = np.full(n, (1 << b) - 1, dtype=np.uint64)
     unreached[sources] &= ~bits
     hot = np.zeros(n, dtype=np.uint64)
     hot[sources] = bits
     levels = [(sources, bits)]
     while True:
-        rows, new, reach = pull(frontier, hot, unreached)
-        frontier[levels[-1][0]] = 0.0
+        rows, new, reach = pull(sigma, hot, unreached)
         if len(rows) == 0:
-            return sigma, levels, frontier
+            return sigma, levels
         hot[levels[-1][0]] = 0
         # a sum of non-negative terms is > 0 iff a hot column fed it, so the
         # new columns are where reach > 0 and the vertex was unreached
-        np.copyto(reach, 0.0, where=~_unpack(new, b))
-        frontier[rows] = reach
+        _keep(reach, _unpack(new, b))
         # sigma is 0 where a vertex is new and gains 0 elsewhere
         sigma[rows] += reach
         unreached[rows] &= ~new
@@ -162,30 +187,38 @@ def _dependencies(fwd, back, sources: np.ndarray, n: int) -> np.ndarray:
     """Brandes dependencies (n, len(sources)) of one block of sources.
 
     Level d passes its dependencies to level d - 1; the sources (level 0)
-    collect none.  ``z`` reuses the forward pass's frontier buffer, and the
-    block's arrays are freed on return, before the next block allocates.
+    collect none.  Level d's ``z`` is a (len(top) + 1, b) block that the
+    pull reads through ``slot``, each position's row there: row 0 is zeros
+    for every vertex off level d, so a sum adds the same terms as over a
+    full (n x b) ``z``.  A block keeps two (n x b) arrays, ``sigma`` and
+    ``delta``, and frees them on return, before the next block allocates.
     """
     b = len(sources)
-    sigma, levels, z = _bfs(fwd, sources, n)
+    sigma, levels = _bfs(fwd, sources, n)
     delta = np.zeros_like(sigma)
     hot = np.zeros(n, dtype=np.uint64)
     below = np.zeros(n, dtype=np.uint64)
+    slot = np.zeros(n, dtype=np.intp)
     for d in range(len(levels) - 1, 1, -1):
         (top, top_bits), (low, low_bits) = levels[d], levels[d - 1]
-        # 0 off level d, so z is 0 there as in a full (n x b) expression
-        zt = np.divide(1.0, sigma[top], out=np.zeros((len(top), b)), where=_unpack(top_bits, b))
-        zt *= 1.0 + delta[top]
-        z[top] = zt
+        on = _unpack(top_bits, b)
+        z = np.empty((len(top) + 1, b))
+        z[0] = 0.0
+        # 1 / sigma on level d, and 0 / (sigma + 1) = 0 off it, where sigma
+        # may be 0; never NaN, since sigma holds no NaN
+        np.divide(on, sigma[top] + ~on, out=z[1:])
+        z[1:] *= 1.0 + delta[top]
+        slot[top] = np.arange(1, len(top) + 1)
         hot[top] = top_bits
         below[low] = low_bits
-        rows, _, pulled = back(z, hot, below)
+        rows, _, pulled = back(z, hot, below, slot)
         pulled *= sigma[rows]
-        np.copyto(pulled, 0.0, where=~_unpack(below[rows], b))
+        _keep(pulled, _unpack(below[rows], b))
         delta[rows] += pulled
-        del pulled  # freed before the next level's pull
+        del pulled, z  # freed before the next level's pull
         hot[top] = 0
         below[low] = 0
-        z[top] = 0.0
+        slot[top] = 0
     return delta
 
 
@@ -222,7 +255,8 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray
     arcs.  A BFS over out-neighbors measures distances *to* the block's
     sources, one column bit each: a level is one ``np.bitwise_or.reduceat``
     of the last level's bits over the arcs, kept where still unreached.  No
-    path counts are summed.
+    path counts are summed.  A block's levels go into one (n, b) array,
+    stored as the block's columns of ``out``.
     """
     out = np.empty((n, n), dtype=np.int32)
     if n == 0:
@@ -230,8 +264,8 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray
     pull = _bits_puller(*_as_csr(indptr, indices))
     for targets in _blocks(n, len(indices)):
         b = len(targets)
-        out[:, targets] = -1
-        out[targets, targets] = 0
+        block = np.full((n, b), -1, dtype=np.int32)
+        block[targets, np.arange(b)] = 0
         hot = np.zeros(n, dtype=np.uint64)
         hot[targets] = np.uint64(1) << np.arange(b, dtype=np.uint64)
         unreached = np.full(n, (1 << b) - 1, dtype=np.uint64)
@@ -243,9 +277,10 @@ def hop_distances(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray
             if len(rows) == 0:
                 break
             d += 1
-            at, cols = np.nonzero(_unpack(hot[rows], b))
-            out[rows[at], targets[cols]] = d
+            # a new cell holds -1, and -1 + (d + 1) is d
+            block[rows] += np.int32(d + 1) * _unpack(hot[rows], b)
             unreached &= ~hot
+        out[:, targets] = block
     return out
 
 

@@ -5,6 +5,7 @@ isolated vertices give CSR rows without arcs.  The BFS kernels are also held
 bit for bit to a full pull over every row, kept here as the reference.
 Components are held to networkx and to label propagation to a fixpoint."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -207,6 +208,18 @@ def test_bfs_kernels_equal_full_pull_bitwise(n, directed):
         assert np.array_equal(hops, _ref_hop_distances(indptr, indices, n))
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_bfs_kernels_raise_no_float_errors(directed):
+    """Masks are products, and a product that meets inf * 0 or 0 / 0 in a
+    column it drops must not happen on finite counts: no overflow, division
+    by zero or invalid operation, on graphs where most pairs are unreachable."""
+    view = _hub_view(150, 7, directed)
+    with np.errstate(all="raise"):
+        for fwd, back in (("out", "in"), ("both", "both")):
+            kernels.betweenness_raw(*view.csr(fwd), *view.csr(back), view.n)
+            kernels.hop_distances(*view.csr(fwd), view.n)
+
+
 _HUB_ARCS = (8, 9, 16, 17, 128, 129, 230)
 
 
@@ -276,11 +289,68 @@ def test_bfs_kernels_exact_on_huge_path_counts():
                           _ref_hop_distances(indptr, indices, n))
 
 
+def _doubling_ladder(layers):
+    """Layer i is vertices 2i and 2i + 1, with all four arcs to layer i + 1:
+    from either vertex of layer i, a vertex of layer i + k has 2**(k - 1)
+    shortest paths, which pass 2**1024 after 1,025 layers."""
+    return make_view(2 * layers, [(2 * i + a, 2 * i + 2 + c, 1.0, True)
+                                  for i in range(layers - 1) for a in (0, 1) for c in (0, 1)])
+
+
+def test_betweenness_bytes_where_path_counts_overflow():
+    """Path counts pass 2**1024 on a ladder of 1,100 layers, so they hold inf
+    and the column masks meet inf * 0.  The bytes are pinned, NaNs included
+    (2,196 of them), since the full-pull reference turns two more scores
+    into NaN."""
+    view = _doubling_ladder(1100)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = kernels.betweenness_raw(*view.csr("out"), *view.csr("in"), view.n)
+    assert np.isnan(got).sum() == 2196
+    assert hashlib.sha256(got.tobytes()).hexdigest() == (
+        "27ad3bd10d6271752e28d5edd98851366f56a6a8dcd6f45fa7d2da7a3c5eb3a3")
+
+
+def test_path_counts_that_overflow_stay_inf():
+    """The forward pass keeps a column by a product with its mask, and
+    inf * 0 is NaN: a count that overflowed in one column must still read
+    inf, not NaN, after a later level pulls its row for another column."""
+    view = _doubling_ladder(1100)
+    sources = np.arange(64)
+    pull = kernels._puller(*kernels._as_csr(*view.csr("in")))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = kernels._bfs(pull, sources, view.n)[0]
+        gap = np.arange(view.n)[:, None] // 2 - sources // 2
+        want = np.where(gap > 0, np.ldexp(1.0, gap - 1), 0.0)
+    want[sources, sources] = 1.0
+    assert np.isinf(want).sum() > 1000
+    assert np.array_equal(sigma, want)
+
+
+def test_dependencies_where_a_path_count_overflows_off_level():
+    """s1 reaches v through a doubling ladder of 1,024 layers, so v has inf
+    paths from s1 and at most 2**1023 from any other vertex; w sits at level
+    2 from s1 (through x) and from s2 (through v).  Pulling v's row for s2
+    multiplies v's inf by w's dependency in s1's column, which the mask must
+    zero, not turn into NaN.  Every score is finite, and v's is 2,049: v is
+    on the one shortest path to w from each ladder vertex and from s2."""
+    layers = 1024
+    s1, s2, v, w, x = 0, 1, 2 * layers + 2, 2 * layers + 3, 2 * layers + 4
+    arcs = [(s1, 2), (s1, 3), (s1, x), (x, w), (s2, v), (v, w), (v - 2, v), (v - 1, v)]
+    arcs += [(2 * i + a, 2 * i + 2 + c) for i in range(1, layers) for a in (0, 1) for c in (0, 1)]
+    view = make_view(2 * layers + 5, [(a, b, 1.0, True) for a, b in arcs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = kernels.betweenness_raw(*view.csr("out"), *view.csr("in"), view.n)
+    assert np.isfinite(got).all()
+    assert got[v] == 2 * layers + 1
+
+
 def test_betweenness_working_set_on_the_pipeline_graph(tmp_path):
     """The tracemalloc peak of one betweenness call on the seed-7919 1x
     ``cli-pipeline`` graph, which sets the pipeline's peak memory: about
-    3.6 MB, against 8.4 MB with a distance matrix and an (arcs x 64) gather
-    per level."""
+    2.9 MB with two (n x 64) float arrays per block of sources, against
+    3.6 MB with a third for the frontier and 8.4 MB with a distance matrix
+    and an (arcs x 64) gather per level.  One more (n x 64) array would
+    add 0.59 MB."""
     from versegraph import cli, io
 
     (tmp_path / "p.json").write_text(json.dumps(pipeline_params(1)))
@@ -296,7 +366,7 @@ def test_betweenness_working_set_on_the_pipeline_graph(tmp_path):
     finally:
         tracemalloc.stop()
     assert view.n == 1160
-    assert peak <= 6_000_000
+    assert peak <= 3_200_000
 
 
 def _pulled_hop_distances(indptr, indices, n):
