@@ -45,19 +45,25 @@ def betweenness_centrality(g: GraphView) -> CentralityReport:
     """Exact shortest-path betweenness over unit-weight hops.
 
     Undirected views are normalized by (n-1)(n-2)/2 on the unordered-pair
-    sum; directed views by (n-1)(n-2) on the ordered-pair sum.
+    sum; directed views by (n-1)(n-2) on the ordered-pair sum.  A view whose
+    shortest-path counts overflow float64 into a score that is not finite is
+    refused.
     """
     if g.n < 3:
         raise ValidationError("betweenness needs at least 3 vertices")
-    if g.directed:
-        indptr, indices = g.csr("out")
-        rindptr, rindices = g.csr("in")
-        norm = (g.n - 1) * (g.n - 2)
-        raw = kernels.betweenness_raw(indptr, indices, rindptr, rindices, g.n)
-    else:
-        indptr, indices = g.csr("both")
-        norm = (g.n - 1) * (g.n - 2) / 2
-        raw = kernels.betweenness_raw(indptr, indices, indptr, indices, g.n) / 2.0
+    # counts past 2**1024 are inf, and inf / inf is NaN: the check below says so
+    with np.errstate(over="ignore", invalid="ignore"):
+        if g.directed:
+            indptr, indices = g.csr("out")
+            rindptr, rindices = g.csr("in")
+            norm = (g.n - 1) * (g.n - 2)
+            raw = kernels.betweenness_raw(indptr, indices, rindptr, rindices, g.n)
+        else:
+            indptr, indices = g.csr("both")
+            norm = (g.n - 1) * (g.n - 2) / 2
+            raw = kernels.betweenness_raw(indptr, indices, indptr, indices, g.n) / 2.0
+    if not np.isfinite(raw).all():
+        raise ValidationError("betweenness: shortest-path counts overflow float64 on this view")
     scores = {v: float(raw[i]) / norm for i, v in enumerate(g.vertices)}
     return CentralityReport("betweenness", scores)
 

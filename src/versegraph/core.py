@@ -126,9 +126,6 @@ def _utf8(text: str, what: str) -> None:
 
 
 _INT, _STR = frozenset({int}), frozenset({str})
-# the field types of an edge that need no conversion
-_EDGE_TYPES = frozenset((int, int, int, int, int, bool, float, str, int, t_end)
-                        for t_end in (int, type(None)))
 _NO_ATTRS: Mapping[str, Scalar] = MappingProxyType({})  # shared by every vertex without attrs
 
 # The columns of each kind of record, in the order of its fields.  Role and
@@ -574,13 +571,9 @@ class TemporalMultiLayerGraph:
         return vid, roles, layers, attrs, t_start, t_end
 
     def _edge(self, fields: Iterable) -> tuple:
-        """The fields to store for an edge, if they pass the checks: plain
-        ints, a bool and a float, as for a vertex."""
-        eid, t_start, t_end = fields[0], fields[8], fields[9]
-        if (tuple(map(type, fields)) not in _EDGE_TYPES or not -_LIMIT < eid < _LIMIT
-                or not -_LIMIT < t_start < _LIMIT
-                or t_end is not None and not -_LIMIT < t_end < _LIMIT):
-            fields = _plain_edge(*fields)
+        """The fields to store for an edge, if they pass the checks: those of
+        :func:`_plain_edge`, as for a vertex."""
+        fields = _plain_edge(*fields)
         eid, src, dst, layer_src, layer_dst, _, weight, relation, t_start, t_end = fields
         if not 0.0 <= weight < math.inf:
             raise ValidationError(f"edge {eid}: non-finite weight {weight}" if not math.isfinite(weight)
@@ -827,17 +820,32 @@ class TemporalMultiLayerGraph:
                 self._index_edge(row, a, b)
         return self._incident.get(vrow, [])
 
-    def retire_vertex(self, vid: int, t: int) -> None:
-        log = self.events
-        row = self._vertex_row.get(vid)
+    def _retiring(self, cols: _Columns, row_of: dict, kind: str, rid, t) -> tuple[int, int]:
+        """The row of record ``rid`` and ``t``, as ints, if it is open and started by ``t``."""
+        rid = _int(rid, "%s id", kind)
+        row = row_of.get(rid)
         if row is None:
-            raise ValidationError(f"unknown vertex {vid}")
+            raise ValidationError(f"unknown {kind} {rid}")
         t = _stored_int(t, "retirement tick")
-        v, e = self._vertices, self._edges
-        if v["t_end"][row] != OPEN:
-            raise ValidationError(f"vertex {vid} already retired")
-        if not v["t_start"][row] <= t:
-            raise ValidationError(f"vertex {vid} not active at t={t}")
+        if cols["t_end"][row] != OPEN:
+            raise ValidationError(f"{kind} {rid} already retired")
+        if not cols["t_start"][row] <= t:
+            raise ValidationError(f"{kind} {rid} not active at t={t}")
+        return row, t
+
+    def _close(self, cols: _Columns, cache: dict, kind: str, rows: list[int], t: int) -> None:
+        """End the records at ``rows`` at ``t`` and log each, in row order."""
+        log = self.events  # a derived log is read before the rows change
+        ends, ids = cols["t_end"], cols["id"]
+        for row in rows:
+            ends[row] = t
+            cache.pop(row, None)
+            log.append((kind, ids.item(row), t))
+
+    def retire_vertex(self, vid: int, t: int) -> None:
+        """Retire a vertex and its open edges at ``t``, logged vertex first."""
+        row, t = self._retiring(self._vertices, self._vertex_row, "vertex", vid, t)
+        e = self._edges
         # open incident edges retire at t, so must start by then; others must end by then
         incident = np.array(self._incident_edges(row), dtype=np.int64)
         ends = e["t_end"][incident]
@@ -846,29 +854,12 @@ class TemporalMultiLayerGraph:
         if late.any():
             raise ValidationError(f"vertex {vid} cannot retire at t={t}: edges "
                                   f"{e['id'][incident[late]].tolist()} start later or end later")
-        v["t_end"][row] = t
-        self._vertex_cache.pop(row, None)
-        log.append(("vertex-", int(v["id"][row]), t))
-        retired = incident[still]
-        e["t_end"][retired] = t
-        for erow, eid in zip(retired.tolist(), e["id"][retired].tolist()):
-            self._edge_cache.pop(erow, None)
-            log.append(("edge-", eid, t))
+        self._close(self._vertices, self._vertex_cache, "vertex-", [row], t)
+        self._close(e, self._edge_cache, "edge-", incident[still].tolist(), t)
 
     def retire_edge(self, eid: int, t: int) -> None:
-        log = self.events
-        row = self._edge_row.get(eid)
-        if row is None:
-            raise ValidationError(f"unknown edge {eid}")
-        t = _stored_int(t, "retirement tick")
-        e = self._edges
-        if e["t_end"][row] != OPEN:
-            raise ValidationError(f"edge {eid} already retired")
-        if not e["t_start"][row] <= t:
-            raise ValidationError(f"edge {eid} not active at t={t}")
-        e["t_end"][row] = t
-        self._edge_cache.pop(row, None)
-        log.append(("edge-", int(e["id"][row]), t))
+        row, t = self._retiring(self._edges, self._edge_row, "edge", eid, t)
+        self._close(self._edges, self._edge_cache, "edge-", [row], t)
 
     # -- queries -----------------------------------------------------------
 

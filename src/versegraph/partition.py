@@ -3,25 +3,25 @@
 Matrix-free throughout.  One class, :class:`Laplacian`, a read-only operator
 over a weighted CSR with one product ``L @ x`` = D x - A x, serves the view
 (:func:`laplacian`), every k-way block and every multigrid level.
-:func:`fiedler_vector` finds the second-smallest eigenpair with LOBPCG
-(Knyazev, SIAM J. Sci. Comput. 2001) preconditioned by an aggregation
-multigrid V-cycle, so memory grows with n plus the arcs, never with n².  The
-only dense matrices are the 3 × 3 Rayleigh–Ritz problem and the
-pseudo-inverse of the multigrid's coarsest level, at most ``MAX_COARSE``
-wide.  The contract is a residual bound plus orthogonality to the all-ones
-vector and a deterministic sign convention, checked on every call; a solve
-that does not get there within ``MAX_ITER`` iterations raises
-:class:`ConvergenceError`.  The recursive bisection works on positional
-arrays: the first split runs on the view's Laplacian, and each later block's
-is cut out of its parent block's CSR with masks.  Connectivity checks and
-the peel of a disconnected block come from :func:`kernels.components`.
+:func:`fiedler_vector` takes a :class:`Laplacian` and finds its
+second-smallest eigenpair with LOBPCG (Knyazev, SIAM J. Sci. Comput. 2001)
+preconditioned by an aggregation multigrid V-cycle that each call builds,
+so memory grows with n plus the arcs, never with n².  The only dense
+matrices are the 3 × 3 Rayleigh–Ritz problem and the pseudo-inverse of the
+multigrid's coarsest level, at most ``MAX_COARSE`` wide.  The contract is a
+residual bound plus orthogonality to the all-ones vector and a deterministic
+sign convention, checked on every call; a solve that does not get there
+within ``MAX_ITER`` iterations raises :class:`ConvergenceError`.  The
+recursive bisection works on positional arrays: the first split runs on the
+view's Laplacian, and each later block's is cut out of its parent block's
+CSR with masks.  Connectivity checks and the peel of a disconnected block
+come from :func:`kernels.components`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -52,8 +52,9 @@ class Laplacian:
     """L = D - A of an undirected adjacency without self-loops, given as a CSR
     with rows ascending and each row's columns strictly ascending (a view's
     ``csr("both")``) and arc weights ``wts`` (None for unit weights).  Views,
-    k-way blocks and multigrid levels all use it.  Read-only and never
-    formed: ``L @ x`` = D x - ``adjacent(x)`` takes 1-D and 2-D operands."""
+    k-way blocks and multigrid levels all use it, and :func:`fiedler_vector`
+    takes nothing else.  Read-only and never formed: ``L @ x`` = D x -
+    ``adjacent(x)`` takes 1-D and 2-D operands."""
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, wts: Optional[np.ndarray] = None):
         self.indptr, self.indices, self.wts = indptr, indices, wts
@@ -76,11 +77,6 @@ class Laplacian:
         if x.ndim == 2:
             return np.stack([self @ column for column in x.T], axis=1)
         return self._degree * x - self.adjacent(x)
-
-    @cached_property
-    def _multigrid(self) -> tuple[list, np.ndarray]:
-        """The preconditioner of :func:`fiedler_vector`, built on first use."""
-        return _build_multigrid(self)
 
 
 class _Level(NamedTuple):
@@ -179,34 +175,27 @@ def _check_tol(tol) -> None:
         raise ValidationError(f"tol must be a finite number > 0, got {tol!r}")
 
 
-def fiedler_vector(L, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
-    """Second-smallest eigenpair of a graph Laplacian.
+def fiedler_vector(L: Laplacian, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
+    """Second-smallest eigenpair of the graph Laplacian ``L``.
 
-    ``L`` is a :class:`Laplacian` or a dense array, whose preconditioner is
-    that of the Laplacian of its off-diagonal nonzeros.  Single-vector LOBPCG
-    with the constant vector projected out, one multigrid V-cycle as the
-    preconditioner (Notay, ETNA 2010; Knyazev & Neymeyr, ETNA 2003) and a
-    fixed-seed start.  Each iteration applies ``L`` once, to the new
-    preconditioned residual; the products of the other basis vectors follow
-    from their linear combinations.  The returned vector is unit norm with
-    entries summing to zero and its first entry over 1e-12 in magnitude
-    positive; the solve ends only when its residual on a fresh ``L @ v`` is
-    within ``tol * TIGHTEN`` (or the rounding floor).
+    Single-vector LOBPCG with the constant vector projected out, one V-cycle
+    of a multigrid built on ``L`` per call as the preconditioner (Notay, ETNA
+    2010; Knyazev & Neymeyr, ETNA 2003) and a fixed-seed start.  Each
+    iteration applies ``L`` once, to the new preconditioned residual; the
+    products of the other basis vectors follow from their linear
+    combinations.  The returned vector is unit norm with entries summing to
+    zero and its first entry over 1e-12 in magnitude positive; the solve ends
+    only when its residual on a fresh ``L @ v`` is within ``tol * TIGHTEN``
+    (or the rounding floor).
     """
     _check_tol(tol)
     n = L.shape[0]
     if n < 2:
         raise ValidationError("need at least 2 vertices")
-    pattern = L
-    if not isinstance(L, Laplacian):
-        rows, cols = np.nonzero(np.asarray(L))
-        off = rows != cols
-        pattern = Laplacian(np.searchsorted(rows[off], np.arange(n + 1)), cols[off])
-    multigrid = pattern._multigrid
+    multigrid = _build_multigrid(L)
     # rounding alone leaves a residual of about eps * ||L||, and ||L|| is at
     # most twice the largest degree: no bound is set below a multiple of that
-    d = np.asarray(L.diagonal(), dtype=np.float64)
-    floor = 64 * np.finfo(np.float64).eps * max(1.0, 2 * float(d.max()))
+    floor = 64 * np.finfo(np.float64).eps * max(1.0, 2 * float(L.diagonal().max()))
     target = max(tol * TIGHTEN, floor)
     # Z[j] = (v_j, L v_j) for an orthonormal basis: v_0 = e, the unit
     # constant vector (L e = 0); v_1 = x, the Ritz vector; v_2 = p, the last

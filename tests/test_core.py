@@ -500,6 +500,42 @@ def test_ids_and_ticks_must_be_integers(g):
     assert io.graph_to_json(g) == json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("method, rid, match", [
+    ("retire_vertex", True, "vertex id must be an integer, got True"),
+    ("retire_vertex", 1.0, "vertex id must be an integer, got 1.0"),
+    ("retire_vertex", [0], r"vertex id must be an integer, got \[0\]"),
+    ("retire_edge", np.float64(0), "edge id must be an integer, got np.float64"),
+    ("retire_edge", False, "edge id must be an integer, got False"),
+])
+def test_retirement_ids_must_be_integers(g, method, rid, match):
+    # a bool or a float found the record of the equal int, and a list
+    # escaped as a bare TypeError
+    net = g.create_layer("network")
+    a, b = g.add_vertex({"x"}, {net}), g.add_vertex({"x"}, {net})
+    g.add_edge(a, b, net, net)
+    before = list(g.events), dict(g.vertex_records), dict(g.edge_records)
+    with pytest.raises(ValidationError, match=match):
+        getattr(g, method)(rid, 3)
+    assert (g.events, dict(g.vertex_records), dict(g.edge_records)) == before
+
+
+def test_retirement_reads_numpy_ids_as_ints(g):
+    net = g.create_layer("network")
+    a = g.add_vertex({"x"}, {net})
+    e = g.add_edge(a, a, net, net)
+    g.retire_edge(np.int64(e), np.int64(4))
+    g.retire_vertex(np.int32(a), 6)
+    assert g.events[-2:] == [("edge-", e, 4), ("vertex-", a, 6)]
+    assert all(type(x) is int for ev in g.events[-2:] for x in ev[1:])
+    # the first retirement of a graph built from records derives its log
+    # before the row changes, so the retirement is logged once
+    vs, es = _records()
+    g = graph_from_records(["net", "soc"], vs, es)
+    g.retire_vertex(np.int64(1), np.int64(9))
+    assert g.events == graph_from_records(["net", "soc"], vs, es).events + [("vertex-", 1, 9)]
+    assert g.vertex_records[1].t_end == 9
+
+
 @pytest.mark.parametrize("patch, match", [
     (lambda vs, es: vs.__setitem__(0, vs[0]._replace(id=True)), "vertex id must be an integer"),
     (lambda vs, es: vs.__setitem__(0, vs[0]._replace(t_start=2.0)), "vertex 4: t_start"),

@@ -14,6 +14,7 @@ import pytest
 
 from versegraph import analytics, kernels
 from versegraph.core import TemporalMultiLayerGraph
+from versegraph.errors import ValidationError
 
 from conftest import make_view, oracle_components_label_propagation, pipeline_params, random_simple_edges
 
@@ -333,15 +334,53 @@ def test_dependencies_where_a_path_count_overflows_off_level():
     multiplies v's inf by w's dependency in s1's column, which the mask must
     zero, not turn into NaN.  Every score is finite, and v's is 2,049: v is
     on the one shortest path to w from each ladder vertex and from s2."""
-    layers = 1024
-    s1, s2, v, w, x = 0, 1, 2 * layers + 2, 2 * layers + 3, 2 * layers + 4
-    arcs = [(s1, 2), (s1, 3), (s1, x), (x, w), (s2, v), (v, w), (v - 2, v), (v - 1, v)]
-    arcs += [(2 * i + a, 2 * i + 2 + c) for i in range(1, layers) for a in (0, 1) for c in (0, 1)]
-    view = make_view(2 * layers + 5, [(a, b, 1.0, True) for a, b in arcs])
+    view, v = _off_level_ladder(1024)
     with np.errstate(over="ignore", invalid="ignore"):
         got = kernels.betweenness_raw(*view.csr("out"), *view.csr("in"), view.n)
     assert np.isfinite(got).all()
-    assert got[v] == 2 * layers + 1
+    assert got[v] == 2 * 1024 + 1
+
+
+def _off_level_ladder(layers):
+    """The view of the test above and its vertex v."""
+    s1, s2, v, w, x = 0, 1, 2 * layers + 2, 2 * layers + 3, 2 * layers + 4
+    arcs = [(s1, 2), (s1, 3), (s1, x), (x, w), (s2, v), (v, w), (v - 2, v), (v - 1, v)]
+    arcs += [(2 * i + a, 2 * i + 2 + c) for i in range(1, layers) for a in (0, 1) for c in (0, 1)]
+    return make_view(2 * layers + 5, [(a, b, 1.0, True) for a, b in arcs]), v
+
+
+def test_betweenness_refuses_path_counts_that_overflow(tmp_path, capsys):
+    """The API returned 2,196 NaN scores of 2,200 on the 1,100-layer ladder,
+    with RuntimeWarnings on stderr; it raises, and analyze exits 2 with one
+    error line and no CSV."""
+    from versegraph import cli, io
+
+    with np.errstate(all="raise"), pytest.raises(ValidationError, match="overflow float64"):
+        analytics.betweenness_centrality(_doubling_ladder(1100))
+    g = TemporalMultiLayerGraph()
+    net = g.create_layer("net")
+    for _ in range(2 * 1100):
+        g.add_vertex({"x"}, {net})
+    for e in _doubling_ladder(1100).edges:
+        g.add_edge(e.src, e.dst, net, net)
+    io.export_graph(g, str(tmp_path / "g.json"))
+    capsys.readouterr()
+    out = tmp_path / "m.csv"
+    assert cli.run(["analyze", "--in", str(tmp_path / "g.json"), "--metrics", "betweenness",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_betweenness_returns_where_only_an_off_level_count_overflows():
+    """On the 1,024-layer case above every score is finite, so the API
+    returns them, without a float error escaping."""
+    view, v = _off_level_ladder(1024)
+    with np.errstate(all="raise"):
+        scores = analytics.betweenness_centrality(view).scores
+    assert np.isfinite(list(scores.values())).all()
+    assert scores[v] == (2 * 1024 + 1) / ((view.n - 1) * (view.n - 2))
 
 
 def test_betweenness_working_set_on_the_pipeline_graph(tmp_path):

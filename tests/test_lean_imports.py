@@ -37,7 +37,7 @@ analytics.bfs_order(net, a)
 scenario.trust_path(snap.flatten(), a, b)
 netopt.max_flow_min_cut(net, a, b)
 netopt.augment_redundancy(net, netopt.minimum_spanning_tree(net), 3)
-levels, _ = partition.laplacian(snap.flatten())._multigrid
+levels, _ = partition._build_multigrid(partition.laplacian(snap.flatten()))
 print(json.dumps({"codes": codes, "coarsened": len(levels) > 0,
                   "loaded": sorted(m for m in ("scipy", "numpy.ma") if m in sys.modules)}))
 """
