@@ -8,6 +8,11 @@ materializes an immutable :class:`SnapshotView` holding exactly the rows
 whose half-open validity interval ``[t_start, t_end)`` covers ``t``.  All
 analytics run on snapshots or on the :class:`GraphView` objects derived from
 them, never on the live log.
+
+This module is the only judge of a record's values, for API callers and for
+files alike: ``io`` reads a graph file's shape and hands its values here.
+The checks are as strict as the file format, so ``directed=1``,
+``weight="2.5"``, ``roles={"a": 1}`` and ``attrs=[]`` are refused.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import sys
 from functools import cached_property
 from itertools import chain, compress, repeat
 from types import MappingProxyType
@@ -75,9 +79,14 @@ def _int(value, what: str, *args) -> int:
 
 def _is_finite(value) -> bool:
     """True for a real number, not a bool, that a float holds finitely."""
-    # abs() compares exactly, so NaN, the infinities and too large ints fail
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and abs(value) <= sys.float_info.max
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        # as a double: comparing a numpy float32 with a Python float would
+        # cast the float down, and the largest one would become inf
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _stored_int(value, what: str, *args) -> int:
@@ -93,7 +102,9 @@ def _stored_int(value, what: str, *args) -> int:
 def _plain_edge(eid, src, dst, layer_src, layer_dst, directed, weight, relation, t_start,
                 t_end) -> tuple:
     """The fields of an edge with its ids and ticks as plain ints, ``directed``
-    as a bool and ``weight`` as a float."""
+    as a bool and ``weight`` as a float.  As in the file format, ``directed``
+    must be a bool and ``weight`` a number: ``1``, ``"no"``, ``True`` and
+    ``"2.5"`` are refused, not converted."""
     eid = _stored_int(eid, "edge id")
     src = _int(src, "edge %s: src", eid)
     dst = _int(dst, "edge %s: dst", eid)
@@ -101,10 +112,12 @@ def _plain_edge(eid, src, dst, layer_src, layer_dst, directed, weight, relation,
     layer_dst = _int(layer_dst, "edge %s: layer_dst", eid)
     t_start = _stored_int(t_start, "edge %s: t_start", eid)
     t_end = None if t_end is None else _stored_int(t_end, "edge %s: t_end", eid)
-    try:
+    if type(directed) is not bool and type(directed) is not np.bool_:
+        raise ValidationError(f"edge {eid}: directed must be a boolean, got {directed!r}")
+    if type(weight) is not float:
+        if not _is_finite(weight):
+            raise ValidationError(f"edge {eid}: weight must be a finite number, got {weight!r}")
         weight = float(weight)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"edge {eid}: weight must be a finite number, got {weight!r}") from None
     return eid, src, dst, layer_src, layer_dst, bool(directed), weight, relation, t_start, t_end
 
 
@@ -190,12 +203,13 @@ class _Columns:
 
 
 def _attrs(attrs: Mapping, vid: int) -> Mapping[str, Scalar]:
-    """A read-only private copy of a vertex's attrs, if they map strings to
-    JSON scalars that the interchange file holds exactly."""
-    if not attrs:
-        return _NO_ATTRS
+    """A read-only private copy of a vertex's attrs, if they are a mapping,
+    even an empty one, of strings to JSON scalars that the interchange file
+    holds exactly."""
     if not isinstance(attrs, Mapping):
         raise ValidationError(f"vertex {vid}: attrs must be a mapping, got {attrs!r}")
+    if not attrs:
+        return _NO_ATTRS
     attrs = MappingProxyType(dict(attrs))
     for key, value in attrs.items():
         finite = not isinstance(value, float) or math.isfinite(value)
@@ -541,10 +555,11 @@ class TemporalMultiLayerGraph:
         vid, roles, layers, attrs, t_start, t_end = fields
         vid = _stored_int(vid, "vertex id")
         # a string is iterable, but as roles it would give one role per
-        # character, as bytes give one layer id per byte
-        if isinstance(roles, (str, bytes)) or isinstance(layers, (str, bytes)):
+        # character, as bytes give one layer id per byte; a mapping would
+        # give its keys
+        if isinstance(roles, (str, bytes, Mapping)) or isinstance(layers, (str, bytes, Mapping)):
             raise ValidationError(f"vertex {vid}: roles and layers must be collections, "
-                                  f"not a string")
+                                  f"not a string or a mapping")
         try:
             layers, roles = frozenset(layers), frozenset(roles)
         except TypeError:
@@ -609,8 +624,10 @@ class TemporalMultiLayerGraph:
                 or not _INT.issuperset(map(type, chain.from_iterable(layers)))):
             return False
         try:
-            attrs = [_attrs(a, ids[i]) if a else _NO_ATTRS for i, a in enumerate(attrs)]
-        except (ValidationError, TypeError, ValueError):  # refused, or no truth value
+            # an empty dict, what most vertices hold, needs no copy and no check
+            attrs = [_NO_ATTRS if type(a) is dict and not a else _attrs(a, ids[i])
+                     for i, a in enumerate(attrs)]
+        except ValidationError:
             return False
         role_codes = self._intern(roles, lambda s: _encodes("".join(s)))
         layer_codes = self._intern(layers, lambda s: s and self._layer_names.keys() >= s)
@@ -627,7 +644,7 @@ class TemporalMultiLayerGraph:
         ids, src, dst, layer_src, layer_dst, directed, weight, relation, starts, ends = columns
         spans = _lifetimes(ids, starts, ends)
         cols = [*(_column(c, np.int64) for c in (src, dst, layer_src, layer_dst)),
-                _column(directed, bool, {bool}), _column(weight, np.float64, {float}),
+                _column(directed, bool, {bool}), _column(weight, np.float64, {float, int}),
                 _column(relation, object, _STR)]
         v = self._vertices  # with none, every edge dangles
         if spans is None or any(c is None for c in cols) or not v.n:
@@ -755,7 +772,8 @@ class TemporalMultiLayerGraph:
         t_start: int = 0,
     ) -> int:
         log = self.events
-        created = self._put_vertex((self._next_vertex, roles, layers, attrs or {}, t_start, None))
+        created = self._put_vertex((self._next_vertex, roles, layers,
+                                    _NO_ATTRS if attrs is None else attrs, t_start, None))
         self._next_vertex += 1
         log.append(("vertex+", *created))
         return created[0]

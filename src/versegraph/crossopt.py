@@ -28,13 +28,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SnapshotView, _int
+from .core import SnapshotView, _int, _is_finite
 from .errors import InfeasibleError, ValidationError
 
 
 def _require_finite(owner: str, values: dict[str, float]) -> None:
+    """Refuse a value that is not a real number, not a bool, that a float
+    holds finitely."""
     for name, v in values.items():
-        if not math.isfinite(v):
+        if not _is_finite(v):
             raise ValidationError(f"{owner}: {name} must be finite, got {v!r}")
 
 

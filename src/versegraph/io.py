@@ -2,20 +2,19 @@
 
 The interchange document is versioned and round-trips: importing an exported
 graph and exporting again yields byte-identical JSON.  Open-ended validity is
-encoded by omitting ``t_end``.
+encoded by omitting ``t_end``.  The graph reader checks only the document's
+shape: JSON objects with known keys, dense layer ids, absent or null optional
+fields read as their defaults.  Every vertex and edge value is judged by
+``core``, which is as strict for API callers as for files.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import os
 import sys
 from collections import Counter
-from itertools import chain, repeat
 from typing import Optional
-
-import numpy as np
 
 from .core import Scalar, SnapshotView, TemporalMultiLayerGraph
 from .crossopt import (
@@ -117,102 +116,53 @@ def json_number(value, what: str) -> float:
 
 
 def graph_from_dict(doc: dict) -> TemporalMultiLayerGraph:
+    """The graph of an interchange document.  Only the document's shape is
+    read here; ``TemporalMultiLayerGraph.from_columns`` judges every value,
+    and what it refuses is reported as a malformed file."""
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported interchange version {version!r}")
     try:
-        layers, vertices, edges = _parse_graph(doc)
-    except (ValidationError, AttributeError, TypeError, OverflowError) as exc:
+        return TemporalMultiLayerGraph.from_columns(*_parse_graph(doc))
+    except ValidationError as exc:
         raise ValidationError(f"malformed graph file: {exc}") from exc
-    return TemporalMultiLayerGraph.from_columns(layers, vertices, edges)
 
 
-# the fields of each record, in the order of the record's constructor, with
-# their JSON types; an optional field may be absent or null, which reads as
-# its default.  The relation's type is left to core, which checks it for API
-# callers too.
-_OPTIONAL = {"roles": (), "attrs": {}, "relation": "", "t_end": None}
-# the array a required field of these JSON types is read into, once its
-# values pass; integers too large for int64 stay in a list, for core to refuse
-_ARRAYS = {INT: np.int64, BOOL: bool, NUMBER: np.float64}
+# the fields of each record, in the order of the record's constructor; an
+# optional field may be absent or null, which reads as its default
 _FIELDS = {
-    "layers": {"id": INT, "name": STR},
-    "vertices": {"id": INT, "roles": LIST, "layers": LIST, "attrs": OBJECT, "t_start": INT,
-                 "t_end": INT},
-    "edges": {"id": INT, "src": INT, "dst": INT, "layer_src": INT, "layer_dst": INT,
-              "directed": BOOL, "weight": NUMBER, "relation": None, "t_start": INT, "t_end": INT},
+    "layers": ("id", "name"),
+    "vertices": ("id", "roles", "layers", "attrs", "t_start", "t_end"),
+    "edges": ("id", "src", "dst", "layer_src", "layer_dst", "directed", "weight", "relation",
+              "t_start", "t_end"),
 }
-
-
-def _check_record(rec, kinds: dict, what: str) -> None:
-    """Raise if ``rec`` is not a JSON object of these fields with these types."""
-    values = list(map(rec.get, kinds))  # as a record is read: a list or number has no .get
-    _known(rec, kinds, what)
-    for (k, kind), value in zip(kinds.items(), values):
-        if kind and type(value) not in kind and not (value is None and k in _OPTIONAL):
-            json_value(value, kind, f"{what}.{k}")
+_OPTIONAL = {"roles": (), "attrs": {}, "relation": ""}
 
 
 def _columns(doc: dict, key: str) -> list[list]:
-    """The values of each field of the records under ``key``, one list per
-    field, type-checked, absent or null read as the default.  Each check runs
-    over a whole field; a record that fails one is checked again on its own,
-    in record order, so the error is the first bad record's."""
-    kinds = _FIELDS[key]
-    records = json_value(doc.get(key, []), LIST, key)
-    odd = {i for i, rec in enumerate(records) if type(rec) is not dict}
-    dicts = [{} if i in odd else rec for i, rec in enumerate(records)] if odd else records
-    columns = [[rec.get(k) for rec in dicts] for k in kinds]
-    # keys + nulls = len(kinds) for a record whose absent fields are the
-    # optional ones: an unknown key or an explicit null makes it more, and
-    # the record is checked on its own
-    keys = np.fromiter(map(len, dicts), np.int64, len(dicts))
-    nulls = []
-    for (k, kind), column in zip(kinds.items(), columns):
-        types = set(map(type, column))
-        if type(None) in types and k in _OPTIONAL:
-            keys += np.fromiter(map(operator.is_, column, repeat(None)), bool, len(column))
-            types.discard(type(None))
-            nulls.append((k, column))
-        if kind and not types <= set(kind):
-            odd.update(i for i, v in enumerate(column) if type(v) not in kind)
-    odd.update(np.flatnonzero(keys != len(kinds)).tolist())
-    for i in sorted(odd):
-        _check_record(records[i], kinds, f"{key}[{i}]")
-    for k, column in nulls:
-        if _OPTIONAL[k] is not None:
+    """The values of each field of the JSON objects listed under ``key``, one
+    list per field, an absent or null optional field read as its default."""
+    fields, records = _FIELDS[key], json_value(doc.get(key, []), LIST, key)
+    # one pass over every record's keys; a record outside it is named alone
+    if not ({dict}.issuperset(map(type, records)) and set(fields).issuperset(set().union(*records))):
+        for i, rec in enumerate(records):
+            _known(rec, fields, f"{key}[{i}]")
+    columns = [[rec.get(k) for rec in records] for k in fields]
+    for k, column in zip(fields, columns):
+        if k in _OPTIONAL:
             column[:] = [_OPTIONAL[k] if v is None else v for v in column]
-    for j, (k, kind) in enumerate(kinds.items()):
-        if kind in _ARRAYS and k not in _OPTIONAL:
-            try:
-                columns[j] = np.array(columns[j], _ARRAYS[kind])
-            except OverflowError:
-                if kind is NUMBER:  # as float() refuses an integer too large for a float
-                    raise
     return columns
 
 
-_INT_TYPE, _STR_TYPE = frozenset({int}), frozenset({str})
-
-
-def _parse_graph(doc: dict) -> tuple[list[str], list[list], list[list]]:
-    """The layer names and the vertex and edge fields of the document, with
-    their JSON types checked.  Whether they form a valid graph is for
-    ``TemporalMultiLayerGraph.from_columns``."""
+def _parse_graph(doc: dict) -> tuple[list, list[list], list[list]]:
+    """The layer names and the vertex and edge fields of the document, whose
+    layer ids must be dense."""
     _known(doc, ("version", *_FIELDS), "graph")
     lids, names = _columns(doc, "layers")
     for i, lid in enumerate(lids):
-        if lid != i:
-            raise ValidationError(f"layer ids must be dense and ordered; got {lid} at {i}")
-    vertices = _columns(doc, "vertices")
-    ids, roles, layer_ids = vertices[:3]
-    if not (_INT_TYPE.issuperset(map(type, chain.from_iterable(layer_ids)))
-            and _STR_TYPE.issuperset(map(type, chain.from_iterable(roles)))):
-        for vid, rs, ls in zip(ids, roles, layer_ids):
-            if not all(type(lid) is int for lid in ls):
-                raise ValidationError(f"vertex {vid}: layer ids must be integers, got {ls!r}")
-            frozenset(rs)  # a TypeError names an unhashable role
-    return names, vertices, _columns(doc, "edges")
+        if type(lid) is not int or lid != i:
+            raise ValidationError(f"layer ids must be dense and ordered; got {lid!r} at {i}")
+    return names, _columns(doc, "vertices"), _columns(doc, "edges")
 
 
 def write_text(path: str, text: str) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .analytics import bfs_levels, weakly_connected_components
-from .core import GraphView, TemporalMultiLayerGraph, _is_finite
+from .core import GraphView, TemporalMultiLayerGraph, _int, _is_finite
 from .errors import ConvergenceError, ValidationError
 
 CDN_SCORE_BYTES = 1 << 20  # size of the buffer cdn_place_caches scores candidates in
@@ -35,13 +35,15 @@ class GeneratorConfig:
     complete: bool = False
 
     def __post_init__(self):
-        for name in ("routers", "servers", "devices", "users", "items", "admins"):
-            if getattr(self, name) < 0:
+        for name in ("seed", "routers", "servers", "devices", "users", "items", "admins"):
+            if _int(getattr(self, name), name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
-        if not 0.0 <= self.edge_prob <= 1.0:
-            raise ValidationError("edge_prob must be in [0, 1]")
-        if self.attachment < 1:
+        if not (_is_finite(self.edge_prob) and 0.0 <= self.edge_prob <= 1.0):
+            raise ValidationError(f"edge_prob must be a number in [0, 1], got {self.edge_prob!r}")
+        if _int(self.attachment, "attachment") < 1:
             raise ValidationError("attachment must be >= 1")
+        if type(self.complete) is not bool:
+            raise ValidationError(f"complete must be a boolean, got {self.complete!r}")
 
 
 def _attach(rng, n: int, m: int) -> list[tuple[int, int]]:
@@ -145,12 +147,17 @@ class VersionDag:
     parents: list[tuple[int, ...]] = field(default_factory=list)
 
     def record_version(self, parent_ids: tuple[int, ...] | list[int], content_hash: str) -> int:
-        for p in parent_ids:
+        if not isinstance(parent_ids, (tuple, list)):
+            raise ValidationError(f"parent ids must be a tuple or list, got {parent_ids!r}")
+        parents = [_int(p, "parent version") for p in parent_ids]
+        for p in parents:
             if not 0 <= p < len(self.hashes):
                 raise ValidationError(f"unknown parent version {p}")
+        if not isinstance(content_hash, str):
+            raise ValidationError(f"content hash must be a string, got {content_hash!r}")
         vid = len(self.hashes)
         self.hashes.append(content_hash)
-        self.parents.append(tuple(sorted(set(parent_ids))))
+        self.parents.append(tuple(sorted(set(parents))))
         return vid
 
     def topological_order(self) -> list[int]:
@@ -177,7 +184,10 @@ def cdn_place_caches(
     outside = sorted(set(demand) - g.index.keys())
     if outside:
         raise ValidationError(f"demand names vertices outside the view: {outside[:10]}")
-    w = np.array([demand.get(v, 0.0) for v in g.vertices])
+    odd = [x for x in demand.values() if not _is_finite(x)]
+    if odd:
+        raise ValidationError(f"demand must be a finite number at every vertex, got {odd[0]!r}")
+    w = np.array([demand.get(v, 0.0) for v in g.vertices], dtype=np.float64)
     wsum = w.sum()  # finite only if every term is
     if not ((w >= 0).all() and 0 < wsum < np.inf):
         raise ValidationError(f"demand must be >= 0 at every vertex with a positive, finite "
@@ -216,6 +226,7 @@ class ReplicaPlacement:
 
 def replicate_items(items: list[int], nodes: list[int], r: int) -> ReplicaPlacement:
     """Round-robin placement offset by item index; r distinct nodes per item."""
+    r = _int(r, "replication factor")
     if r < 0:
         raise ValidationError("replication factor must be >= 0")
     if r > len(nodes):
@@ -297,6 +308,9 @@ def consensus_sim(
     if set(values) != set(topology.vertices):
         raise ValidationError("values must cover exactly the topology's vertices")
     order = topology.vertices
+    odd = [x for x in map(values.__getitem__, order) if not _is_finite(x)]
+    if odd:
+        raise ValidationError(f"values must be finite numbers, got {odd[0]!r}")
     x0 = np.array([float(values[v]) for v in order])
     if not x0.max() - x0.min() < np.inf:
         raise ValidationError("values must be finite and spread less than a float holds")
@@ -338,6 +352,8 @@ def anomaly_scores(
     g: GraphView, threshold: float
 ) -> tuple[dict[int, float], frozenset[int]]:
     """Degree z-scores (population stddev) and the |z| > threshold flag set."""
+    if not _is_finite(threshold):
+        raise ValidationError(f"threshold must be a finite number, got {threshold!r}")
     if g.n < 2:
         raise ValidationError("anomaly baseline needs at least 2 vertices")
     degrees = np.diff(g.csr("both")[0]).astype(float)

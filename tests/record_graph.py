@@ -13,6 +13,7 @@ records: :func:`graph_from_records` and :func:`graph_view`.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from functools import cached_property
 from types import MappingProxyType
@@ -22,7 +23,7 @@ import numpy as np
 
 from versegraph.core import EdgeRecord, GraphView, Scalar, TemporalMultiLayerGraph, VertexRecord
 from versegraph.errors import ValidationError
-from versegraph.io import FORMAT_VERSION, INT, NUMBER, STR, BOOL, LIST, OBJECT, _known, json_value
+from versegraph.io import FORMAT_VERSION, LIST, _known, json_value
 
 _LIMIT = 2 ** 62
 
@@ -50,17 +51,25 @@ def _int(value, what: str) -> int:
 def _plain_edge(eid, src, dst, layer_src, layer_dst, directed, weight, relation, t_start,
                 t_end) -> tuple:
     """The fields of an edge with its ids and ticks as plain ints, ``directed``
-    as a bool and ``weight`` as a float."""
+    as a bool and ``weight`` as a float: a bool is no weight, and neither is
+    a string, nor an int as ``directed``."""
     eid = _int(eid, "edge id")
     src, dst, layer_src, layer_dst = (
         _index(x, f"edge {eid}: {name}") for name, x in (
             ("src", src), ("dst", dst), ("layer_src", layer_src), ("layer_dst", layer_dst)))
     t_start = _int(t_start, f"edge {eid}: t_start")
     t_end = None if t_end is None else _int(t_end, f"edge {eid}: t_end")
-    try:
+    if not isinstance(directed, (bool, np.bool_)):
+        raise ValidationError(f"edge {eid}: directed must be a boolean, got {directed!r}")
+    if type(weight) is not float:
+        real = isinstance(weight, numbers.Real) and not isinstance(weight, bool)
+        try:
+            finite = real and math.isfinite(weight)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ValidationError(f"edge {eid}: weight must be a finite number, got {weight!r}")
         weight = float(weight)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"edge {eid}: weight must be a finite number, got {weight!r}") from None
     return eid, src, dst, layer_src, layer_dst, bool(directed), weight, relation, t_start, t_end
 
 
@@ -262,16 +271,17 @@ class RecordGraph:
         vid, roles, layers, attrs, t_start, t_end = fields
         vid = _int(vid, "vertex id")
         # a string is iterable, but as roles it would give one role per
-        # character, as bytes give one layer id per byte
-        if isinstance(roles, (str, bytes)) or isinstance(layers, (str, bytes)):
+        # character, as bytes give one layer id per byte; a mapping would
+        # give its keys
+        if isinstance(roles, (str, bytes, Mapping)) or isinstance(layers, (str, bytes, Mapping)):
             raise ValidationError(f"vertex {vid}: roles and layers must be collections, "
-                                  f"not a string")
+                                  f"not a string or a mapping")
         try:
             layers, roles = frozenset(layers), frozenset(roles)
         except TypeError:
             raise ValidationError(f"vertex {vid}: roles and layers must be collections of "
                                   f"hashable values, got {roles!r} and {layers!r}") from None
-        if attrs and not isinstance(attrs, Mapping):
+        if not isinstance(attrs, Mapping):
             raise ValidationError(f"vertex {vid}: attrs must be a mapping, got {attrs!r}")
         attrs = MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
         if not _INT.issuperset(map(type, layers)):
@@ -355,7 +365,8 @@ class RecordGraph:
         attrs: Optional[Mapping[str, Scalar]] = None,
         t_start: int = 0,
     ) -> int:
-        rec = self._vertex((self._next_vertex, roles, layers, attrs or {}, t_start, None))
+        rec = self._vertex((self._next_vertex, roles, layers, {} if attrs is None else attrs,
+                            t_start, None))
         self._next_vertex += 1
         self._vertices[rec.id] = rec
         self.events.append(_created(rec))
@@ -447,68 +458,43 @@ def graph_from_dict(doc: dict) -> RecordGraph:
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported interchange version {version!r}")
     try:
-        layers, vertices, edges = _parse_graph(doc)
-    except (ValidationError, AttributeError, TypeError, OverflowError) as exc:
+        return RecordGraph.from_records(*_parse_graph(doc))
+    except ValidationError as exc:
         raise ValidationError(f"malformed graph file: {exc}") from exc
-    return RecordGraph.from_records(layers, vertices, edges)
 
 
 # the fields of each record, in the order of the record's constructor, with
-# their JSON types; an optional field may be absent or null.  The relation's
-# type is left to core, which checks it for API callers too.
-_OPTIONAL = frozenset({"roles", "attrs", "relation", "t_end"})
+# the default of each optional one, which may be absent or null
 _FIELDS = {
-    "layers": {"id": INT, "name": STR},
-    "vertices": {"id": INT, "roles": LIST, "layers": LIST, "attrs": OBJECT, "t_start": INT,
-                 "t_end": INT},
-    "edges": {"id": INT, "src": INT, "dst": INT, "layer_src": INT, "layer_dst": INT,
-              "directed": BOOL, "weight": NUMBER, "relation": None, "t_start": INT, "t_end": INT},
+    "layers": {"id": None, "name": None},
+    "vertices": {"id": None, "roles": (), "layers": None, "attrs": {}, "t_start": None,
+                 "t_end": None},
+    "edges": {"id": None, "src": None, "dst": None, "layer_src": None, "layer_dst": None,
+              "directed": None, "weight": None, "relation": "", "t_start": None, "t_end": None},
 }
 
 
-def _records(doc: dict, key: str, make=tuple) -> tuple[list[tuple], Iterable[tuple]]:
-    """The field values of each record under ``key``, type-checked, absent
-    read as null, each made into a tuple by ``make``; and the field types
-    that occur."""
-    kinds = _FIELDS[key]
-    records = []
-    # the field types of records seen to pass, each with its count of
-    # non-null fields: a record holding only those keys has no unknown key,
-    # and with that, validity depends on nothing but the field types
-    valid: dict[tuple, int] = {}
-    for i, rec in enumerate(json_value(doc.get(key, []), LIST, key)):
-        values = make(map(rec.get, kinds))
-        types = tuple(map(type, values))
-        if valid.get(types) != len(rec):
-            _known(rec, kinds, f"{key}[{i}]")
-            for (k, kind), value in zip(kinds.items(), values):
-                if kind and type(value) not in kind and not (value is None and k in _OPTIONAL):
-                    json_value(value, kind, f"{key}[{i}].{k}")
-            valid[types] = len(kinds) - types.count(type(None))
-        records.append(values)
-    return records, valid.keys()
+def _records(doc: dict, key: str) -> list[tuple]:
+    """The field values of each JSON object listed under ``key``, absent or
+    null read as the field's default, as a tuple per record."""
+    defaults = _FIELDS[key]
+    records = json_value(doc.get(key, []), LIST, key)
+    for i, rec in enumerate(records):
+        _known(rec, defaults, f"{key}[{i}]")
+    return [tuple(default if rec.get(k) is None else rec[k] for k, default in defaults.items())
+            for rec in records]
 
 
-def _parse_graph(doc: dict) -> tuple[list[str], list[tuple], list[EdgeRecord]]:
-    """The layer names, the vertices' field tuples and the edge records of
-    the document, with their JSON types checked.  Whether they form a valid
-    graph is for ``RecordGraph.from_records``."""
+def _parse_graph(doc: dict) -> tuple[list, list[tuple], list[tuple]]:
+    """The layer names and the vertex and edge field tuples of the document:
+    only its shape is checked here.  Every value is judged by
+    ``RecordGraph.from_records``."""
     _known(doc, ("version", *_FIELDS), "graph")
-    layers, _ = _records(doc, "layers")
+    layers = _records(doc, "layers")
     for i, (lid, _) in enumerate(layers):
-        if lid != i:
-            raise ValidationError(f"layer ids must be dense and ordered; got {lid} at {i}")
-    vertices = []
-    for vid, roles, layer_ids, attrs, t_start, t_end in _records(doc, "vertices")[0]:
-        if not all(type(lid) is int for lid in layer_ids):
-            raise ValidationError(f"vertex {vid}: layer ids must be integers, got {layer_ids!r}")
-        vertices.append((vid, frozenset(roles or ()), frozenset(layer_ids), attrs or {}, t_start, t_end))
-    edges, types = _records(doc, "edges", EdgeRecord._make)
-    # an exported file holds float weights and every relation
-    if any(t[6] is int or t[7] is type(None) for t in types):
-        edges = [e._replace(weight=float(e.weight), relation="" if e.relation is None else e.relation)
-                 for e in edges]
-    return [name for _, name in layers], vertices, edges
+        if type(lid) is not int or lid != i:
+            raise ValidationError(f"layer ids must be dense and ordered; got {lid!r} at {i}")
+    return [name for _, name in layers], _records(doc, "vertices"), _records(doc, "edges")
 
 
 # -- the record-by-record JSON document -----------------------------------------

@@ -162,8 +162,12 @@ BAD_VERTEX = {0: [True, 2.5, "1", 2 ** 63, 2 ** 62], 1: ["ab", [["a"]], {1}, ["\
 # a layer id, tick or end may also be one another record's lifetime or
 # layers do not allow
 BAD_EDGE = {0: [True, "3", 2 ** 62], 1: [99, -1, 1.0], 2: [99, None], 3: [7, -1, 0, 1, 2],
-            4: [7, True, 0, 1, 2], 6: [-1.0, float("nan"), 10 ** 400, "w"], 7: [None, 5, "\udfff"],
+            4: [7, True, 0, 1, 2], 5: ["no", 1, [], None],
+            6: [-1.0, float("nan"), 10 ** 400, "w", "2.5", True], 7: [None, 5, "\udfff"],
             8: [-3, 2.5, 100, 0, 5], 9: [-5, 2 ** 63 - 1, 0.5, None, 11]}
+# vertex values the store took before it was as strict as the file format:
+# roles or layers as a mapping, attrs that are no mapping
+STRICT_VERTEX = {1: [{"a": 1}], 2: [{0: 1}], 3: [[], None]}
 
 
 def _corrupt(rng, records, bad):
@@ -216,7 +220,8 @@ def _sample_records():
 
 
 @pytest.mark.parametrize("kind, field, value", [
-    (kind, field, value) for kind, bad in (("vertex", BAD_VERTEX), ("edge", BAD_EDGE))
+    (kind, field, value) for kind, bad in (("vertex", BAD_VERTEX), ("edge", BAD_EDGE),
+                                           ("vertex", STRICT_VERTEX))
     for field, values in sorted(bad.items()) for value in values])
 def test_each_bad_field_matches_the_record_store(kind, field, value):
     names, vs, es = _sample_records()

@@ -487,7 +487,10 @@ def test_ids_and_ticks_must_be_integers(g):
         g.add_edge(np.int64(a), True, 0, 0, t_start=1)
     with pytest.raises(ValidationError, match="t_start must be an integer, got 1.0"):
         g.add_edge(a, a, net, net, t_start=1.0)
-    e = g.add_edge(np.int64(a), np.int32(a), np.int8(net), net, directed=1, weight=3, t_start=np.int64(2))
+    with pytest.raises(ValidationError, match="directed must be a boolean, got 1"):
+        g.add_edge(a, a, net, net, directed=1, t_start=1)
+    e = g.add_edge(np.int64(a), np.int32(a), np.int8(net), net, directed=np.True_, weight=3,
+                   t_start=np.int64(2))
     with pytest.raises(ValidationError, match="retirement tick must be an integer, got 5.5"):
         g.retire_edge(e, 5.5)
     g.retire_vertex(np.int64(a), np.int64(5))
@@ -498,6 +501,64 @@ def test_ids_and_ticks_must_be_integers(g):
     assert all(type(x) in (str, int, bool, float, frozenset, MappingProxyType)
                for ev in g.events for x in ev)
     assert io.graph_to_json(g) == json.dumps(graph_to_dict(g), indent=2, sort_keys=True) + "\n"
+
+
+# values the API stored where the file format refuses them: directed="no"
+# as directed, weight="2.5" or True as a number, roles={"a": 1} as {"a"} and
+# attrs=[] as no attrs
+MISTYPED = [
+    ("edge", 5, "no", "directed must be a boolean, got 'no'"),
+    ("edge", 5, 1, "directed must be a boolean, got 1"),
+    ("edge", 5, [], r"directed must be a boolean, got \[\]"),
+    ("edge", 6, "2.5", "weight must be a finite number, got '2.5'"),
+    ("edge", 6, True, "weight must be a finite number, got True"),
+    ("vertex", 1, {"a": 1}, "roles and layers must be collections, not a string or a mapping"),
+    ("vertex", 2, {0: 1}, "roles and layers must be collections, not a string or a mapping"),
+    ("vertex", 3, [], r"attrs must be a mapping, got \[\]"),
+]
+
+
+@pytest.mark.parametrize("kind, field, value, match", MISTYPED)
+def test_add_refuses_mistyped_fields(g, kind, field, value, match):
+    net = g.create_layer("network")
+    a = g.add_vertex({"x"}, {net})
+    # the arguments of add_edge or add_vertex: the record's fields after its id
+    args = [a, a, net, net, True, 1.0, "", 0] if kind == "edge" else [{"x"}, {net}, {}, 0]
+    args[field - 1] = value
+    call = g.add_edge if kind == "edge" else g.add_vertex
+    before = list(g.events), dict(g.vertex_records), dict(g.edge_records)
+    with pytest.raises(ValidationError, match=match):
+        call(*args)
+    assert (list(g.events), dict(g.vertex_records), dict(g.edge_records)) == before
+
+
+def _good_columns(numpy_ids: bool) -> tuple[list, list]:
+    """Two vertices and an edge.  With plain values the array checks of
+    from_columns take every column whole; np.int64 ids are not plain, so
+    every record goes through the per-record checks."""
+    ids = np.int64 if numpy_ids else int
+    vertices = [[ids(0), ids(1)], [["r"], []], [[0], [0]], [{}, {"k": 1}], [0, 0], [None, None]]
+    edges = [[ids(0)], [0], [1], [0], [0], [True], [1], [""], [0], [None]]
+    return vertices, edges
+
+
+@pytest.mark.parametrize("numpy_ids", [False, True], ids=["whole-column", "per-record"])
+# add_vertex reads attrs=None as no attrs; a record's attrs must be a mapping
+@pytest.mark.parametrize("kind, field, value, match", [
+    *MISTYPED, ("vertex", 3, None, "attrs must be a mapping, got None")])
+def test_from_columns_refuses_mistyped_fields(monkeypatch, numpy_ids, kind, field, value, match):
+    vertices, edges = _good_columns(numpy_ids)
+    put = []
+    for name in ("_put_vertex", "_put_edge"):
+        method = getattr(TemporalMultiLayerGraph, name)
+        monkeypatch.setattr(TemporalMultiLayerGraph, name,
+                            lambda self, fields, method=method: put.append(fields) or method(self, fields))
+    good = TemporalMultiLayerGraph.from_columns(["network"], vertices, edges)
+    assert len(put) == (3 if numpy_ids else 0)
+    assert good.edge_records[0].weight == 1.0 and type(good.edge_records[0].weight) is float
+    (vertices if kind == "vertex" else edges)[field][-1] = value
+    with pytest.raises(ValidationError, match=match):
+        TemporalMultiLayerGraph.from_columns(["network"], vertices, edges)
 
 
 @pytest.mark.parametrize("method, rid, match", [

@@ -432,6 +432,18 @@ def test_scenario_validation():
     lambda: SharedNode("n", 0.1, 0.0, {"l": float("inf")}),
     lambda: CouplingEdge("a", "b", w_link=float("nan")),
     lambda: CouplingEdge("a", "b", sign=float("-inf")),
+    # a string or None escaped as a TypeError; a bool was read as 0 or 1
+    lambda: DomainSpec("d", "2", 2.0, 0.0, 4.0),
+    lambda: DomainSpec("d", 1.0, None, 0.0, 4.0),
+    lambda: DomainSpec("d", True, 2.0, 0.0, 4.0),
+    lambda: SharedLink("l", 4.0, {"a": "1"}),
+    lambda: SharedLink("l", None, {"a": 1.0}),
+    lambda: SharedNode("n", 0.1, False, {}),
+    lambda: SharedNode("n", 0.1, 0.0, {"l": "2"}),
+    lambda: CouplingEdge("a", "b", sign=True),
+    lambda: CouplingEdge("a", "b", w_util="1"),
+    # compared with a Python float, a float32 infinity passed as finite
+    lambda: DomainSpec("d", np.float32("inf"), 2.0, 0.0, 4.0),
 ])
 def test_non_finite_inputs_rejected(make):
     with pytest.raises(ValidationError, match="must be finite"):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -10,6 +11,8 @@ from versegraph import cli, io
 from versegraph.core import TemporalMultiLayerGraph
 from versegraph.errors import ValidationError
 from versegraph.scenario import GeneratorConfig, gen_network_layer, gen_social_layer
+
+from test_columnar_core import JUNK
 
 
 def _small_graph():
@@ -703,7 +706,54 @@ def test_graph_file_with_non_scalar_attrs_exit_2(tmp_path, capsys):
     assert cli.run(["export", "--in", str(gpath), "--format", "json",
                     "--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: vertex 0: attrs") and "Traceback" not in err
+    assert err.startswith("error: malformed graph file: vertex 0: attrs") and "Traceback" not in err
+
+
+# the JSON type of each field of a graph file's records; an optional field
+# may also be null, and a number may be an integer
+JSON_TYPES = {
+    "layers": {"id": "integer", "name": "string"},
+    "vertices": {"id": "integer", "roles": "array", "layers": "array", "attrs": "object",
+                 "t_start": "integer", "t_end": "integer"},
+    "edges": {"id": "integer", "src": "integer", "dst": "integer", "layer_src": "integer",
+              "layer_dst": "integer", "directed": "boolean", "weight": "number",
+              "relation": "string", "t_start": "integer", "t_end": "integer"},
+}
+OPTIONAL_FIELDS = {"roles", "attrs", "relation", "t_end"}
+_JSON_TYPE_OF = {type(None): "null", bool: "boolean", int: "integer", float: "number",
+                 str: "string", list: "array", dict: "object"}
+GRAPH_COMMANDS = [["analyze", "--metrics", "degree"], ["partition", "--k", "2"],
+                  ["simulate", "--kind", "consistency"], ["export", "--format", "json"]]
+
+
+def _mistyped(key: str, field: str) -> list:
+    """The values of ``JUNK`` and "2.5", "no" and [] whose JSON type is not the field's."""
+    allowed = {JSON_TYPES[key][field], *(["integer"] if JSON_TYPES[key][field] == "number" else []),
+               *(["null"] if field in OPTIONAL_FIELDS else [])}
+    return [v for v in [*JUNK, "2.5", "no", []] if _JSON_TYPE_OF[type(v)] not in allowed]
+
+
+@pytest.mark.parametrize("key, field", [(key, field) for key, fields in JSON_TYPES.items()
+                                        for field in fields])
+def test_every_mistyped_graph_field_is_refused(tmp_path, capsys, key, field):
+    """Refused by ``io``'s reading of the file's shape or by ``core``'s
+    checks of the values, with one error line from every graph command."""
+    doc = json.loads(io.graph_to_json(_small_graph()))
+    assert set(doc[key][0]) == set(JSON_TYPES[key])
+    gpath, out = tmp_path / "g.json", tmp_path / "out"
+    for value in _mistyped(key, field):
+        for i in (0, -1):
+            bad = copy.deepcopy(doc)
+            bad[key][i][field] = copy.deepcopy(value)
+            with pytest.raises(ValidationError, match="malformed graph file: "):
+                io.graph_from_dict(bad)
+        gpath.write_text(json.dumps(bad))
+        for command in GRAPH_COMMANDS:
+            assert cli.run([command[0], "--in", str(gpath), *command[1:], "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: malformed graph file: ") and err.count("\n") == 1, \
+                (value, command, err)
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("patch", [

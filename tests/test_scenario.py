@@ -233,6 +233,52 @@ def test_config_validation():
         GeneratorConfig(attachment=0)
 
 
+def _view_of_three():
+    return make_view(3, [(0, 1), (1, 2)])
+
+
+# each escaped as a bare TypeError or ValueError, or was taken: seed=-1
+# failed later in gen, complete="no" built K_n and a float32 infinite tol ran
+@pytest.mark.parametrize("call, match", [
+    (lambda: GeneratorConfig(routers="3"), "routers must be an integer"),
+    (lambda: GeneratorConfig(seed="x"), "seed must be an integer"),
+    (lambda: GeneratorConfig(seed=-1), "seed must be >= 0"),
+    (lambda: GeneratorConfig(users=4, complete="no"), "complete must be a boolean"),
+    (lambda: GeneratorConfig(users=2.0), "users must be an integer"),
+    (lambda: GeneratorConfig(attachment=None), "attachment must be an integer"),
+    (lambda: GeneratorConfig(edge_prob="0.1"), "edge_prob must be a number"),
+    (lambda: GeneratorConfig(edge_prob=float("nan")), "edge_prob must be a number"),
+    (lambda: consensus_sim({0: "a", 1: 1.0, 2: 2.0}, _view_of_three()), "values must be finite"),
+    (lambda: consensus_sim({0: 0.0, 1: None, 2: 2.0}, _view_of_three()), "values must be finite"),
+    (lambda: consensus_sim({0: 0.0, 1: 1.0, 2: 2.0}, _view_of_three(), np.float32("inf")),
+     "tol must be a finite number"),
+    (lambda: cdn_place_caches(_view_of_three(), 1, {0: "1"}), "demand must be a finite number"),
+    (lambda: cdn_place_caches(_view_of_three(), 1, {0: None}), "demand must be a finite number"),
+    (lambda: replicate_items([1, 2], [0, 1, 2], "2"), "replication factor must be an integer"),
+    (lambda: anomaly_scores(_view_of_three(), "1"), "threshold must be a finite number"),
+    (lambda: VersionDag().record_version("a", "h"), "parent ids must be a tuple or list"),
+    (lambda: VersionDag().record_version(["a"], "h"), "parent version must be an integer"),
+    (lambda: VersionDag().record_version((), None), "content hash must be a string"),
+])
+def test_public_calls_refuse_mistyped_arguments(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
+
+
+def test_public_calls_keep_numpy_arguments():
+    """numpy numbers are still numbers: the checks refuse only what the
+    arithmetic could not read."""
+    cfg = GeneratorConfig(routers=np.int64(3), edge_prob=np.float64(0.5))
+    assert (cfg.routers, cfg.edge_prob) == (3, 0.5)
+    view = _view_of_three()
+    assert consensus_sim({0: np.float64(0.0), 1: 3, 2: 6.0}, view)[1] == 3.0
+    assert cdn_place_caches(view, 1, {0: np.float32(1.0), 1: 2})[0] == [1]
+    assert replicate_items([5], [0, 1], np.int64(2)).mapping == {5: (0, 1)}
+    dag = VersionDag()
+    assert dag.record_version([], "h0") == 0 and dag.record_version([np.int64(0)], "h1") == 1
+    assert anomaly_scores(view, np.float64(1.5))[1] == frozenset()
+
+
 # -- version DAG ------------------------------------------------------------
 
 def test_version_dag_append_and_order():
